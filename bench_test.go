@@ -178,6 +178,87 @@ func BenchmarkScheduleLP(b *testing.B) {
 	}
 }
 
+// churnBook is a B4 book shaped like the ledger's b4_deep workload:
+// single-pair demands on uniformly drawn pairs, 50-200 Mbps, four
+// target levels. change withdraws the oldest demands and admits as many
+// new ones (ids wrap at 12 bits, like the controller's).
+type churnBook struct {
+	in     *alloc.Input
+	rng    *rand.Rand
+	pairs  [][2]topo.NodeID
+	nextID int
+}
+
+func newChurnBook(size int) *churnBook {
+	n := topo.B4()
+	c := &churnBook{
+		in:    &alloc.Input{Net: n, Tunnels: routing.Compute(n, routing.KShortest, 4)},
+		rng:   rand.New(rand.NewSource(1)),
+		pairs: n.Pairs(),
+	}
+	c.change(0, size)
+	return c
+}
+
+func (c *churnBook) change(withdraw, admit int) {
+	targets := []float64{0.9, 0.95, 0.99, 0.999}
+	c.in.Demands = append([]*demand.Demand(nil), c.in.Demands[withdraw:]...)
+	for i := 0; i < admit; i++ {
+		p := c.pairs[c.rng.Intn(len(c.pairs))]
+		bw := 50 + 150*c.rng.Float64()
+		c.nextID = c.nextID%4095 + 1
+		c.in.Demands = append(c.in.Demands, &demand.Demand{
+			ID: c.nextID, Pairs: []demand.PairDemand{{Src: p[0], Dst: p[1], Bandwidth: bw}},
+			Target: targets[c.rng.Intn(len(targets))], Charge: bw, RefundFrac: 0.1,
+		})
+	}
+}
+
+// BenchmarkScheduleChurn times one scheduling round after a 16-op book
+// change (8 withdrawals, 8 admissions) on a B4 book of 200: a cold
+// bate.Schedule of the new book against a long-lived bate.Scheduler
+// that carries its keyed basis from the round before (ISSUE 18: the
+// warm round re-solves in ~100 dual pivots instead of ~4000).
+func BenchmarkScheduleChurn(b *testing.B) {
+	opts := bate.ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			book := newChurnBook(200)
+			sched := bate.NewScheduler()
+			if _, _, err := sched.Schedule(book.in, opts); err != nil {
+				b.Fatal(err)
+			}
+			pivots, warmRounds := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				book.change(8, 8)
+				b.StartTimer()
+				var stats *bate.ScheduleStats
+				var err error
+				if warm {
+					_, stats, err = sched.Schedule(book.in, opts)
+				} else {
+					_, stats, err = bate.Schedule(book.in, opts)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots += stats.Iterations
+				if stats.WarmStarted {
+					warmRounds++
+				}
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(warmRounds)/float64(b.N), "warm/op")
+		})
+	}
+}
+
 // benchB4RecoveryInput builds a contended B4 recovery instance: fewer
 // but much larger demands than benchB4Input, so failing a well-loaded
 // link leaves a fractional root relaxation and branch & bound actually

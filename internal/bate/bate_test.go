@@ -3,11 +3,13 @@ package bate
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
 	"bate/internal/lp"
+	"bate/internal/metrics"
 	"bate/internal/routing"
 	"bate/internal/scenario"
 	"bate/internal/topo"
@@ -532,6 +534,57 @@ func TestHardenRepairsRelaxationGap(t *testing.T) {
 	}
 	if err := a.CheckCapacity(in, 1e-3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHardenResolvesOnRevisedEngine: the controller calls Harden with a
+// zero Engine while holding its lock; the moment one demand is weak the
+// whole book is re-solved, and that solve must run on the sparse
+// revised engine, as Scheduler's rounds do — never on the dense tableau.
+func TestHardenResolvesOnRevisedEngine(t *testing.T) {
+	if v := os.Getenv("LP_CROSSCHECK"); v != "" && v != "0" {
+		t.Skip("LP_CROSSCHECK runs the dense engine beside every solve")
+	}
+	// Failure probabilities inflated as in TestHardenRepairsRelaxationGap.
+	base := topo.Testbed()
+	probs := make([]float64, base.NumLinks())
+	for i := range probs {
+		probs[i] = 0.002
+	}
+	n, err := base.WithFailProbs(probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &alloc.Input{Net: n, Tunnels: routing.Compute(n, routing.KShortest, 4)}
+	in.Demands = []*demand.Demand{
+		testbedDemand(t, in, 0, "DC1", "DC4", 300, 0.9999),
+		testbedDemand(t, in, 1, "DC2", "DC6", 200, 0.9),
+	}
+	// Everything on each pair's first tunnel: feasible, but a single
+	// path cannot carry a 0.9999 target, so Harden has to re-solve.
+	weak := alloc.New(in)
+	for _, d := range in.Demands {
+		weak[d.ID][0][0] = d.Pairs[0].Bandwidth
+	}
+	before := metrics.Snapshot()
+	hardened, err := Harden(in, ScheduleOptions{MaxFail: 2}, weak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Snapshot()
+	if hardened.Total() == weak.Total() {
+		t.Fatal("Harden kept the single-path allocation: no re-solve happened")
+	}
+	if d := after["lp.pivots_dense"] - before["lp.pivots_dense"]; d != 0 {
+		t.Fatalf("hardening re-solve spent %d pivots on the dense tableau", d)
+	}
+	if d := after["lp.pivots_revised"] - before["lp.pivots_revised"]; d == 0 {
+		t.Fatal("hardening re-solve spent no pivots on the revised engine")
+	}
+	for _, d := range in.Demands {
+		if ok, err := alloc.Satisfies(in, hardened, d, 2); err != nil || !ok {
+			t.Fatalf("demand %d unsatisfied after hardening (err %v)", d.ID, err)
+		}
 	}
 }
 

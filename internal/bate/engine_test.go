@@ -82,7 +82,8 @@ func TestScheduleRevisedEngine(t *testing.T) {
 
 // TestSchedulerWarmStart: a Scheduler's second solve of the same
 // admitted set reuses the cached basis and needs no more pivots than
-// the cold round, while preserving solution quality.
+// the cold round, while preserving solution quality; a changed admitted
+// set warm-starts too and lands on the cold solve's optimum.
 func TestSchedulerWarmStart(t *testing.T) {
 	in := fig2Input(t)
 	s := NewScheduler()
@@ -113,23 +114,44 @@ func TestSchedulerWarmStart(t *testing.T) {
 			t.Fatalf("demand %d achieved %v < target %v after warm round", d.ID, av, d.Target)
 		}
 	}
-	// Growing the admitted set changes the LP shape: the stale basis is
-	// discarded and the round cold-starts, then the next round warms
-	// again.
+	// Another book on another topology shares no column or row with the
+	// cached basis except by accident of naming (both number their
+	// demands from 0): the keyed basis still seeds the round, which must
+	// warm-start and equal the cold solve.
 	in3 := testbedInput(t, nil)
 	in3.Demands = testbed6Demands(t, in3)
-	_, st3, err := s.Schedule(in3, opts)
+	a3, st3, err := s.Schedule(in3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.WarmStarted {
-		t.Fatal("shape-changed round must not warm-start")
+	if !st3.WarmStarted {
+		t.Fatalf("shape-changed round did not warm-start (fallback %q)", st3.WarmFallback)
 	}
-	_, st4, err := s.Schedule(in3, opts)
+	cold, _, err := Schedule(in3, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, c := eq7Objective(t, in3, a3, 2), eq7Objective(t, in3, cold, 2); math.Abs(w-c) > 1e-9*math.Abs(c) {
+		t.Fatalf("shape-changed round: warm objective %.12g, cold %.12g", w, c)
+	}
+	// Growing the admitted set by one demand keeps the rest of the basis.
+	in4 := testbedInput(t, nil)
+	in4.Demands = append(testbed6Demands(t, in4), testbedDemand(t, in4, 3, "DC3", "DC5", 250, 0.99))
+	a4, st4, err := s.Schedule(in4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st4.WarmStarted {
-		t.Fatal("repeat round after shape change did not warm-start")
+		t.Fatalf("grown round did not warm-start (fallback %q)", st4.WarmFallback)
+	}
+	cold, stCold, err := Schedule(in4, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, c := eq7Objective(t, in4, a4, 2), eq7Objective(t, in4, cold, 2); math.Abs(w-c) > 1e-9*math.Abs(c) {
+		t.Fatalf("grown round: warm objective %.12g, cold %.12g", w, c)
+	}
+	if st4.Iterations >= stCold.Iterations {
+		t.Fatalf("grown round took %d pivots warm, %d cold", st4.Iterations, stCold.Iterations)
 	}
 }

@@ -59,6 +59,11 @@ func ScheduleHard(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, erro
 // constraints for the flagged demands and the usual relaxation for the
 // rest.
 func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) (alloc.Allocation, error) {
+	if opts.Engine == lp.EngineAuto {
+		// As in Scheduler.Schedule: the controller hardens the whole
+		// book under its lock, which the dense tableau cannot afford.
+		opts.Engine = lp.EngineRevised
+	}
 	p := lp.NewProblem()
 	fv := alloc.AddFlowVars(p, in, alloc.FullCapacities(in), nil)
 	for _, rows := range fv {

@@ -53,8 +53,9 @@ type ScheduleOptions struct {
 	// footnote 3). Only the Aggregated mode supports them.
 	Groups []scenario.RiskGroup
 	// Engine selects the LP engine. The zero value (lp.EngineAuto)
-	// keeps the dense reference tableau; lp.EngineRevised opts into the
-	// sparse revised simplex (required for warm starts);
+	// keeps the dense reference tableau in the one-shot Schedule and
+	// means lp.EngineRevised in Scheduler and Harden; lp.EngineRevised
+	// opts into the sparse revised simplex (required for warm starts);
 	// lp.EngineBatch routes large Aggregated-mode rounds through the
 	// batched matrix-form assembly and the first-order PDHG backend
 	// (small rounds and non-converging rounds fall back to the
@@ -100,6 +101,10 @@ type ScheduleStats struct {
 	// a previous round (revised engine only) instead of a cold two-phase
 	// start. For a partitioned round it means every subproblem did.
 	WarmStarted bool
+	// WarmFallback is lp.Solution.WarmFallback: why a cached basis was
+	// abandoned for a cold solve ("" when it held or there was none).
+	// A partitioned round reports its first subproblem that fell back.
+	WarmFallback string
 	// Partitioned reports whether this round was served by the
 	// hierarchical decomposition; the fields below describe it.
 	Partitioned bool
@@ -127,13 +132,16 @@ func Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, *Schedul
 
 // Scheduler runs successive scheduling solves with the revised LP
 // engine, warm-starting each round from the previous round's optimal
-// basis. The time simulator re-solves a near-identical LP every
-// scheduling epoch — the admitted set changes incrementally — where a
-// reused basis typically needs a short dual-simplex cleanup instead of
-// a cold two-phase solve. When the admitted set changes shape
-// (different variable or constraint counts) the stale basis is ignored
-// and the solve cold-starts automatically. A Scheduler is not safe for
-// concurrent use.
+// basis. The controller and the time simulator re-solve a near-
+// identical LP every round — the admitted set changes incrementally —
+// and the basis is keyed by the LP's column and row names
+// (f[d,p,t], B[d,c], demand[d,p], deliv[d,c,p], avail[d], cap[e]), so
+// admissions, withdrawals, drains and capacity changes all keep it:
+// surviving demands keep their statuses, new ones enter at a bound with
+// their rows' slacks basic, and a short dual-simplex repair replaces the
+// cold two-phase solve. ScheduleStats.WarmFallback names the rare
+// round that went cold anyway. A Scheduler is not safe for concurrent
+// use.
 type Scheduler struct {
 	basis  *lp.Basis
 	pstate *partition.State
@@ -183,6 +191,7 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 				ClassCacheMisses: res.Stats.ClassCacheMisses,
 				PoolWorkers:      parallel.Default().Size(),
 				WarmStarted:      res.Stats.WarmStarted,
+				WarmFallback:     res.Stats.WarmFallback,
 				Partitioned:      true,
 				Regions:          res.Stats.Regions,
 				CutDemands:       res.Stats.CutDemands,
@@ -232,6 +241,7 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 	if sol != nil {
 		stats.Iterations = sol.Iterations
 		stats.WarmStarted = sol.WarmStarted
+		stats.WarmFallback = sol.WarmFallback
 	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("bate: schedule: %w", err)
@@ -484,7 +494,10 @@ func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Clas
 				bit++
 			}
 			terms = append(terms, lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
-			rows = append(rows, lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
+			rows = append(rows, lp.Constraint{
+				Name:  fmt.Sprintf("deliv[d%d,c%d,p%d]", d.ID, ci, pi),
+				Terms: terms, Op: lp.GE, RHS: 0,
+			})
 		}
 	}
 	rows = append(rows, lp.Constraint{

@@ -1096,8 +1096,11 @@ func (c *Controller) reschedule() error {
 		return err
 	}
 	start := "cold"
-	if stats.WarmStarted {
+	switch {
+	case stats.WarmStarted:
 		start = "warm"
+	case stats.WarmFallback != "":
+		start = "cold: warm basis abandoned, " + stats.WarmFallback
 	}
 	c.logf("controller: scheduled %d demands: %d vars, %d constraints, %d iterations (%s start) in %v (class cache %d hit/%d miss, %d workers)",
 		len(in.Demands), stats.Variables, stats.Constraints, stats.Iterations, start, stats.Elapsed,

@@ -1,5 +1,10 @@
 package lp
 
+import (
+	"math"
+	"slices"
+)
+
 // Basis factorization for the revised simplex: the basis inverse is
 // held in product form (PFI) as a sequence of eta matrices. Each pivot
 // appends one eta; FTRAN applies the file forward, BTRAN applies the
@@ -24,10 +29,17 @@ type eta struct {
 	val      []float64
 }
 
-// factorization is the eta-file representation of B⁻¹.
+// factorization is the eta-file representation of B⁻¹, plus the
+// scratch refactor reuses across rebuilds.
 type factorization struct {
 	m    int
 	etas []eta
+
+	etaOfRow []int32 // refactor eta pivoting on each row, -1 for none
+	rowUsed  []bool
+	inWork   []bool  // row is listed in touched
+	touched  []int32 // rows of work that may be nonzero
+	heap     []int32 // pending eta indices of the refactor FTRAN
 }
 
 // reset empties the eta file.
@@ -64,126 +76,317 @@ func (f *factorization) btran(v []float64) {
 }
 
 // push appends the eta for a pivot on row r of the FTRAN'd entering
-// column w (w = B⁻¹ a_enter). w is left dirty.
+// column w (w = B⁻¹ a_enter), scanning every row. w is left dirty.
 func (f *factorization) push(w []float64, r int32) {
-	pv := 1 / w[r]
-	var ind []int32
-	var val []float64
+	e := eta{pivot: r, pivotVal: 1 / w[r]}
 	for i, x := range w {
-		if int32(i) == r || x == 0 {
-			continue
-		}
-		if x < etaDropTol && x > -etaDropTol {
-			continue
-		}
-		ind = append(ind, int32(i))
-		val = append(val, -x*pv)
+		e.add(int32(i), x)
 	}
-	f.etas = append(f.etas, eta{pivot: r, pivotVal: pv, ind: ind, val: val})
+	f.etas = append(f.etas, e)
+}
+
+// add records off-pivot entry x of the pivoted column at row i,
+// dropping zeros and roundoff dust.
+func (e *eta) add(i int32, x float64) {
+	if i == e.pivot || x == 0 || (x < etaDropTol && x > -etaDropTol) {
+		return
+	}
+	e.ind = append(e.ind, i)
+	e.val = append(e.val, -x*e.pivotVal)
 }
 
 // refactor rebuilds the eta file from the basic column set. basic
-// lists one column per row (any order); colOf materializes a column's
-// nonzeros. On success it returns the row each basic column pivoted on
-// (rowVar[row] = column) and true; on a singular basis it returns
-// false with the factorization left unusable.
-func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]int32, []float64), work []float64) ([]int32, bool) {
+// lists the candidate columns (any order); colOf materializes a
+// column's nonzeros; work is scratch of length m. It returns the row
+// each column pivoted on (rowVar[row] = column).
+//
+// With fill == nil, basic must hold exactly one column per row and a
+// column that finds no pivot makes the basis singular: refactor
+// returns false with the factorization left unusable. With fill set
+// (repair mode) basic may be any column set: a column that finds no
+// pivot is left out of rowVar, and every row still unpivoted at the
+// end takes the column fill(row), which must be that row's unit
+// (slack or artificial) column, so the result is always square and
+// nonsingular.
+//
+// The work per column is proportional to the nonzeros it touches, not
+// to m: the column is scattered with a list of the rows it reaches,
+// the FTRAN visits only etas whose pivot row is live (every refactor
+// eta pivots on a row of its own, so they are indexed by row and
+// drained in file order through a min-heap as fill-in reaches them),
+// and the pivot search, the eta and the clean-up walk that list. The
+// arithmetic is the dense sweep's, operation for operation: columns in
+// stable nnz order, etas in file order, the largest |a| with the
+// lowest row on ties, eta entries in ascending row order.
+func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]int32, []float64), work []float64, fill func(row int32) int32) ([]int32, bool) {
 	f.reset(m)
 	factorizations.Inc()
-	// Process sparsest columns first: unit slack/artificial columns
-	// pivot trivially and keep the etas of later, denser columns short.
-	order := make([]int32, len(basic))
-	copy(order, basic)
-	nnzOf := func(j int32) int {
-		ind, _ := colOf(j)
-		return len(ind)
+	if cap(f.etaOfRow) < m {
+		f.etaOfRow = make([]int32, m)
+		f.rowUsed = make([]bool, m)
+		f.inWork = make([]bool, m)
 	}
-	// Insertion sort by nnz (m is moderate; basic is mostly unit cols).
-	for i := 1; i < len(order); i++ {
-		j, nj := order[i], nnzOf(order[i])
-		k := i - 1
-		for k >= 0 && nnzOf(order[k]) > nj {
-			order[k+1] = order[k]
-			k--
-		}
-		order[k+1] = j
-	}
-	rowUsed := make([]bool, m)
+	f.etaOfRow, f.rowUsed, f.inWork = f.etaOfRow[:m], f.rowUsed[:m], f.inWork[:m]
 	rowVar := make([]int32, m)
-	for i := range rowVar {
+	for i := 0; i < m; i++ {
+		f.etaOfRow[i], f.rowUsed[i], f.inWork[i] = -1, false, false
 		rowVar[i] = -1
+		work[i] = 0
 	}
-	for _, j := range order {
-		ind, val := colOf(j)
-		for i := range work {
-			work[i] = 0
-		}
-		for k, r := range ind {
-			work[r] = val[k]
-		}
-		f.ftran(work)
-		// Pivot on the largest-magnitude entry in an unused row.
-		best, bestAbs := int32(-1), singularTol
-		for r := 0; r < m; r++ {
-			if rowUsed[r] {
-				continue
-			}
-			a := work[r]
-			if a < 0 {
-				a = -a
-			}
-			if a > bestAbs {
-				bestAbs = a
-				best = int32(r)
-			}
-		}
-		if best < 0 {
+	// Sparsest columns first: unit slack/artificial columns pivot
+	// trivially and keep the etas of later, denser columns short.
+	for _, j := range sortByNNZ(basic, colOf) {
+		row := f.pivotColumn(j, colOf, work)
+		if row >= 0 {
+			rowVar[row] = j
+		} else if fill == nil {
 			return nil, false
 		}
-		// Identity columns (slack already pivoting its own untouched
-		// row with coefficient 1) need no eta.
-		if !(work[best] == 1 && isUnitVector(work, best)) {
-			f.push(work, best)
+	}
+	if fill != nil {
+		for r := int32(0); int(r) < m; r++ {
+			if f.rowUsed[r] {
+				continue
+			}
+			j := fill(r)
+			if f.pivotColumn(j, colOf, work) != r {
+				return nil, false
+			}
+			rowVar[r] = j
 		}
-		rowUsed[best] = true
-		rowVar[best] = j
 	}
 	return rowVar, true
 }
 
-// isUnitVector reports whether w is exactly e_r (value checked by the
-// caller); used to skip identity etas during refactorization.
-func isUnitVector(w []float64, r int32) bool {
-	for i, x := range w {
-		if int32(i) != r && x != 0 {
-			return false
+// sortByNNZ returns cols stably ordered by nonzero count (a counting
+// sort: the counts are at most m).
+func sortByNNZ(cols []int32, colOf func(j int32) ([]int32, []float64)) []int32 {
+	nnz := make([]int32, len(cols))
+	maxN := int32(0)
+	for i, j := range cols {
+		ind, _ := colOf(j)
+		nnz[i] = int32(len(ind))
+		if nnz[i] > maxN {
+			maxN = nnz[i]
 		}
 	}
-	return true
+	next := make([]int32, maxN+2)
+	for _, n := range nnz {
+		next[n+1]++
+	}
+	for n := int32(1); n <= maxN; n++ {
+		next[n] += next[n-1]
+	}
+	order := make([]int32, len(cols))
+	for i, j := range cols {
+		order[next[nnz[i]]] = j
+		next[nnz[i]]++
+	}
+	return order
+}
+
+// pivotColumn FTRANs column j through the refactor etas built so far,
+// pivots it on the largest-magnitude entry in an unused row and
+// appends its eta. It returns the pivot row, or -1 when no unused row
+// carries an entry above singularTol. work is all zero on entry and on
+// exit.
+func (f *factorization) pivotColumn(j int32, colOf func(j int32) ([]int32, []float64), work []float64) int32 {
+	ind, val := colOf(j)
+	f.touched, f.heap = f.touched[:0], f.heap[:0]
+	for k, r := range ind {
+		work[r] = val[k]
+		f.inWork[r] = true
+		f.touched = append(f.touched, r)
+		if e := f.etaOfRow[r]; e >= 0 {
+			f.heapPush(e)
+		}
+	}
+	for len(f.heap) > 0 {
+		k := f.heapPop()
+		e := &f.etas[k]
+		t := work[e.pivot]
+		if t == 0 {
+			continue
+		}
+		work[e.pivot] = t * e.pivotVal
+		for i, r := range e.ind {
+			work[r] += t * e.val[i]
+			if !f.inWork[r] {
+				f.inWork[r] = true
+				f.touched = append(f.touched, r)
+				// An eta before k saw a zero here when its turn came.
+				if q := f.etaOfRow[r]; q > k {
+					f.heapPush(q)
+				}
+			}
+		}
+	}
+	best, bestAbs := int32(-1), singularTol
+	nonzero := 0
+	for _, r := range f.touched {
+		a := work[r]
+		if a != 0 {
+			nonzero++
+		}
+		if f.rowUsed[r] {
+			continue
+		}
+		if a < 0 {
+			a = -a
+		}
+		if a > bestAbs || (a == bestAbs && best >= 0 && r < best) {
+			bestAbs, best = a, r
+		}
+	}
+	if best >= 0 {
+		// Identity columns (slack already pivoting its own untouched
+		// row with coefficient 1) need no eta.
+		if !(work[best] == 1 && nonzero == 1) {
+			slices.Sort(f.touched)
+			e := eta{
+				pivot: best, pivotVal: 1 / work[best],
+				ind: make([]int32, 0, len(f.touched)-1),
+				val: make([]float64, 0, len(f.touched)-1),
+			}
+			for _, r := range f.touched {
+				e.add(r, work[r])
+			}
+			f.etaOfRow[best] = int32(len(f.etas))
+			f.etas = append(f.etas, e)
+		}
+		f.rowUsed[best] = true
+	}
+	for _, r := range f.touched {
+		work[r] = 0
+		f.inWork[r] = false
+	}
+	return best
+}
+
+// heapPush and heapPop keep f.heap a binary min-heap of eta indices.
+func (f *factorization) heapPush(k int32) {
+	h := append(f.heap, k)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	f.heap = h
+}
+
+func (f *factorization) heapPop() int32 {
+	h := f.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	f.heap = h
+	return top
 }
 
 // Basis is an opaque snapshot of an optimal revised-simplex basis,
-// reusable to warm-start a later solve of a structurally identical
-// problem (same variable and constraint counts, same constraint
-// operators). Obtain one from Solution.Basis after a revised-engine
-// solve and pass it back via Options.Warm.
+// reusable to warm-start a later solve. Obtain one from Solution.Basis
+// after a revised-engine solve and pass it back via Options.Warm. It
+// records every column's and row's name next to its status, so it
+// seeds not only a re-solve of the same problem (branch & bound
+// children, an unchanged book) but any problem that shares names with
+// it: see remap. The seeded statuses are a hint, never a certificate —
+// the warm solve repairs whatever it is given into an optimal basis of
+// the problem at hand, so a name that has come to mean something else
+// (a reused demand id) costs pivots, not correctness.
 type Basis struct {
-	ns, m   int
-	ops     []Op
-	status  []int8  // per structural+slack column
-	rowVar  []int32 // basic column per row (may include artificials)
-	artSign []int8  // per-row artificial column sign
+	ns, m    int
+	ops      []Op
+	colNames []string // per structural column
+	rowNames []string
+	status   []int8  // per structural+slack column
+	rowVar   []int32 // basic column per row (may include artificials)
+	artSign  []int8  // per-row artificial column sign
 }
 
-// matches reports whether the snapshot fits problem p's shape.
+// matches reports whether the snapshot fits problem p position for
+// position: same shape, same operators, same names.
 func (b *Basis) matches(p *Problem) bool {
-	if b == nil || b.ns != len(p.vars) || b.m != len(p.cons) {
+	if b.ns != len(p.vars) || b.m != len(p.cons) {
 		return false
 	}
 	for i, c := range p.cons {
-		if b.ops[i] != c.Op {
+		if b.ops[i] != c.Op || b.rowNames[i] != c.Name {
+			return false
+		}
+	}
+	for j, v := range p.vars {
+		if b.colNames[j] != v.name {
 			return false
 		}
 	}
 	return true
+}
+
+// remap carries the snapshot onto a problem it does not match, by
+// name, writing a status for every structural and slack column of r.
+// A column whose name the snapshot knows keeps its status; a new boxed
+// column with negative cost starts at its upper bound, any other new
+// column at its lower. A row the snapshot knows under the same
+// operator keeps its slack's status; a new row gets its slack basic.
+// Unnamed columns and rows are new. What was basic on a column or row
+// that is gone is simply missing from the result, which is therefore
+// not a basis yet: the repairing refactorization makes it one.
+func (b *Basis) remap(r *revised) {
+	oldCol := make(map[string]int32, b.ns)
+	for j, name := range b.colNames {
+		if name != "" {
+			oldCol[name] = int32(j)
+		}
+	}
+	for j, v := range r.p.vars {
+		if old, ok := oldCol[v.name]; ok {
+			r.status[j] = b.status[old]
+		} else if r.cost[j] < 0 && !math.IsInf(r.hi[j], 1) {
+			r.status[j] = atUpper
+		} else {
+			r.status[j] = atLower
+		}
+	}
+	oldRow := make(map[string]int32, b.m)
+	oldSlack := make([]int32, b.m)
+	next := int32(b.ns)
+	for i, name := range b.rowNames {
+		oldSlack[i] = -1
+		if b.ops[i] != EQ {
+			oldSlack[i] = next
+			next++
+		}
+		if name != "" {
+			oldRow[name] = int32(i)
+		}
+	}
+	for i, c := range r.p.cons {
+		sc := r.slackCol[i]
+		if sc < 0 {
+			continue
+		}
+		if old, ok := oldRow[c.Name]; ok && b.ops[old] == c.Op {
+			r.status[sc] = b.status[oldSlack[old]]
+		} else {
+			r.status[sc] = isBasic
+		}
+	}
 }

@@ -113,10 +113,9 @@ func (p *Problem) solveLPDense(overrideLo, overrideHi []float64, rule PivotRule)
 }
 
 // solveLPRevised runs the sparse revised simplex, warm-starting from
-// opts.Warm when the snapshot fits and remains usable. Warm-start
-// infeasibility verdicts come from the dual simplex, whose wrong answer
-// would silently prune branch-and-bound subtrees — they are always
-// re-confirmed by a cold solve.
+// opts.Warm when one is supplied: any snapshot seeds any problem (see
+// Basis). The warm attempt is abandoned for a cold two-phase solve only
+// for the reasons runWarm names.
 func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options) (*Solution, error) {
 	r, err := newRevisedBase(p, overrideLo, overrideHi)
 	if err != nil {
@@ -125,20 +124,22 @@ func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options)
 	r.rule = opts.Pivot
 	r.cancel = opts.Cancel
 	var st Status
-	warmUsed := false
-	if opts.Warm != nil && opts.Warm.matches(p) && r.initWarm(opts.Warm) {
-		var usable bool
-		st, usable = r.runWarm()
-		if usable && st == Infeasible {
-			usable = false // cold-confirm dual-simplex infeasibility
+	fallback := warmOK
+	if opts.Warm != nil {
+		if r.initWarm(opts.Warm) {
+			st, fallback = r.runWarm()
+		} else {
+			fallback = warmSingular
 		}
-		warmUsed = usable
+		warmstartRepair.Add(int64(r.pivots))
 	}
+	warmUsed := opts.Warm != nil && fallback == warmOK
 	if warmUsed {
 		warmstartHits.Inc()
 	} else {
 		if opts.Warm != nil {
 			warmstartMiss.Inc()
+			warmstartFallbacks.Inc()
 		}
 		prior := r.pivots
 		r, _ = newRevisedBase(p, overrideLo, overrideHi)
@@ -149,7 +150,7 @@ func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options)
 		st = r.run()
 	}
 	pivotsRevised.Add(int64(r.pivots))
-	sol := &Solution{Status: st, Iterations: r.pivots, Nodes: 1, WarmStarted: warmUsed}
+	sol := &Solution{Status: st, Iterations: r.pivots, Nodes: 1, WarmStarted: warmUsed, WarmFallback: fallback}
 	switch st {
 	case Infeasible:
 		return sol, ErrInfeasible

@@ -4,11 +4,18 @@
 // failure recovery (Eq. 12). It substitutes for the commercial solver
 // (Gurobi) used in the paper.
 //
-// The LP solver is a dense two-phase primal simplex with Dantzig
-// pivoting and a Bland anti-cycling fallback. The MILP solver is a
-// depth-first branch & bound over the LP relaxation. Problem sizes in
+// Three engines sit behind Options.Engine: a dense two-phase primal
+// simplex tableau with Dantzig pivoting and a Bland anti-cycling
+// fallback (the reference, simplex.go); a sparse bounded-variable
+// revised simplex — CSC matrix, product-form basis with O(nnz)
+// refactorization, primal and dual iterations, and warm starts from a
+// name-keyed Basis of this or a neighbouring problem (sparse.go,
+// basis.go, revised.go) — which the scheduling rounds run on; and a
+// first-order batch solver for very large instances (lp/batch). The
+// MILP solver is a depth-first branch & bound over the LP relaxation,
+// each child warm-started from its parent's basis. Problem sizes in
 // BATE are moderate (hundreds to a few thousands of rows) after
-// scenario aggregation, which dense simplex handles comfortably.
+// scenario aggregation.
 package lp
 
 import (
@@ -198,13 +205,19 @@ type Solution struct {
 	// WarmStarted reports whether the solve reused a supplied warm
 	// basis (revised engine only).
 	WarmStarted bool
-	basis       *Basis
+	// WarmFallback names why a supplied warm basis was abandoned for a
+	// cold solve: "pivot-cap" (the repair ran past its pivot cap),
+	// "singular" (a refactorization failed numerically) or "infeasible"
+	// (a warm infeasibility verdict, cold-confirmed). Empty when the
+	// warm start held or none was supplied.
+	WarmFallback string
+	basis        *Basis
 }
 
 // Basis returns the optimal simplex basis when the solve used the
 // revised engine and reached optimality, or nil otherwise. Pass it back
-// via Options.Warm to warm-start a later solve of a structurally
-// identical problem.
+// via Options.Warm to warm-start a later solve of the same problem or
+// of one that shares column and row names with it.
 func (s *Solution) Basis() *Basis { return s.basis }
 
 // Value returns the optimal value of variable v.

@@ -10,9 +10,13 @@ var (
 	factorizations = metrics.NewCounter("lp.factorizations")
 	warmstartHits  = metrics.NewCounter("lp.warmstart_hits")
 	warmstartMiss  = metrics.NewCounter("lp.warmstart_misses")
-	pivotsDense    = metrics.NewCounter("lp.pivots_dense")
-	pivotsRevised  = metrics.NewCounter("lp.pivots_revised")
-	abortsCtr      = metrics.NewCounter("lp.aborts")
+	// Pivots spent on warm bases (hit or not), and warm starts
+	// abandoned for a cold solve (Solution.WarmFallback has the reason).
+	warmstartRepair    = metrics.NewCounter("lp.warmstart_repair_pivots")
+	warmstartFallbacks = metrics.NewCounter("lp.warmstart_fallbacks")
+	pivotsDense        = metrics.NewCounter("lp.pivots_dense")
+	pivotsRevised      = metrics.NewCounter("lp.pivots_revised")
+	abortsCtr          = metrics.NewCounter("lp.aborts")
 
 	// Batch (first-order) engine instrumentation: solves routed to the
 	// batch path, PDHG iterations spent there, solves that fell back to

@@ -9,8 +9,9 @@ import "math"
 // explicit upper-bound rows are materialized, and (3) maintains the
 // basis inverse in product form (basis.go) with periodic
 // refactorization. A bounded dual simplex restores primal feasibility
-// from a warm-start basis after RHS or bound changes (branch & bound
-// children, re-scheduling rounds), avoiding a cold Phase 1.
+// from a warm-start basis — after bound changes (branch & bound
+// children) or after rows and columns came and went (re-scheduling
+// rounds, see Basis) — avoiding a cold Phase 1.
 
 // Nonbasic/basic variable states.
 const (
@@ -168,12 +169,29 @@ func (r *revised) initCold() {
 	r.refactorNow()
 }
 
-// initWarm installs a snapshotted basis. It reports false (leaving the
-// state unusable) when the factorization is singular.
+// initWarm seeds the solve from a snapshot: position for position when
+// it matches the problem, by name otherwise. Either way the seed is a
+// set of statuses and candidate basic columns, not yet a basis; the
+// repairing refactorization drops candidates that find no pivot and
+// gives every row left over its slack (its zero-fixed artificial on an
+// EQ row), so any snapshot of any problem ends as a nonsingular basis
+// of this one. It reports false only on a numerical failure.
 func (r *revised) initWarm(b *Basis) bool {
-	copy(r.status[:r.artLo], b.status)
-	for i := range b.artSign {
-		r.artSign[i] = float64(b.artSign[i])
+	r.setPhase2Costs()
+	var candidates []int32
+	if b.matches(r.p) {
+		copy(r.status[:r.artLo], b.status)
+		for i := range b.artSign {
+			r.artSign[i] = float64(b.artSign[i])
+		}
+		candidates = b.rowVar
+	} else {
+		b.remap(r)
+		for j := 0; j < r.artLo; j++ {
+			if r.status[j] == isBasic {
+				candidates = append(candidates, int32(j))
+			}
+		}
 	}
 	// Artificials are fixed at zero in a warm solve even when basic.
 	for i := 0; i < r.m; i++ {
@@ -186,27 +204,48 @@ func (r *revised) initWarm(b *Basis) bool {
 			r.status[j] = atLower
 		}
 	}
-	copy(r.rowVar, b.rowVar)
-	for _, j := range r.rowVar {
-		r.status[j] = isBasic
-	}
-	if !r.refactorNow() {
+	rowVar, ok := r.fac.refactor(r.m, candidates, r.colOf, r.work2, r.unitCol)
+	if !ok {
 		return false
 	}
+	for _, j := range candidates {
+		r.status[j] = atLower
+	}
+	for _, j := range rowVar {
+		r.status[j] = isBasic
+	}
+	r.rowVar = rowVar
+	r.sinceRefactor = 0
+	r.computeXB()
 	return true
+}
+
+// unitCol returns the unit column of a row: its slack, or its
+// artificial on an EQ row.
+func (r *revised) unitCol(row int32) int32 {
+	if sc := r.slackCol[row]; sc >= 0 {
+		return sc
+	}
+	return int32(r.artLo) + row
 }
 
 // snapshot captures the current basis for warm-starting later solves.
 func (r *revised) snapshot() *Basis {
 	b := &Basis{
 		ns: r.ns, m: r.m,
-		ops:     make([]Op, r.m),
-		status:  make([]int8, r.artLo),
-		rowVar:  make([]int32, r.m),
-		artSign: make([]int8, r.m),
+		ops:      make([]Op, r.m),
+		colNames: make([]string, r.ns),
+		rowNames: make([]string, r.m),
+		status:   make([]int8, r.artLo),
+		rowVar:   make([]int32, r.m),
+		artSign:  make([]int8, r.m),
 	}
 	for i, c := range r.p.cons {
 		b.ops[i] = c.Op
+		b.rowNames[i] = c.Name
+	}
+	for j, v := range r.p.vars {
+		b.colNames[j] = v.name
 	}
 	copy(b.status, r.status[:r.artLo])
 	copy(b.rowVar, r.rowVar)
@@ -219,7 +258,7 @@ func (r *revised) snapshot() *Basis {
 // refactorNow rebuilds the eta file from the current basic columns and
 // recomputes the basic values from scratch (flushing drift).
 func (r *revised) refactorNow() bool {
-	rowVar, ok := r.fac.refactor(r.m, r.rowVar, r.colOf, r.work2)
+	rowVar, ok := r.fac.refactor(r.m, r.rowVar, r.colOf, r.work2, nil)
 	if !ok {
 		return false
 	}
@@ -532,24 +571,82 @@ func (r *revised) run() Status {
 	return r.primal(false)
 }
 
-// runWarm attempts to solve from an installed warm basis. The second
-// return is false when the basis is neither primal- nor dual-feasible
-// under the current bounds and costs — the caller should cold start.
-func (r *revised) runWarm() (Status, bool) {
-	r.setPhase2Costs()
-	if r.primalFeasible() {
-		return r.primal(false), true
-	}
-	if r.dualFeasible() {
+// Reasons a warm start is abandoned for a cold solve; "" means the
+// warm result stands.
+const (
+	warmOK         = ""
+	warmPivotCap   = "pivot-cap"
+	warmSingular   = "singular"
+	warmInfeasible = "infeasible"
+)
+
+// warmRepairPivotCap bounds the dual-simplex repair of a warm basis.
+// The dual iteration has no anti-cycling rule, and a repair that long
+// has lost to the cold solve anyway.
+const warmRepairPivotCap = 5000
+
+// runWarm solves from the basis initWarm installed (phase-2 costs
+// already set). A primal-feasible basis goes straight to the primal
+// simplex. Any other is first made dual-feasible — boxed nonbasics
+// flip to their other bound, unboxed ones have their cost shifted to a
+// zero reduced cost — then the dual simplex restores primal
+// feasibility, the true costs return, and primal iterations clean up
+// what the shifts (and degenerate dual exits) left. The second return
+// names why the caller should cold start instead: the repair hit its
+// pivot cap, a refactorization went singular, or the dual simplex
+// declared infeasibility — a verdict that would silently prune
+// branch-and-bound subtrees if wrong, so it is always cold-confirmed.
+func (r *revised) runWarm() (Status, string) {
+	if !r.primalFeasible() {
+		r.makeDualFeasible()
 		st := r.dualSimplex()
-		if st == Optimal {
-			// Polish: degenerate dual exits can leave slightly negative
-			// reduced costs; finish with primal iterations.
-			return r.primal(false), true
+		r.setPhase2Costs()
+		switch {
+		case st == Infeasible:
+			return st, warmInfeasible
+		case st == IterLimit && r.pivots >= warmRepairPivotCap:
+			return st, warmPivotCap
+		case st == IterLimit:
+			return st, warmSingular
+		case st != Optimal:
+			return st, warmOK
 		}
-		return st, true
 	}
-	return IterLimit, false
+	st := r.primal(false)
+	if st == IterLimit && r.pivots < maxPivots {
+		return st, warmSingular
+	}
+	return st, warmOK
+}
+
+// makeDualFeasible makes every nonbasic resting position consistent
+// with its reduced cost: a column priced to move off its bound is
+// flipped to the other bound when it has one and has its cost shifted
+// by the offending reduced cost when it does not. The caller restores
+// the true costs with setPhase2Costs.
+func (r *revised) makeDualFeasible() {
+	r.computeY()
+	flipped := false
+	for j := 0; j < r.artLo; j++ {
+		st := r.status[j]
+		if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
+			continue
+		}
+		d := r.reducedCost(j)
+		switch {
+		case st == atLower && d < -feasTol && math.IsInf(r.hi[j], 1):
+			r.cost[j] -= d
+		case st == atLower && d < -feasTol:
+			r.status[j] = atUpper
+			flipped = true
+		case st == atUpper && d > feasTol:
+			r.status[j] = atLower
+			flipped = true
+		}
+	}
+	if flipped {
+		r.computeXB()
+	}
 }
 
 // primalFeasible reports whether every basic value is within bounds.
@@ -562,34 +659,14 @@ func (r *revised) primalFeasible() bool {
 	return true
 }
 
-// dualFeasible reports whether the reduced costs are consistent with
-// every nonbasic resting position under the phase-2 costs.
-func (r *revised) dualFeasible() bool {
-	r.computeY()
-	for j := 0; j < r.artLo; j++ {
-		st := r.status[j]
-		if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
-			continue
-		}
-		d := r.reducedCost(j)
-		if st == atLower && d < -feasTol {
-			return false
-		}
-		if st == atUpper && d > feasTol {
-			return false
-		}
-	}
-	return true
-}
-
 // dualSimplex restores primal feasibility from a dual-feasible basis:
 // the standard bounded-variable dual iteration (leaving row by largest
 // bound violation, entering column by the dual ratio test). Returns
 // Optimal once primal feasible, Infeasible when dual-unbounded (the
-// problem has no feasible point), IterLimit on the pivot cap.
+// problem has no feasible point), IterLimit at warmRepairPivotCap.
 func (r *revised) dualSimplex() Status {
 	for {
-		if r.pivots >= maxPivots {
+		if r.pivots >= warmRepairPivotCap {
 			return IterLimit
 		}
 		if r.aborted() {

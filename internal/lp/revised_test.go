@@ -258,41 +258,92 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	}
 }
 
-// TestWarmStartShapeMismatch verifies a stale basis from a different
-// problem shape is ignored, not misapplied.
+// TestWarmStartShapeMismatch: a basis from a problem of another shape
+// (or with other operators) is remapped by name and repaired, not
+// discarded — the solve warm-starts and lands on the cold optimum.
 func TestWarmStartShapeMismatch(t *testing.T) {
 	p1 := NewProblem()
 	x := p1.AddVariable("x", 0, 10, 1)
-	p1.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Op: GE, RHS: 2})
+	p1.AddConstraint(Constraint{Name: "need", Terms: []Term{{x, 1}}, Op: GE, RHS: 2})
 	s1, err := p1.SolveOpts(Options{Engine: EngineRevised})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One surviving column and row, one new column and row.
 	p2 := NewProblem()
-	a := p2.AddVariable("a", 0, 10, 1)
+	a := p2.AddVariable("x", 0, 10, 1)
 	b := p2.AddVariable("b", 0, 10, 2)
-	p2.AddConstraint(Constraint{Terms: []Term{{a, 1}, {b, 1}}, Op: GE, RHS: 3})
-	p2.AddConstraint(Constraint{Terms: []Term{{b, 1}}, Op: LE, RHS: 1})
+	p2.AddConstraint(Constraint{Name: "need", Terms: []Term{{a, 1}, {b, 1}}, Op: GE, RHS: 3})
+	p2.AddConstraint(Constraint{Name: "cap", Terms: []Term{{b, 1}}, Op: LE, RHS: 1})
 	s2, err := p2.SolveOpts(Options{Engine: EngineRevised, Warm: s1.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.WarmStarted {
-		t.Fatal("mismatched basis should not warm-start")
+	if !s2.WarmStarted || s2.WarmFallback != "" {
+		t.Fatalf("remapped basis did not warm-start (fallback %q)", s2.WarmFallback)
 	}
-	if math.Abs(s2.Objective-3) > 1e-6 {
+	if math.Abs(s2.Objective-3) > 1e-9 {
 		t.Fatalf("objective %g, want 3", s2.Objective)
 	}
-	// Same-shape but different-operator problems must also miss.
+	// Same shape and names, different operator: the row is new.
 	p3 := NewProblem()
-	y := p3.AddVariable("y", 0, 10, 1)
-	p3.AddConstraint(Constraint{Terms: []Term{{y, 1}}, Op: LE, RHS: 2})
+	y := p3.AddVariable("x", 0, 10, -1)
+	p3.AddConstraint(Constraint{Name: "need", Terms: []Term{{y, 1}}, Op: LE, RHS: 2})
 	s3, err := p3.SolveOpts(Options{Engine: EngineRevised, Warm: s1.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.WarmStarted {
-		t.Fatal("operator-mismatched basis should not warm-start")
+	if !s3.WarmStarted {
+		t.Fatalf("operator-changed basis did not warm-start (fallback %q)", s3.WarmFallback)
+	}
+	if math.Abs(s3.Objective+2) > 1e-9 {
+		t.Fatalf("objective %g, want -2", s3.Objective)
+	}
+	// Shrinking back drops a basic column and a row.
+	s4, err := p1.SolveOpts(Options{Engine: EngineRevised, Warm: s2.Basis()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s4.WarmStarted || math.Abs(s4.Objective-2) > 1e-9 {
+		t.Fatalf("shrunk problem: warm=%v objective %g, want warm 2", s4.WarmStarted, s4.Objective)
+	}
+}
+
+// TestWarmStartForeignBasis: correctness never rests on what a name
+// means. Random LPs all call their columns x0.. and their rows c0.., so
+// the optimal basis of one seeds an unrelated other with arbitrary
+// statuses — as a reused demand id does — and the warm solve must still
+// return the dense engine's verdict and objective.
+func TestWarmStartForeignBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	warmed, seeded := 0, 0 // among problems with an optimum
+	for k := 0; k < 4000; k++ {
+		donor, err := randomLP(rng).SolveOpts(Options{Engine: EngineRevised})
+		if err != nil {
+			continue
+		}
+		p := randomLP(rng)
+		warm, werr := p.SolveOpts(Options{Engine: EngineRevised, Warm: donor.Basis()})
+		cold, cerr := p.solveLPDense(nil, nil, Auto)
+		if warm.Status != cold.Status {
+			t.Fatalf("case %d: status warm=%v dense=%v (warm err %v, cold err %v)", k, warm.Status, cold.Status, werr, cerr)
+		}
+		if !warm.WarmStarted && warm.WarmFallback == "" {
+			t.Fatalf("case %d: cold solve with no fallback reason", k)
+		}
+		if cold.Status == Optimal {
+			seeded++
+			if warm.WarmStarted {
+				warmed++
+			}
+			tol := 1e-6 * (1 + math.Abs(cold.Objective))
+			if math.Abs(warm.Objective-cold.Objective) > tol {
+				t.Fatalf("case %d: warm objective %.12g != dense %.12g", k, warm.Objective, cold.Objective)
+			}
+		}
+	}
+	if seeded < 100 || warmed < seeded*9/10 {
+		t.Fatalf("%d of %d foreign bases warm-started", warmed, seeded)
 	}
 }
 

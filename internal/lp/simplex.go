@@ -26,8 +26,9 @@ type Options struct {
 	// Engine selects the simplex implementation; EngineAuto uses the
 	// dense tableau unless Warm is supplied.
 	Engine Engine
-	// Warm seeds the revised engine with a previously optimal basis of
-	// a structurally identical problem; ignored by the dense engine.
+	// Warm seeds the revised engine with a previously optimal basis: of
+	// this problem, or of any problem sharing column and row names with
+	// it (see Basis). Ignored by the dense engine.
 	Warm *Basis
 	// ColdStart disables parent-basis warm-starting inside branch &
 	// bound (benchmark/ablation control).

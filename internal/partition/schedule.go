@@ -60,6 +60,7 @@ type SubResult struct {
 
 	Variables, Constraints, Iterations int
 	WarmStarted                        bool
+	WarmFallback                       string // lp.Solution.WarmFallback
 	ClassCacheHits, ClassCacheMisses   int
 }
 
@@ -80,6 +81,7 @@ type Stats struct {
 
 	Variables, Constraints, Iterations int
 	WarmStarted                        bool
+	WarmFallback                       string // first sub-LP's reason, if any
 	ClassCacheHits, ClassCacheMisses   int
 }
 
@@ -148,6 +150,9 @@ func Schedule(in *alloc.Input, opts Options, solve SubSolver, st *State) (*Resul
 		stats.ClassCacheHits += r.ClassCacheHits
 		stats.ClassCacheMisses += r.ClassCacheMisses
 		stats.WarmStarted = stats.WarmStarted && r.WarmStarted
+		if stats.WarmFallback == "" {
+			stats.WarmFallback = r.WarmFallback
+		}
 	}
 
 	// Phase 1 — coordination: the cross-region demands compete for the
