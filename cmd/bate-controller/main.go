@@ -51,7 +51,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "overload protection: admission gate base concurrency; shed excess client requests with retry-after hints instead of queueing unboundedly (0 = disabled)")
 	shedPrio := flag.String("shed-priority", "submit", "overload protection: least-critical class the gate may shed — submit (sheds submits and status polls) or status (sheds only status polls); withdrawals and link events are never shed (with -max-inflight)")
 	rateLimit := flag.Float64("rate-limit", 0, "overload protection: per-client token-bucket rate (requests/sec, 0 = unlimited; with -max-inflight)")
-	batchLP := flag.Bool("batch-lp", false, "route reschedules above the batch row threshold through the batched matrix-form first-order solver (PDHG) with a transparent simplex fallback")
 	maintenance := flag.String("maintenance", "", "planned maintenance windows as SRC-DST:START:END[:LEAD],... with durations relative to startup (e.g. DC1-DC4:5m:15m:30s); each link drains LEAD before START and returns to service at END")
 	flag.Parse()
 
@@ -112,10 +111,6 @@ func main() {
 		Net: net0, Tunnels: tunnels, MaxFail: *maxFail, SchedulePeriod: *period,
 		RecoveryDeadline: *recoveryDeadline,
 		ForceJSONWire:    *jsonWire,
-		BatchLP:          *batchLP,
-	}
-	if *batchLP {
-		log.Printf("bate-controller: batched first-order scheduling engine enabled")
 	}
 	if *maintenance != "" {
 		windows, err := parseMaintenance(*maintenance, time.Now())

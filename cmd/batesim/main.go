@@ -97,7 +97,6 @@ func main() {
 	overloadSec := flag.Float64("overload-sec", 2, "overload scenario: wall-clock seconds per phase")
 	partitions := flag.Int("partitions", 0, "hierarchical scheduling: split the topology into k regions solved in parallel (0/1 = global LP)")
 	partitionGap := flag.Float64("partition-gap", 0, "hierarchical scheduling: max relative optimality-gap bound before falling back to the global LP (0 = 2%)")
-	batchLP := flag.Bool("batch-lp", false, "route BATE scheduling rounds above the batch row threshold through the batched matrix-form first-order solver (PDHG) with a transparent simplex fallback")
 	flag.Parse()
 
 	if *procs < 0 {
@@ -253,7 +252,7 @@ func main() {
 		cfg := sim.TimeSimConfig{
 			Net: net0, Tunnels: tunnels, Workload: workload,
 			HorizonSec: *horizon, ScheduleEverySec: 60,
-			TE:        sim.TEConfig{Kind: kind, MaxFail: *maxFail, Partition: popts, BatchLP: *batchLP},
+			TE:        sim.TEConfig{Kind: kind, MaxFail: *maxFail, Partition: popts},
 			Admission: adm, MaxFail: *maxFail, Seed: *seed, Trace: trace,
 			Audit: *auditSLO,
 		}
@@ -285,7 +284,7 @@ func main() {
 		res, err := sim.RunEventSim(sim.EventSimConfig{
 			Net: net0, Tunnels: tunnels, Workload: workload,
 			HorizonSec: *horizon, ScheduleEverySec: 120,
-			TE:        sim.TEConfig{Kind: kind, MaxFail: *maxFail, Partition: popts, BatchLP: *batchLP},
+			TE:        sim.TEConfig{Kind: kind, MaxFail: *maxFail, Partition: popts},
 			Admission: adm, MaxFail: *maxFail, ProfitSamples: 1, Seed: *seed,
 		})
 		if err != nil {

@@ -54,6 +54,10 @@ func checkPartitionProperties(t *testing.T, name string, in *alloc.Input, k int)
 	if err := part.CheckCapacity(in, 1e-6); err != nil {
 		t.Fatalf("%s: partitioned (k=%d): %v", name, k, err)
 	}
+	if stats.Partitioned == (stats.PartitionFallback != "") {
+		t.Fatalf("%s: partitioned=%v with fallback reason %q: a round that went global must say why",
+			name, stats.Partitioned, stats.PartitionFallback)
+	}
 	for _, d := range in.Demands {
 		av, err := alloc.RelaxedAvailability(in, part, d, gOpts.MaxFail)
 		if err != nil {

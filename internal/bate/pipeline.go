@@ -152,7 +152,9 @@ func recoverOptimalBudgeted(in *alloc.Input, down []topo.LinkID, opts *RecoverOp
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		r, err := RecoverOptimalOpts(in, down, lp.Options{MaxNodes: opts.maxNodes(), Cancel: ctx.Err})
+		// Named: only the revised engine polls Cancel and warm-starts a
+		// node from its parent; EngineAuto is the dense tableau here.
+		r, err := RecoverOptimalOpts(in, down, lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err})
 		ch <- outcome{r, err}
 	}()
 	t := time.NewTimer(budget)

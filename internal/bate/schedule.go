@@ -55,15 +55,8 @@ type ScheduleOptions struct {
 	// Engine selects the LP engine. The zero value (lp.EngineAuto)
 	// keeps the dense reference tableau in the one-shot Schedule and
 	// means lp.EngineRevised in Scheduler and Harden; lp.EngineRevised
-	// opts into the sparse revised simplex (required for warm starts);
-	// lp.EngineBatch routes large Aggregated-mode rounds through the
-	// batched matrix-form assembly and the first-order PDHG backend
-	// (small rounds and non-converging rounds fall back to the
-	// revised simplex, keeping small instances byte-identical).
+	// opts into the sparse revised simplex (required for warm starts).
 	Engine lp.Engine
-	// BatchMinRows overrides the batch engine's size threshold
-	// (0 = lp.DefaultBatchMinRows; 1 forces batching — tests only).
-	BatchMinRows int
 	// Cancel, when non-nil, is polled inside the LP iteration loops;
 	// a non-nil return aborts the round with lp.ErrAborted (the caller
 	// keeps its current allocation). Deadline contexts and the chaos
@@ -115,9 +108,9 @@ type ScheduleStats struct {
 	// GapBound is the proved relative bound on the stitched solution's
 	// distance from the global optimum.
 	GapBound float64
-	// PartitionFallback reports that partitioning was requested but
-	// this round fell back to the global solve.
-	PartitionFallback bool
+	// PartitionFallback is why a round that asked for partitioning went
+	// to the global solve (partition.FallbackError.Reason), "" otherwise.
+	PartitionFallback string
 }
 
 // Schedule solves the traffic-scheduling LP of Eq. 7: it finds the
@@ -175,7 +168,7 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 		}
 	}
 	start := time.Now()
-	fellBack := false
+	var declined string // why partitioning handed the round to the global solve
 	if opts.Partition != nil && opts.Partition.Regions > 1 && opts.Mode == Aggregated {
 		res, err := partition.Schedule(in, *opts.Partition, subSolver(opts), pst)
 		var fb *partition.FallbackError
@@ -199,44 +192,20 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 			}
 			return res.Alloc, stats, nil
 		case errors.As(err, &fb):
-			fellBack = true // global solve below decides the round
+			declined = fb.Reason // global solve below decides the round
 		default:
 			return nil, nil, fmt.Errorf("bate: partitioned schedule: %w", err)
 		}
 	}
-	if opts.Engine == lp.EngineBatch {
-		if opts.Mode == Aggregated {
-			stats := &ScheduleStats{PoolWorkers: parallel.Default().Size(), PartitionFallback: fellBack}
-			a, handled, err := scheduleBatch(in, opts, stats)
-			if handled {
-				if err != nil {
-					return nil, stats, err
-				}
-				schedules.Inc()
-				stats.Elapsed = time.Since(start)
-				if basisOut != nil {
-					*basisOut = nil // first-order solves carry no basis
-				}
-				return a, stats, nil
-			}
-		}
-		// Any round the batched path did not fully serve — a
-		// non-Aggregated mode (no batch assembly exists for it), a
-		// too-small instance, or an unconverged/unpolishable solve —
-		// re-solves on the revised simplex. The generic EngineBatch
-		// lowering in package lp has no shave/polish acceptance gate,
-		// so scheduling rounds must never reach it.
-		opts.Engine = lp.EngineRevised
-	}
 	p := lp.NewProblem()
-	stats := &ScheduleStats{PoolWorkers: parallel.Default().Size(), PartitionFallback: fellBack}
+	stats := &ScheduleStats{PoolWorkers: parallel.Default().Size(), PartitionFallback: declined}
 	fv, _, err := buildScheduleLP(p, in, opts, alloc.FullCapacities(in), stats)
 	if err != nil {
 		return nil, nil, err
 	}
 	schedules.Inc()
 	stats.Variables, stats.Constraints = p.NumVariables(), p.NumConstraints()
-	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine, Warm: warm, Cancel: opts.Cancel, BatchMinRows: opts.BatchMinRows})
+	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine, Warm: warm, Cancel: opts.Cancel})
 	stats.Elapsed = time.Since(start)
 	if sol != nil {
 		stats.Iterations = sol.Iterations
@@ -305,39 +274,9 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps 
 // subSolver adapts the scheduling-LP formulation to the partition
 // package's SubSolver callback: one subproblem is the same LP over a
 // demand subset with caller-chosen capacities, solved on the revised
-// engine so region bases warm-start across rounds. When the round
-// opted into lp.EngineBatch, large subproblems go through the same
-// gated batch round the global path uses — capacity shave, polish,
-// and a load check against the residual capacities, falling back to
-// the simplex per region on any failure — and report batchDualTol so
-// the stitching gap bound widens for the first-order duals instead
-// of consuming them as exact (sub-threshold regions quietly stay on
-// the simplex).
+// engine so region bases warm-start across rounds.
 func subSolver(opts ScheduleOptions) partition.SubSolver {
-	useBatch := opts.Engine == lp.EngineBatch && opts.Mode == Aggregated
 	return func(sub *alloc.Input, caps []float64, warm *lp.Basis) (*partition.SubResult, error) {
-		if useBatch {
-			bstats := &ScheduleStats{}
-			a, duals, obj, handled, err := scheduleBatchCaps(sub, caps, opts, bstats, true)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				return &partition.SubResult{
-					Alloc:            a,
-					Objective:        obj,
-					CapDuals:         duals,
-					DualTol:          batchDualTol,
-					Variables:        bstats.Variables,
-					Constraints:      bstats.Constraints,
-					Iterations:       bstats.Iterations,
-					ClassCacheHits:   bstats.ClassCacheHits,
-					ClassCacheMisses: bstats.ClassCacheMisses,
-				}, nil
-			}
-			// Sub-threshold, unconverged or unpolishable: this region
-			// re-solves exactly on the revised simplex below.
-		}
 		p := lp.NewProblem()
 		stats := &ScheduleStats{}
 		fv, capIdx, err := buildScheduleLP(p, sub, opts, caps, stats)
@@ -589,11 +528,6 @@ func LinkPrices(in *alloc.Input, opts ScheduleOptions) (map[topo.LinkID]float64,
 	}
 	p := lp.NewProblem()
 	opts.Mode = Aggregated
-	if opts.Engine == lp.EngineBatch {
-		// Shadow prices are capacity-row duals; first-order duals are
-		// only eps-approximate, so price queries stay on the simplex.
-		opts.Engine = lp.EngineRevised
-	}
 	_, capIdx, err := buildScheduleLP(p, in, opts, alloc.FullCapacities(in), nil)
 	if err != nil {
 		return nil, err

@@ -20,7 +20,6 @@ import (
 	"bate/internal/alloc"
 	"bate/internal/bate"
 	"bate/internal/demand"
-	"bate/internal/lp"
 	"bate/internal/metrics"
 	"bate/internal/overload"
 	"bate/internal/partition"
@@ -78,11 +77,6 @@ type Config struct {
 	// allocation). The chaos mid-solve front hooks in here; nil
 	// returned probes cost nothing.
 	SolverWatch func(op string) func() error
-	// BatchLP routes every reschedule through the batched matrix-form
-	// first-order engine (lp.EngineBatch): instances above the batch
-	// row threshold solve via PDHG with a transparent revised-simplex
-	// fallback, smaller ones take the exact simplex path unchanged.
-	BatchLP bool
 	// StubAdmission admits every structurally valid demand without
 	// consulting the solver (method "stub"). The wire load harness uses
 	// it so throughput numbers measure the control channel, not LP
@@ -1083,9 +1077,6 @@ func (c *Controller) reschedule() error {
 	sopts := bate.ScheduleOptions{
 		MaxFail: c.cfg.MaxFail, Gate: c.cfg.SolverGate, Partition: c.cfg.Partition,
 	}
-	if c.cfg.BatchLP {
-		sopts.Engine = lp.EngineBatch
-	}
 	if c.cfg.SolverWatch != nil {
 		sopts.Cancel = c.cfg.SolverWatch("schedule")
 	}
@@ -1101,6 +1092,9 @@ func (c *Controller) reschedule() error {
 		start = "warm"
 	case stats.WarmFallback != "":
 		start = "cold: warm basis abandoned, " + stats.WarmFallback
+	}
+	if stats.PartitionFallback != "" {
+		start = "global: partition declined, " + stats.PartitionFallback + "; " + start
 	}
 	c.logf("controller: scheduled %d demands: %d vars, %d constraints, %d iterations (%s start) in %v (class cache %d hit/%d miss, %d workers)",
 		len(in.Demands), stats.Variables, stats.Constraints, stats.Iterations, start, stats.Elapsed,

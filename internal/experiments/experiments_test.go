@@ -27,8 +27,8 @@ func runExperiment(t *testing.T, id string) string {
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 21 {
-		t.Fatalf("registry has %d experiments, want 21 artifacts", len(all))
+	if len(all) != 20 {
+		t.Fatalf("registry has %d experiments, want 20 artifacts", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {

@@ -36,7 +36,6 @@ func All() []Runner {
 		{"fig20", "Satisfaction vs failure time", Fig20},
 		{"wireload", "Wire codec load harness (binary vs JSON)", WireLoad},
 		{"partitionscale", "Partitioned vs global scheduling at 100-1000 nodes", PartitionScale},
-		{"batchscale", "Batched first-order vs revised-simplex scheduling", BatchScale},
 	}
 }
 

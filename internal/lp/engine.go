@@ -15,17 +15,15 @@ type Engine int8
 // which case only the revised engine can use it. EngineRevised is the
 // sparse revised simplex: it touches only matrix nonzeros, handles
 // bounds without materializing bound rows, and supports warm starts.
-// EngineBatch is the first-order (restarted PDHG) batch solver in
-// lp/batch: above Options.BatchMinRows it iterates matrix-vector
-// products instead of pivoting, below it routes to the revised simplex
-// unchanged, and on non-convergence it transparently falls back to
-// the revised simplex.
 const (
 	EngineAuto Engine = iota
 	EngineDense
 	EngineRevised
-	EngineBatch
 )
+
+// Alias kept only so the bench/ ledger compiles (the engine it named is
+// gone); the benchmark PR dropping bate.schedule_batch_ms removes it.
+const EngineBatch = EngineRevised
 
 func (e Engine) String() string {
 	switch e {
@@ -35,8 +33,6 @@ func (e Engine) String() string {
 		return "dense"
 	case EngineRevised:
 		return "revised"
-	case EngineBatch:
-		return "batch"
 	}
 	return "?"
 }
@@ -73,9 +69,6 @@ func crosscheckOn() bool {
 // node lands here and dispatches on the resolved engine.
 func (p *Problem) solveLPWith(overrideLo, overrideHi []float64, opts Options) (*Solution, error) {
 	eng := opts.Engine.resolve(opts.Warm)
-	if eng == EngineBatch {
-		return p.solveLPBatch(overrideLo, overrideHi, opts)
-	}
 	if crosscheckOn() {
 		return p.solveLPCrosscheck(overrideLo, overrideHi, opts, eng)
 	}

@@ -4,14 +4,13 @@
 // failure recovery (Eq. 12). It substitutes for the commercial solver
 // (Gurobi) used in the paper.
 //
-// Three engines sit behind Options.Engine: a dense two-phase primal
+// Two engines sit behind Options.Engine: a dense two-phase primal
 // simplex tableau with Dantzig pivoting and a Bland anti-cycling
-// fallback (the reference, simplex.go); a sparse bounded-variable
+// fallback (the reference, simplex.go), and a sparse bounded-variable
 // revised simplex — CSC matrix, product-form basis with O(nnz)
 // refactorization, primal and dual iterations, and warm starts from a
 // name-keyed Basis of this or a neighbouring problem (sparse.go,
-// basis.go, revised.go) — which the scheduling rounds run on; and a
-// first-order batch solver for very large instances (lp/batch). The
+// basis.go, revised.go) — which the scheduling rounds run on. The
 // MILP solver is a depth-first branch & bound over the LP relaxation,
 // each child warm-started from its parent's basis. Problem sizes in
 // BATE are moderate (hundreds to a few thousands of rows) after
@@ -241,8 +240,8 @@ const (
 	// degenerate cycles.
 	blandThreshold = 2000
 	maxPivots      = 200000
-	// cancelCheckEvery bounds how many pivots (or first-order
-	// iterations) run between Options.Cancel polls: cheap enough to be
+	// cancelCheckEvery bounds how many simplex pivots (primal or
+	// dual) run between Options.Cancel polls: cheap enough to be
 	// free, frequent enough that a deadline abort lands within
 	// microseconds of firing.
 	cancelCheckEvery = 64

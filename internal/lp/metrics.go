@@ -17,14 +17,4 @@ var (
 	pivotsDense        = metrics.NewCounter("lp.pivots_dense")
 	pivotsRevised      = metrics.NewCounter("lp.pivots_revised")
 	abortsCtr          = metrics.NewCounter("lp.aborts")
-
-	// Batch (first-order) engine instrumentation: solves routed to the
-	// batch path, PDHG iterations spent there, solves that fell back to
-	// the revised simplex (non-convergence or polish failure), and
-	// solves routed to simplex because they were under the size
-	// threshold.
-	batchSolves    = metrics.NewCounter("lp.batch_solves")
-	batchIters     = metrics.NewCounter("lp.batch_iterations")
-	batchFallbacks = metrics.NewCounter("lp.batch_fallbacks")
-	batchSmall     = metrics.NewCounter("lp.batch_small_bypass")
 )

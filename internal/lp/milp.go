@@ -56,12 +56,6 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 		hitLimit     bool
 	)
 	eng := opts.Engine.resolve(opts.Warm)
-	if eng == EngineBatch {
-		// Branch & bound needs exact vertex solutions and warm-startable
-		// bases; the first-order engine provides neither. Node
-		// relaxations always use the revised simplex.
-		eng = EngineRevised
-	}
 	nodeOpts := Options{Pivot: opts.Pivot, Engine: eng, Cancel: opts.Cancel}
 	stack := []bbNode{{lo: rootLo, hi: rootHi, warm: opts.Warm}}
 	for len(stack) > 0 {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -422,5 +423,93 @@ func TestMILPWarmMatchesCold(t *testing.T) {
 	}
 	if warmPivots > coldPivots {
 		t.Fatalf("warm-started B&B used more pivots (%d) than cold (%d)", warmPivots, coldPivots)
+	}
+}
+
+// lcg is a tiny deterministic generator for test problem data.
+type lcg uint64
+
+func (l *lcg) next() float64 {
+	*l = *l*6364136223846793005 + 1442695040888963407
+	return float64(*l>>11) / float64(1<<53)
+}
+
+// randomCoverLP builds a feasible, bounded covering-style LP: boxed
+// nonnegative variables, GE rows with nonnegative coefficients and
+// RHS set to a fraction of each row's maximum activity, plus a few LE
+// budget rows. The shape resembles the scheduling LP (covering rows
+// against capacity rows).
+func randomCoverLP(nVars, nRows int, seed uint64) *Problem {
+	r := lcg(seed)
+	p := NewProblem()
+	for j := 0; j < nVars; j++ {
+		p.AddVariable(fmt.Sprintf("x%d", j), 0, 1+4*r.next(), 0.5+r.next())
+	}
+	for i := 0; i < nRows; i++ {
+		var terms []Term
+		maxAct := 0.0
+		for j := 0; j < nVars; j++ {
+			if r.next() < 0.3 {
+				c := 0.5 + r.next()
+				terms = append(terms, Term{Var: VarID(j), Coef: c})
+				maxAct += c * p.vars[j].upper
+			}
+		}
+		if len(terms) == 0 {
+			terms = append(terms, Term{Var: VarID(i % nVars), Coef: 1})
+			maxAct = p.vars[i%nVars].upper
+		}
+		p.AddConstraint(Constraint{Terms: terms, Op: GE, RHS: 0.3 * maxAct})
+	}
+	// A few loose LE budget rows keep some duals negative.
+	for i := 0; i < nRows/10+1; i++ {
+		var terms []Term
+		for j := 0; j < nVars; j += 3 {
+			terms = append(terms, Term{Var: VarID(j), Coef: 1})
+		}
+		ub := 0.0
+		for _, t := range terms {
+			ub += p.vars[t.Var].upper
+		}
+		p.AddConstraint(Constraint{Terms: terms, Op: LE, RHS: 0.9 * ub})
+	}
+	return p
+}
+
+func TestCancelAbortsRevised(t *testing.T) {
+	p := randomCoverLP(40, 60, 7)
+	canceled := errors.New("deadline")
+	sol, err := p.SolveOpts(Options{Engine: EngineRevised, Cancel: func() error { return canceled }})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	if sol.Status != Aborted {
+		t.Fatalf("status %v, want Aborted", sol.Status)
+	}
+}
+
+func TestCancelAbortsMILP(t *testing.T) {
+	// A MILP whose node relaxation aborts must surface Aborted, not a
+	// silently pruned "infeasible".
+	p := NewProblem()
+	p.SetMaximize()
+	for j := 0; j < 8; j++ {
+		p.AddBinary(fmt.Sprintf("b%d", j), 1)
+	}
+	var terms []Term
+	for j := 0; j < 8; j++ {
+		terms = append(terms, Term{Var: VarID(j), Coef: 1})
+	}
+	p.AddConstraint(Constraint{Terms: terms, Op: LE, RHS: 3})
+	_, err := p.SolveOpts(Options{Engine: EngineRevised, Cancel: func() error { return errors.New("stop") }})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+}
+
+func TestCancelNilNeverAborts(t *testing.T) {
+	p := randomCoverLP(20, 30, 9)
+	if _, err := p.SolveOpts(Options{Engine: EngineRevised}); err != nil {
+		t.Fatalf("nil Cancel must not abort: %v", err)
 	}
 }

@@ -34,19 +34,12 @@ type Options struct {
 	// bound (benchmark/ablation control).
 	ColdStart bool
 	// Cancel, when non-nil, is polled every few dozen pivots (and per
-	// branch-and-bound node, and per first-order check interval); a
+	// branch-and-bound node, at its relaxation's first pivot); a
 	// non-nil return aborts the solve with Status Aborted / ErrAborted.
 	// Deadline-bounded recovery and the chaos solver budget hook in
 	// here so a runaway solve stops mid-iteration, not just between
 	// phases. The dense reference engine does not poll it.
 	Cancel func() error
-	// BatchMinRows overrides the constraint-count threshold below
-	// which EngineBatch quietly routes to the revised simplex (first-
-	// order iterations only pay off on big instances, and small ones
-	// must stay byte-identical to the simplex path). 0 means
-	// DefaultBatchMinRows; 1 forces the batch solver on any size
-	// (tests and ablations).
-	BatchMinRows int
 }
 
 // SolveOpts is Solve with explicit Options.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"bate/internal/alloc"
 	"bate/internal/lp"
@@ -51,12 +50,6 @@ type SubResult struct {
 	// objective). Links without a capacity row are absent.
 	CapDuals map[topo.LinkID]float64
 	Basis    *lp.Basis
-	// DualTol is the relative inexactness of Objective and CapDuals: 0
-	// for a vertex-exact simplex solve; a first-order solve reports
-	// its certified KKT/polish tolerance, and the stitching lower
-	// bound widens by that factor instead of trusting approximate
-	// duals as exact subgradients.
-	DualTol float64
 
 	Variables, Constraints, Iterations int
 	WarmStarted                        bool
@@ -177,10 +170,7 @@ func Schedule(in *alloc.Input, opts Options, solve SubSolver, st *State) (*Resul
 		st.coordBasis = res.Basis
 		merge(res)
 		upperBound += res.Objective
-		// As a lower-bound contribution the coordination value must
-		// under-estimate: an inexact (first-order) solve's objective
-		// can sit up to DualTol·|obj| above its LP optimum.
-		coordLB = res.Objective - res.DualTol*math.Abs(res.Objective)
+		coordLB = res.Objective
 		loads := res.Alloc.LinkLoads(coordIn)
 		residual = make([]float64, len(full))
 		for i := range full {
@@ -233,18 +223,11 @@ func Schedule(in *alloc.Input, opts Options, solve SubSolver, st *State) (*Resul
 		merge(res)
 		upperBound += res.Objective
 		bound := res.Objective
-		slack := math.Abs(res.Objective)
 		for e, y := range res.CapDuals {
 			if delta := full[e] - residual[e]; delta > 0 {
 				bound += y * delta // y <= 0: full capacity can only help
-				slack += math.Abs(y) * delta
 			}
 		}
-		// First-order solves certify Objective and CapDuals only to a
-		// relative tolerance; widen the bound by that budget (0 for
-		// exact simplex solves — byte-identical to the untolerated
-		// bound).
-		bound -= res.DualTol * slack
 		lowerBound += bound
 		for id, rows := range res.Alloc {
 			out[id] = rows

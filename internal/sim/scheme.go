@@ -79,13 +79,6 @@ type TEConfig struct {
 	// Partition, when non-nil, enables BATE's hierarchical
 	// (partitioned) scheduling; see bate.ScheduleOptions.Partition.
 	Partition *partition.Options
-	// BatchLP routes BATE's scheduling rounds through the batched
-	// matrix-form first-order engine (lp.EngineBatch): rounds above
-	// the batch row threshold solve via PDHG with a transparent
-	// revised-simplex fallback, smaller ones are unchanged. Ignored
-	// when Scheduler is set — warm-started basis reuse and the
-	// first-order path are mutually exclusive.
-	BatchLP bool
 }
 
 // Defaults fills unset fields with the paper's defaults.
@@ -115,9 +108,6 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 	switch c.Kind {
 	case KindBATE:
 		opts := bate.ScheduleOptions{MaxFail: c.MaxFail, Mode: c.Mode, Partition: c.Partition, Groups: c.Groups}
-		if c.BatchLP {
-			opts.Engine = lp.EngineBatch
-		}
 		var a alloc.Allocation
 		var err error
 		if c.Scheduler != nil {
