@@ -367,14 +367,59 @@ func BenchmarkRecoveryOptimal(b *testing.B) {
 	}
 }
 
-// Backup precomputation across every single-link failure (§3.4).
-func BenchmarkBackupPrecompute(b *testing.B) {
-	in := benchScheduleInput()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bate.Backups(in); err != nil {
-			b.Fatal(err)
+// benchSynth100Book builds the ledger's wide book (bench/workload.go,
+// synth100_wide): size unit-priced demands over the distinct pairs of
+// a 600-demand locality-biased pool on Synth100, 3 tunnels per pair.
+func benchSynth100Book(size int) *alloc.Input {
+	n := topo.Synth100()
+	seen := make(map[[2]topo.NodeID]bool)
+	var pairs [][2]topo.NodeID
+	for _, d := range experiments.PartitionWorkload(n, partition.New(n, 10, nil), 600, 1) {
+		if p := [2]topo.NodeID{d.Pairs[0].Src, d.Pairs[0].Dst}; !seen[p] {
+			seen[p] = true
+			pairs = append(pairs, p)
 		}
+	}
+	in := &alloc.Input{Net: n, Tunnels: routing.ComputeForPairs(n, routing.KShortest, 3, pairs)}
+	rng := rand.New(rand.NewSource(1))
+	targets := []float64{0.9, 0.95, 0.99}
+	for i := 0; i < size; i++ {
+		p := pairs[rng.Intn(len(pairs))]
+		bw := 50 + 150*rng.Float64()
+		in.Demands = append(in.Demands, &demand.Demand{
+			ID: i, Pairs: []demand.PairDemand{{Src: p[0], Dst: p[1], Bandwidth: bw}},
+			Target: targets[rng.Intn(len(targets))], Charge: bw, RefundFrac: 0.1,
+		})
+	}
+	return in
+}
+
+// Backup precomputation across every single-link failure (§3.4) on the
+// ledger's two backup-heavy books, with the budget the controller
+// uses. fits_solved/op against fits_reused/op is the share of the
+// one-demand LPs a from-scratch pass solves that the change-propagating
+// pass still has to.
+func BenchmarkBackupPrecompute(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		in   *alloc.Input
+	}{
+		{"Synth100_150", benchSynth100Book(150)},
+		{"B4_200", newChurnBook(200).in},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			solved, reused := 0, 0
+			for i := 0; i < b.N; i++ {
+				bs, err := bate.PrecomputeBackups(bc.in, 1, bc.in.Net.NumLinks()*4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				solved += bs.FitsSolved
+				reused += bs.FitsReused
+			}
+			b.ReportMetric(float64(solved)/float64(b.N), "fits_solved/op")
+			b.ReportMetric(float64(reused)/float64(b.N), "fits_reused/op")
+		})
 	}
 }
 

@@ -14,10 +14,16 @@ import (
 // backup scheme "can be easily extended to deal with concurrent
 // failures"). Combinations are precomputed most-probable-first so a
 // bounded budget covers the failures that actually happen.
+//
+// The allocations share rows with each other and with the no-failure
+// run they were propagated from: all of a BackupSet is read-only.
 type BackupSet struct {
-	Depth   int
-	byKey   map[string]*RecoveryResult
-	skipped int
+	Depth int
+	// One-demand LPs the pass solved (the no-failure run's included)
+	// and fits it took from the no-failure run instead.
+	FitsSolved, FitsReused int
+	byKey                  map[string]*RecoveryResult
+	skipped                int
 }
 
 // comboKey canonicalizes a failure set.
@@ -38,7 +44,8 @@ func comboKey(down []topo.LinkID) string {
 // combination of at most depth concurrent link failures, capped at
 // maxCombos combinations chosen in decreasing probability (the product
 // of the failed links' failure probabilities). maxCombos <= 0 means
-// no cap.
+// no cap. Algorithm 2 runs once with no link failed; each combination's
+// run is propagated from it and equals RecoverGreedy(in, combo) bitwise.
 func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error) {
 	if depth < 1 {
 		depth = 1
@@ -71,17 +78,19 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 		return len(combos[i].links) < len(combos[j].links)
 	})
 	bs := &BackupSet{Depth: depth, byKey: make(map[string]*RecoveryResult)}
+	w := newGreedyWalk(in)
+	_, fitted := w.run(nil)
+	copy(w.base, fitted)
 	for i, c := range combos {
 		if maxCombos > 0 && i >= maxCombos {
 			bs.skipped = len(combos) - i
 			break
 		}
-		r, err := RecoverGreedy(in, c.links)
-		if err != nil {
-			return nil, fmt.Errorf("bate: backup for %v: %w", c.links, err)
-		}
-		bs.byKey[comboKey(c.links)] = r
+		bs.byKey[comboKey(c.links)], _ = w.run(c.links)
 	}
+	bs.FitsSolved, bs.FitsReused = w.solved, w.reused
+	backupFitsSolved.Add(int64(w.solved))
+	backupFitsReused.Add(int64(w.reused))
 	return bs, nil
 }
 

@@ -453,14 +453,19 @@ func TestBackups(t *testing.T) {
 		testbedDemand(t, in, 0, "DC1", "DC3", 400, 0.99),
 		testbedDemand(t, in, 1, "DC1", "DC5", 300, 0.95),
 	}
-	backups, err := Backups(in)
+	backups, err := PrecomputeBackups(in, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(backups) != in.Net.NumLinks() {
-		t.Fatalf("got %d backups, want %d", len(backups), in.Net.NumLinks())
+	if backups.Len() != in.Net.NumLinks() {
+		t.Fatalf("got %d backups, want %d", backups.Len(), in.Net.NumLinks())
 	}
-	for e, r := range backups {
+	for _, l := range in.Net.Links() {
+		e := l.ID
+		r, ok := backups.For([]topo.LinkID{e})
+		if !ok {
+			t.Fatalf("no backup for link %d", e)
+		}
 		loads := r.Alloc.LinkLoads(in)
 		if loads[e] > 1e-6 {
 			t.Fatalf("backup for link %d routes over it", e)

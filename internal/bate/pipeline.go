@@ -25,6 +25,9 @@ var (
 	recGreedy     = metrics.NewCounter("bate.recovery_greedy")
 	recFallback   = metrics.NewCounter("bate.recovery_fallback")
 	recMaxMs      = metrics.NewMaxGauge("bate.recovery_max_ms")
+	// Algorithm 2's one-demand LPs, and fits a backup pass did not solve.
+	backupFitsSolved = metrics.NewCounter("bate.backup_fits_solved")
+	backupFitsReused = metrics.NewCounter("bate.backup_fits_reused")
 )
 
 // RecoveryStage identifies which rung of the degraded-mode ladder

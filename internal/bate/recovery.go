@@ -2,6 +2,7 @@ package bate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 // RecoveryResult is the outcome of a failure-recovery computation for
 // one failure scenario.
 type RecoveryResult struct {
-	// Alloc is the rerouted allocation over surviving tunnels.
+	// Alloc is the rerouted allocation over surviving tunnels. Its rows
+	// may be shared with other results (see BackupSet): never write them.
 	Alloc alloc.Allocation
 	// FullProfit lists the demand IDs that keep their full profit
 	// (every pair fully served; the set F of Algorithm 2).
@@ -142,10 +144,28 @@ func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) 
 // demand (if it alone is worth more and fits in the fresh scenario
 // capacity) or stops (Lemma 2: max{Σ g_i, g_{n+1}} ≥ OPT/2).
 func RecoverGreedy(in *alloc.Input, failed []topo.LinkID) (*RecoveryResult, error) {
-	start := time.Now()
-	down := downSet(failed)
-	usable := tunnelUsable(down)
+	w := newGreedyWalk(in)
+	res, _ := w.run(failed)
+	backupFitsSolved.Add(int64(w.solved))
+	return res, nil
+}
 
+// greedyWalk is Algorithm 2 over one book: what every failure set
+// shares (the greedy order, each position's tunnels, the full
+// capacities) and, once PrecomputeBackups has recorded it, the
+// no-failure run that a failure's run is propagated from.
+type greedyWalk struct {
+	in      *alloc.Input
+	order   []*demand.Demand
+	tunnels [][][]routing.Tunnel // per position, per pair
+	zero    [][][]float64        // per position: all-zero rows, shared by every result
+	caps    []float64
+	base    [][][]float64 // per position: the rows the no-failure run fitted, nil from its stop on
+	solved  int           // one-demand LPs solved,
+	reused  int           // and fits taken from base instead
+}
+
+func newGreedyWalk(in *alloc.Input) *greedyWalk {
 	order := append([]*demand.Demand(nil), in.Demands...)
 	sort.Slice(order, func(i, j int) bool {
 		di := order[i].Charge / nonzero(order[i].TotalBandwidth())
@@ -155,41 +175,121 @@ func RecoverGreedy(in *alloc.Input, failed []topo.LinkID) (*RecoveryResult, erro
 		}
 		return order[i].ID < order[j].ID
 	})
-
-	capRem := alloc.FullCapacities(in)
-	for _, e := range failed {
-		capRem[e] = 0
+	w := &greedyWalk{in: in, order: order, caps: alloc.FullCapacities(in), base: make([][][]float64, len(order))}
+	for _, d := range order {
+		ts, zero := make([][]routing.Tunnel, len(d.Pairs)), make([][]float64, len(d.Pairs))
+		for pi := range d.Pairs {
+			ts[pi] = in.TunnelsFor(d, pi)
+			zero[pi] = make([]float64, len(ts[pi]))
+		}
+		w.tunnels, w.zero = append(w.tunnels, ts), append(w.zero, zero)
 	}
-	res := &RecoveryResult{Alloc: alloc.New(in), FullProfit: make(map[int]bool)}
+	return w
+}
+
+// scenarioCaps returns the full capacities with the failed links at 0.
+func (w *greedyWalk) scenarioCaps(failed []topo.LinkID) []float64 {
+	caps := append([]float64(nil), w.caps...)
+	for _, e := range failed {
+		caps[e] = 0
+	}
+	return caps
+}
+
+// run walks the order under one failure set and also returns the rows
+// fitted per position up to the first unfittable demand. A fit is a
+// pure function of the demand, which of its tunnels are usable and
+// capRem on their links, and a link not marked dirty has received the
+// same subtractions in the same order as in the base run; so a demand
+// none of whose links is dirty takes its base rows unsolved, and the
+// result is bit for bit what re-solving every demand returns (with no
+// base, every demand is). A link turns dirty when it fails or when a
+// tunnel over it is fitted with a rate other than the base one.
+func (w *greedyWalk) run(failed []topo.LinkID) (*RecoveryResult, [][][]float64) {
+	start := time.Now()
+	usable := tunnelUsable(downSet(failed))
+	capRem := w.scenarioCaps(failed)
+	dirty := make([]bool, len(capRem))
+	for _, e := range failed {
+		dirty[e] = true
+	}
+	fitted := make([][][]float64, 0, len(w.order))
+	var swap [][]float64
 	var acceptedCharge float64
 
-	for _, d := range order {
-		rows, ok := fitDemand(in, capRem, d, usable)
+	for i, d := range w.order {
+		base := w.base[i]
+		rows, ok := base, base != nil && !anyDirty(dirty, w.tunnels[i])
 		if ok {
-			res.Alloc[d.ID] = rows
-			res.FullProfit[d.ID] = true
-			acceptedCharge += d.Charge
-			consume(in, capRem, d, rows)
-			continue
+			w.reused++
+		} else {
+			rows, ok = fitDemand(capRem, d, w.tunnels[i], usable)
+			w.solved++
 		}
-		// Line 11: the unfittable demand may alone be worth more than
-		// everything accepted so far.
-		if acceptedCharge < d.Charge {
-			fresh := alloc.FullCapacities(in)
-			for _, e := range failed {
-				fresh[e] = 0
+		if !ok {
+			// Line 11: the unfittable demand may alone be worth more
+			// than everything accepted so far.
+			if acceptedCharge < d.Charge {
+				swap, _ = fitDemand(w.scenarioCaps(failed), d, w.tunnels[i], usable)
+				w.solved++
 			}
-			if rows, ok := fitDemand(in, fresh, d, usable); ok {
-				res.Alloc = alloc.New(in)
-				res.FullProfit = map[int]bool{d.ID: true}
-				res.Alloc[d.ID] = rows
-			}
+			break // Algorithm 2 stops at the first unfittable demand.
 		}
-		break // Algorithm 2 stops at the first unfittable demand.
+		fitted = append(fitted, rows)
+		acceptedCharge += d.Charge
+		settle(capRem, dirty, w.tunnels[i], rows, base)
 	}
-	res.Profit = profitOf(in.Demands, res.FullProfit)
+
+	// The demands keeping their full profit sit at positions
+	// [lo, lo+len(kept)): everything fitted, or the swapped-in demand.
+	lo, kept := 0, fitted
+	if swap != nil {
+		lo, kept = len(fitted), [][][]float64{swap}
+	}
+	res := &RecoveryResult{Alloc: make(alloc.Allocation, len(w.order)), FullProfit: make(map[int]bool, len(kept))}
+	for i, d := range w.order {
+		if j := i - lo; j >= 0 && j < len(kept) {
+			res.Alloc[d.ID] = kept[j]
+			res.FullProfit[d.ID] = true
+		} else {
+			res.Alloc[d.ID] = w.zero[i]
+		}
+	}
+	res.Profit = profitOf(w.in.Demands, res.FullProfit)
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, fitted
+}
+
+// anyDirty reports whether any tunnel, usable or not, crosses a dirty link.
+func anyDirty(dirty []bool, tunnels [][]routing.Tunnel) bool {
+	for _, ts := range tunnels {
+		for _, t := range ts {
+			for _, e := range t.Links {
+				if dirty[e] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// settle subtracts a fitted demand's rows from the remaining capacities
+// and dirties the links of every tunnel whose rate is not the base run's.
+func settle(capRem []float64, dirty []bool, tunnels [][]routing.Tunnel, rows, base [][]float64) {
+	for pi, ts := range tunnels {
+		for ti, f := range rows[pi] {
+			moved := base != nil && f != base[pi][ti]
+			for _, e := range ts[ti].Links {
+				if f > 0 {
+					capRem[e] -= f
+				}
+				if moved {
+					dirty[e] = true
+				}
+			}
+		}
+	}
 }
 
 func nonzero(x float64) float64 {
@@ -202,61 +302,66 @@ func nonzero(x float64) float64 {
 // fitDemand tries to pack the full demand into the remaining
 // capacities over surviving tunnels, exactly (a tiny LP per demand,
 // since a demand's tunnels may share links). It returns the per-pair
-// per-tunnel allocation on success.
-func fitDemand(in *alloc.Input, capRem []float64, d *demand.Demand, usable func(routing.Tunnel) bool) ([][]float64, bool) {
-	one := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: []*demand.Demand{d}}
+// per-tunnel allocation on success. The LP is the one alloc.AddFlowVars
+// builds for a one-demand input — variables in (pair, tunnel) order, a
+// capacity row per link of a usable tunnel by ascending link id, terms
+// in variable order, then the demand rows — built from d's own tunnels.
+func fitDemand(capRem []float64, d *demand.Demand, tunnels [][]routing.Tunnel, usable func(routing.Tunnel) bool) ([][]float64, bool) {
 	p := lp.NewProblem()
-	fv := alloc.AddFlowVars(p, one, capRem, usable)
-	for _, rows := range fv {
-		for _, r := range rows {
-			for _, v := range r {
-				p.SetCost(v, 1) // cheapest exact fit
+	type use struct {
+		link topo.LinkID
+		v    lp.VarID
+	}
+	var uses []use // sorted by link, then by variable
+	for _, ts := range tunnels {
+		for _, t := range ts {
+			upper, links := math.Inf(1), t.Links
+			if !usable(t) {
+				upper, links = 0, nil // carries nothing, so loads no link
+			}
+			v := p.AddVariable("", 0, upper, 1) // cost 1: cheapest exact fit
+			for _, e := range links {
+				uses = append(uses, use{e, v})
+				for j := len(uses) - 1; j > 0 && uses[j-1].link > e; j-- {
+					uses[j], uses[j-1] = uses[j-1], uses[j]
+				}
 			}
 		}
 	}
+	var terms []lp.Term
+	for i, u := range uses {
+		terms = append(terms, lp.Term{Var: u.v, Coef: 1})
+		if i+1 == len(uses) || uses[i+1].link != u.link {
+			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.LE, RHS: capRem[u.link]})
+			terms = nil
+		}
+	}
+	v := lp.VarID(0)
 	for pi, pr := range d.Pairs {
-		if pr.Bandwidth <= 0 {
-			continue
+		terms := make([]lp.Term, len(tunnels[pi]))
+		for ti := range terms {
+			terms[ti] = lp.Term{Var: v, Coef: 1}
+			v++
 		}
-		terms := make([]lp.Term, 0, len(fv[d.ID][pi]))
-		for _, v := range fv[d.ID][pi] {
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
+		if pr.Bandwidth > 0 {
+			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.EQ, RHS: pr.Bandwidth})
 		}
-		p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.EQ, RHS: pr.Bandwidth})
 	}
 	sol, err := p.Solve()
 	if err != nil {
 		return nil, false
 	}
-	return fv.Extract(sol)[d.ID], true
-}
-
-// consume subtracts an allocation from the remaining capacities.
-func consume(in *alloc.Input, capRem []float64, d *demand.Demand, rows [][]float64) {
-	for pi := range d.Pairs {
-		tunnels := in.TunnelsFor(d, pi)
-		for ti, f := range rows[pi] {
-			if f <= 0 {
-				continue
+	rows := make([][]float64, len(tunnels))
+	v = 0
+	for pi, ts := range tunnels {
+		rows[pi] = make([]float64, len(ts))
+		for ti := range ts {
+			// Sub-epsilon noise is dropped, as alloc.FlowVars.Extract does.
+			if x := sol.Value(v); x > 1e-7 {
+				rows[pi][ti] = x
 			}
-			for _, e := range tunnels[ti].Links {
-				capRem[e] -= f
-			}
+			v++
 		}
 	}
-}
-
-// Backups precomputes the greedy backup allocation for every
-// single-link failure scenario (§3.4: BATE proactively computes backup
-// allocation strategies so surviving tunnels can be used immediately).
-func Backups(in *alloc.Input) (map[topo.LinkID]*RecoveryResult, error) {
-	out := make(map[topo.LinkID]*RecoveryResult, in.Net.NumLinks())
-	for _, l := range in.Net.Links() {
-		r, err := RecoverGreedy(in, []topo.LinkID{l.ID})
-		if err != nil {
-			return nil, fmt.Errorf("bate: backup for link %d: %w", l.ID, err)
-		}
-		out[l.ID] = r
-	}
-	return out, nil
+	return rows, true
 }

@@ -1096,13 +1096,18 @@ func (c *Controller) reschedule() error {
 	if stats.PartitionFallback != "" {
 		start = "global: partition declined, " + stats.PartitionFallback + "; " + start
 	}
-	c.logf("controller: scheduled %d demands: %d vars, %d constraints, %d iterations (%s start) in %v (class cache %d hit/%d miss, %d workers)",
+	// Logged when the round ends, so the line can say what the backup
+	// pass did if the round got that far.
+	round := fmt.Sprintf("controller: scheduled %d demands: %d vars, %d constraints, %d iterations (%s start) in %v (class cache %d hit/%d miss, %d workers)",
 		len(in.Demands), stats.Variables, stats.Constraints, stats.Iterations, start, stats.Elapsed,
 		stats.ClassCacheHits, stats.ClassCacheMisses, stats.PoolWorkers)
-	if stats.Partitioned {
-		c.logf("controller: partitioned round: %d regions, %d cut demands, gap bound %.4f",
-			stats.Regions, stats.CutDemands, stats.GapBound)
-	}
+	defer func() {
+		c.logf("%s", round)
+		if stats.Partitioned {
+			c.logf("controller: partitioned round: %d regions, %d cut demands, gap bound %.4f",
+				stats.Regions, stats.CutDemands, stats.GapBound)
+		}
+	}()
 	if hardened, herr := bate.Harden(in, bate.ScheduleOptions{MaxFail: c.cfg.MaxFail}, a); herr == nil {
 		a = hardened
 	}
@@ -1112,15 +1117,24 @@ func (c *Controller) reschedule() error {
 		}
 	}
 	c.current = a
+	// Push before backing up: brokers enforce the certified allocation
+	// as soon as it is durable. c.mu is held throughout, so nothing
+	// reads c.backups between the push and the new set.
+	c.pushAllLocked(false)
 	budget := c.cfg.BackupBudget
 	if budget <= 0 {
 		budget = in.Net.NumLinks() * 4
 	}
+	backupStart := time.Now()
 	c.backups, err = bate.PrecomputeBackups(in, c.cfg.BackupDepth, budget)
 	if err != nil {
+		// Not the old book's plans: the ladder answers from its
+		// budgeted-optimal rung until the next round.
+		c.backups = nil
 		return err
 	}
-	c.pushAllLocked(false)
+	round += fmt.Sprintf("; backups: %d combos, %d fits solved, %d reused, %v",
+		c.backups.Len(), c.backups.FitsSolved, c.backups.FitsReused, time.Since(backupStart).Round(time.Millisecond))
 	return nil
 }
 
@@ -1140,6 +1154,7 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 	if !ok {
 		return
 	}
+	takenUp := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cfg.Store != nil {
@@ -1174,8 +1189,10 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 		c.logf("controller: recovery: %v", err)
 		return
 	}
+	// Not rec.Elapsed: on a backup hit that is what the plan's
+	// precomputation took at the last round.
 	c.logf("controller: recovered %d-link failure via %s stage in %v (profit %.1f)",
-		len(down), stage, rec.Elapsed, rec.Profit)
+		len(down), stage, time.Since(takenUp), rec.Profit)
 	c.pushAllocationLocked(rec.Alloc, true)
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"bate/internal/bate"
 	"bate/internal/broker"
+	"bate/internal/metrics"
 	"bate/internal/routing"
 	"bate/internal/topo"
 	"bate/internal/wire"
@@ -210,6 +213,56 @@ func TestLinkFailureActivatesBackup(t *testing.T) {
 		_, e := ctrl.Snapshot()
 		return e > epochMid
 	})
+}
+
+// Backup allocations share rows with each other and with the pass's
+// no-failure run, so nothing that serves one may write it: after link
+// failures and repairs have pushed several of them, the set must still
+// equal a fresh precompute on the same input.
+func TestBackupPushesLeaveBackupsIntact(t *testing.T) {
+	ctrl, brokers, client := startSystem(t)
+	for _, dst := range []string{"DC4", "DC3", "DC5", "DC6"} {
+		if res := submit(t, client, "DC1", dst, 300, 0.95); !res.Admitted {
+			t.Fatalf("DC1-%s refused", dst)
+		}
+	}
+	if err := ctrl.Reschedule(); err != nil {
+		t.Fatal(err)
+	}
+	hits := metrics.Snapshot()["bate.recovery_backup_hits"]
+	for _, l := range [][2]string{{"DC1", "DC4"}, {"DC1", "DC2"}, {"DC2", "DC3"}, {"DC5", "DC6"}} {
+		for _, up := range []bool{false, true} {
+			_, before := ctrl.Snapshot()
+			if err := brokers[l[0]].ReportLink(l[0], l[1], up); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "push after link event", func() bool {
+				_, e := ctrl.Snapshot()
+				return e > before
+			})
+		}
+	}
+	if n := metrics.Snapshot()["bate.recovery_backup_hits"] - hits; n != 4 {
+		t.Fatalf("%d of 4 failures served from a backup", n)
+	}
+	ctrl.mu.Lock()
+	in, _ := ctrl.inputLocked()
+	got := ctrl.backups
+	ctrl.mu.Unlock()
+	want, err := bate.PrecomputeBackups(in, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Len() || got.Len() != in.Net.NumLinks() {
+		t.Fatalf("controller holds %d backups, fresh precompute %d", got.Len(), want.Len())
+	}
+	for _, l := range in.Net.Links() {
+		g, _ := got.For([]topo.LinkID{l.ID})
+		w, _ := want.For([]topo.LinkID{l.ID})
+		if !reflect.DeepEqual(g.Alloc, w.Alloc) || !reflect.DeepEqual(g.FullProfit, w.FullProfit) || g.Profit != w.Profit {
+			t.Fatalf("backup for link %d changed after being served", l.ID)
+		}
+	}
 }
 
 func TestRescheduleEmpty(t *testing.T) {
