@@ -1,8 +1,8 @@
 package alloc
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"bate/internal/lp"
 	"bate/internal/routing"
@@ -12,6 +12,24 @@ import (
 // FlowVars holds the LP variables f^t_d for every (demand, pair,
 // tunnel) triple, in the same shape as Allocation.
 type FlowVars map[int][][]lp.VarID
+
+// AppendName appends the LP name prefix[t0v0,t1v1,...] to buf, one tag
+// letter per value: AppendName(b, "f", "dpt", 3, 0, 1) appends
+// "f[d3,p0,t1]", byte for byte what fmt.Sprintf("f[d%d,p%d,t%d]", 3, 0,
+// 1) gives. Keyed warm starts match columns and rows by these names.
+func AppendName(buf []byte, prefix, tags string, vals ...int) []byte {
+	buf = append(buf, prefix...)
+	for i, v := range vals {
+		if i == 0 {
+			buf = append(buf, '[')
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, tags[i])
+		buf = strconv.AppendInt(buf, int64(v), 10)
+	}
+	return append(buf, ']')
+}
 
 // AddFlowVars adds one nonnegative variable per (demand, pair, tunnel)
 // to p and the per-link capacity constraints (Eq. 6) using the given
@@ -30,6 +48,7 @@ func AddFlowVars(p *lp.Problem, in *Input, caps []float64, usable func(routing.T
 func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(routing.Tunnel) bool) (FlowVars, map[topo.LinkID]int) {
 	fv := make(FlowVars, len(in.Demands))
 	linkTerms := make([][]lp.Term, in.Net.NumLinks())
+	var name [32]byte
 	for _, d := range in.Demands {
 		rows := make([][]lp.VarID, len(d.Pairs))
 		for pi := range d.Pairs {
@@ -40,7 +59,7 @@ func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(ro
 				if usable != nil && !usable(t) {
 					upper = 0
 				}
-				v := p.AddVariable(fmt.Sprintf("f[d%d,p%d,t%d]", d.ID, pi, ti), 0, upper, 0)
+				v := p.AddVariable(string(AppendName(name[:0], "f", "dpt", d.ID, pi, ti)), 0, upper, 0)
 				rows[pi][ti] = v
 				if upper > 0 {
 					for _, e := range t.Links {
@@ -58,7 +77,7 @@ func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(ro
 		}
 		capIdx[l.ID] = p.NumConstraints()
 		p.AddConstraint(lp.Constraint{
-			Name:  fmt.Sprintf("cap[e%d]", l.ID),
+			Name:  string(AppendName(name[:0], "cap", "e", int(l.ID))),
 			Terms: linkTerms[l.ID],
 			Op:    lp.LE,
 			RHS:   caps[l.ID],

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -103,5 +104,46 @@ func TestRatioZeroBandwidthPair(t *testing.T) {
 	a := New(in)
 	if r := a.Ratio(in, u1, 0, func(routing.Tunnel) bool { return true }); r != 1 {
 		t.Fatalf("zero-bandwidth ratio %v, want 1", r)
+	}
+}
+
+// TestAppendNameMatchesSprintf: every LP name shape AddFlowVarsIndexed
+// and the scheduling LP build with AppendName is byte for byte the
+// fmt.Sprintf form it replaced, since keyed warm starts match bases by
+// these names across rounds.
+func TestAppendNameMatchesSprintf(t *testing.T) {
+	shapes := []struct {
+		prefix, tags, format string
+	}{
+		{"f", "dpt", "f[d%d,p%d,t%d]"},
+		{"cap", "e", "cap[e%d]"},
+		{"demand", "dp", "demand[d%d,p%d]"},
+		{"B", "dc", "B[d%d,c%d]"},
+		{"B", "dz", "B[d%d,z%d]"},
+		{"deliv", "dcp", "deliv[d%d,c%d,p%d]"},
+		{"avail", "d", "avail[d%d]"},
+	}
+	values := []int{0, 1, 7, 9, 10, 99, 100, 4095, 4096, 65535, 1 << 31, -1, -4095}
+	var buf [32]byte
+	for _, s := range shapes {
+		vals := make([]int, len(s.tags))
+		for _, a := range values {
+			for _, b := range values {
+				for i := range vals {
+					vals[i] = a
+					if i%2 == 1 {
+						vals[i] = b
+					}
+				}
+				args := make([]any, len(vals))
+				for i, v := range vals {
+					args[i] = v
+				}
+				want := fmt.Sprintf(s.format, args...)
+				if got := string(AppendName(buf[:0], s.prefix, s.tags, vals...)); got != want {
+					t.Fatalf("AppendName(%q, %q, %v) = %q, fmt gives %q", s.prefix, s.tags, vals, got, want)
+				}
+			}
+		}
 	}
 }

@@ -239,6 +239,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps 
 		}
 	}
 	// Eq. 1: full bandwidth for every pair of every admitted demand.
+	var name [32]byte
 	for _, d := range in.Demands {
 		for pi, pr := range d.Pairs {
 			if pr.Bandwidth <= 0 {
@@ -249,7 +250,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps 
 				terms = append(terms, lp.Term{Var: v, Coef: 1})
 			}
 			p.AddConstraint(lp.Constraint{
-				Name:  fmt.Sprintf("demand[d%d,p%d]", d.ID, pi),
+				Name:  string(alloc.AppendName(name[:0], "demand", "dp", d.ID, pi)),
 				Terms: terms, Op: lp.GE, RHS: pr.Bandwidth,
 			})
 		}
@@ -376,11 +377,12 @@ func addAvailabilityGroupedStats(p *lp.Problem, in *alloc.Input, fv alloc.FlowVa
 
 	// Phase 2 (serial): allocate the B variables in (demand, class)
 	// order — the same VarID sequence the serial assembly produces.
+	var name [32]byte
 	for i, d := range targeted {
 		bonus := availabilityBonus(d)
 		jobs[i].bv = make([]lp.VarID, len(jobs[i].classes))
 		for ci, cls := range jobs[i].classes {
-			jobs[i].bv[ci] = p.AddVariable(fmt.Sprintf("B[d%d,c%d]", d.ID, ci), 0, 1, -bonus*cls.Prob)
+			jobs[i].bv[ci] = p.AddVariable(string(alloc.AppendName(name[:0], "B", "dc", d.ID, ci)), 0, 1, -bonus*cls.Prob)
 		}
 		if stats != nil {
 			if jobs[i].hit {
@@ -416,6 +418,7 @@ func addAvailabilityGroupedStats(p *lp.Problem, in *alloc.Input, fv alloc.FlowVa
 func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Class, bv []lp.VarID, fv alloc.FlowVars) []lp.Constraint {
 	rows := make([]lp.Constraint, 0, len(classes)*len(d.Pairs)+1)
 	availTerms := make([]lp.Term, 0, len(classes))
+	var name [32]byte
 	for ci, cls := range classes {
 		availTerms = append(availTerms, lp.Term{Var: bv[ci], Coef: cls.Prob})
 		bit := 0
@@ -434,13 +437,13 @@ func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Clas
 			}
 			terms = append(terms, lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
 			rows = append(rows, lp.Constraint{
-				Name:  fmt.Sprintf("deliv[d%d,c%d,p%d]", d.ID, ci, pi),
+				Name:  string(alloc.AppendName(name[:0], "deliv", "dcp", d.ID, ci, pi)),
 				Terms: terms, Op: lp.GE, RHS: 0,
 			})
 		}
 	}
 	rows = append(rows, lp.Constraint{
-		Name:  fmt.Sprintf("avail[d%d]", d.ID),
+		Name:  string(alloc.AppendName(name[:0], "avail", "d", d.ID)),
 		Terms: availTerms, Op: lp.GE, RHS: d.Target,
 	})
 	return rows
@@ -467,11 +470,12 @@ func addAvailabilityEnumerated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars
 		return nil
 	}
 	bvs := make([][]lp.VarID, len(targeted))
+	var name [32]byte
 	for i, d := range targeted {
 		bonus := availabilityBonus(d)
 		bvs[i] = make([]lp.VarID, len(set.Scenarios))
 		for zi, z := range set.Scenarios {
-			bvs[i][zi] = p.AddVariable(fmt.Sprintf("B[d%d,z%d]", d.ID, zi), 0, 1, -bonus*z.Prob)
+			bvs[i][zi] = p.AddVariable(string(alloc.AppendName(name[:0], "B", "dz", d.ID, zi)), 0, 1, -bonus*z.Prob)
 		}
 	}
 	rowsPer := make([][]lp.Constraint, len(targeted))

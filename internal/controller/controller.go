@@ -153,6 +153,9 @@ var (
 	// Maintenance drains.
 	mDrains   = metrics.NewCounter("controller.drains")
 	mUndrains = metrics.NewCounter("controller.undrains")
+
+	// Rounds whose bate.Harden failed and pushed the relaxed allocation.
+	mHardenFailures = metrics.NewCounter("controller.harden_failures")
 )
 
 // countRecvErr classifies the error that ended a session's receive
@@ -1110,6 +1113,9 @@ func (c *Controller) reschedule() error {
 	}()
 	if hardened, herr := bate.Harden(in, bate.ScheduleOptions{MaxFail: c.cfg.MaxFail}, a); herr == nil {
 		a = hardened
+	} else {
+		mHardenFailures.Inc()
+		round += fmt.Sprintf("; harden failed: %v, relaxed allocation pushed", herr)
 	}
 	if c.cfg.Store != nil {
 		if err := c.appendDurable("schedule", func() error { return c.cfg.Store.AppendSchedule(a) }); err != nil {

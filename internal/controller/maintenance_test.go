@@ -2,7 +2,10 @@ package controller
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,4 +109,45 @@ func TestMaintenanceWindowLoop(t *testing.T) {
 
 	waitFor(t, "maintenance drain", func() bool { return len(ctrl.DrainedLinks()) == 1 })
 	waitFor(t, "maintenance undrain", func() bool { return len(ctrl.DrainedLinks()) == 0 })
+}
+
+// A round whose hardening fails still pushes the relaxed allocation, as
+// before, but no longer silently: it counts controller.harden_failures
+// and says so on the round's log line. Draining DC1-DC6 under this book
+// leaves the relaxation feasible and the greedy hard guarantee not.
+func TestHardenFailureCounted(t *testing.T) {
+	n := topo.Testbed()
+	var mu sync.Mutex
+	var lines []string
+	ctrl, err := New(Config{
+		Net: n, Tunnels: routing.Compute(n, routing.KShortest, 4), MaxFail: 2,
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runSequence(ctrl, []step{{"DC1", "DC5", 961, 0.99}, {"DC1", "DC6", 535, 0.999}}) {
+		if !r.Admitted {
+			t.Fatalf("admission refused: %+v", r)
+		}
+	}
+	before := mHardenFailures.Load()
+	if err := ctrl.DrainLink("DC1", "DC6"); err != nil {
+		t.Fatal(err)
+	}
+	if got := mHardenFailures.Load() - before; got != 1 {
+		t.Fatalf("controller.harden_failures moved by %d, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.HasPrefix(l, "controller: scheduled ") && strings.Contains(l, "; harden failed: ") && strings.Contains(l, ", relaxed allocation pushed") {
+			return
+		}
+	}
+	t.Fatalf("no round line reports the failed hardening:\n%s", strings.Join(lines, "\n"))
 }

@@ -39,13 +39,29 @@ type factorization struct {
 	rowUsed  []bool
 	inWork   []bool  // row is listed in touched
 	touched  []int32 // rows of work that may be nonzero
-	heap     []int32 // pending eta indices of the refactor FTRAN
+	heap     []int32 // pending eta indices of the refactor FTRAN and btranUnit
+
+	// The first nRefactor etas are the last refactor's; column i of
+	// etasOf lists those that include row i (built on first use).
+	nRefactor int
+	etasOf    *cscMatrix
 }
 
 // reset empties the eta file.
 func (f *factorization) reset(m int) {
 	f.m = m
 	f.etas = f.etas[:0]
+	f.nRefactor, f.etasOf = 0, nil
+}
+
+// indexRefactorEtas transposes the refactor etas' row sets into etasOf.
+func (f *factorization) indexRefactorEtas() {
+	c := &cscMatrix{m: f.m, n: f.nRefactor, ptr: make([]int32, 1, f.nRefactor+1)}
+	for _, e := range f.etas[:f.nRefactor] {
+		c.ind = append(append(c.ind, e.pivot), e.ind...)
+		c.ptr = append(c.ptr, int32(len(c.ind)))
+	}
+	f.etasOf = c.transpose()
 }
 
 // ftran solves B z = a in place: v holds a on entry, B⁻¹a on exit.
@@ -64,14 +80,83 @@ func (f *factorization) ftran(v []float64) {
 }
 
 // btran solves Bᵀ y = c in place: v holds c on entry, B⁻ᵀc on exit.
-func (f *factorization) btran(v []float64) {
-	for k := len(f.etas) - 1; k >= 0; k-- {
+func (f *factorization) btran(v []float64) { f.btranBelow(len(f.etas), v) }
+
+// btranBelow applies the etas before k to v, newest first.
+func (f *factorization) btranBelow(k int, v []float64) {
+	for k--; k >= 0; k-- {
 		e := &f.etas[k]
-		s := e.pivotVal * v[e.pivot]
-		for i, r := range e.ind {
-			s += e.val[i] * v[r]
+		v[e.pivot] = e.dotT(v)
+	}
+}
+
+// dotT is the value the transpose of e writes at its pivot row.
+func (e *eta) dotT(v []float64) float64 {
+	s := e.pivotVal * v[e.pivot]
+	for i, r := range e.ind {
+		s += e.val[i] * v[r]
+	}
+	return s
+}
+
+// btranUnit is btran for v = e_r (v zero on entry), returning the rows
+// that may be nonzero. After the etas pushed since the refactorization
+// it applies only the refactor etas a live row reaches, newest first via
+// a max-heap — or, returning nil, every eta left once the heap outgrows
+// an eighth of the file. A skipped eta would write a zero, so v ends bit
+// for bit as btran leaves it (up to the sign of a zero).
+func (f *factorization) btranUnit(r int32, v []float64) []int32 {
+	if f.etasOf == nil {
+		f.indexRefactorEtas()
+	}
+	f.touched, f.heap = f.touched[:0], f.heap[:0]
+	maxQueue := len(f.etas) / 8
+	v[r] = 1
+	f.markLive(r, int32(f.nRefactor))
+	next := len(f.etas) // the etas before next are still to apply
+	for next > f.nRefactor && len(f.heap) <= maxQueue {
+		next--
+		f.btranEta(next, v)
+	}
+	for len(f.heap) > 0 && len(f.heap) <= maxQueue {
+		// Complemented keys make the min-heap a max-heap; an eta
+		// reached from two rows pops twice in a row.
+		if k := int(^f.heapPop()); k < next {
+			next = k
+			f.btranEta(k, v)
 		}
-		v[e.pivot] = s
+	}
+	for _, i := range f.touched {
+		f.inWork[i] = false
+	}
+	if len(f.heap) == 0 && next <= f.nRefactor {
+		return f.touched
+	}
+	f.btranBelow(next, v)
+	return nil
+}
+
+// btranEta applies eta k to v as btran does and marks its row live.
+func (f *factorization) btranEta(k int, v []float64) {
+	e := &f.etas[k]
+	if v[e.pivot] = e.dotT(v); v[e.pivot] != 0 {
+		f.markLive(e.pivot, int32(min(k, f.nRefactor)))
+	}
+}
+
+// markLive lists row r in touched, once, and queues the refactor etas
+// before `below` that include it.
+func (f *factorization) markLive(r, below int32) {
+	if f.inWork[r] {
+		return
+	}
+	f.inWork[r] = true
+	f.touched = append(f.touched, r)
+	for _, k := range f.etasOf.ind[f.etasOf.ptr[r]:f.etasOf.ptr[r+1]] {
+		if k >= below {
+			return
+		}
+		f.heapPush(^k)
 	}
 }
 
@@ -155,6 +240,7 @@ func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]in
 			rowVar[r] = j
 		}
 	}
+	f.nRefactor = len(f.etas)
 	return rowVar, true
 }
 

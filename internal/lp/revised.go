@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The sparse revised simplex engine. Unlike the dense tableau, it
 // (1) keeps the constraint matrix in CSC form and touches only
@@ -58,6 +61,12 @@ type revised struct {
 	work, work2, y []float64
 	artInd         [1]int32
 	artVal         [1]float64
+
+	csr     *cscMatrix // row-wise copy of csc, built on first use
+	alpha   []float64  // the last pivotRow, nonzero only at rowCols
+	rowCols []int
+	d       []float64 // carried reduced costs, per structural or slack column
+	stale   bool      // d was updated since the last refresh
 }
 
 // newRevisedBase builds the problem-shaped state (bounds, CSC, scratch)
@@ -83,6 +92,7 @@ func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, err
 	r.work = make([]float64, m)
 	r.work2 = make([]float64, m)
 	r.y = make([]float64, m)
+	r.d, r.alpha = make([]float64, r.artLo), make([]float64, r.artLo)
 
 	for j, v := range p.vars {
 		r.lo[j], r.hi[j] = v.lower, v.upper
@@ -166,7 +176,8 @@ func (r *revised) initCold() {
 		r.status[basic] = isBasic
 		r.rowVar[i] = int32(basic)
 	}
-	r.refactorNow()
+	r.rowVar, _ = r.fac.refactor(r.m, r.rowVar, r.colOf, r.work2, nil) // unit columns: never singular
+	r.computeXB()
 }
 
 // initWarm seeds the solve from a snapshot: position for position when
@@ -256,7 +267,7 @@ func (r *revised) snapshot() *Basis {
 }
 
 // refactorNow rebuilds the eta file from the current basic columns and
-// recomputes the basic values from scratch (flushing drift).
+// recomputes the basic values and r.d from scratch (flushing drift).
 func (r *revised) refactorNow() bool {
 	rowVar, ok := r.fac.refactor(r.m, r.rowVar, r.colOf, r.work2, nil)
 	if !ok {
@@ -265,6 +276,7 @@ func (r *revised) refactorNow() bool {
 	r.rowVar = rowVar
 	r.sinceRefactor = 0
 	r.computeXB()
+	r.refresh()
 	return true
 }
 
@@ -318,6 +330,37 @@ func (r *revised) reducedCost(j int) float64 {
 	return d
 }
 
+// refresh recomputes r.d (0 when basic): on entry to each simplex loop,
+// before the primal accepts optimality or a ray and after every
+// refactorization, so carryDuals' drift never outlives one eta file.
+func (r *revised) refresh() {
+	r.stale = false
+	r.computeY()
+	for j := range r.d {
+		if r.d[j] = 0; r.status[j] != isBasic {
+			r.d[j] = r.reducedCost(j)
+		}
+	}
+}
+
+// carryDuals updates r.d, before pivotStep, across the pivot that
+// brings `enter` in on row `leave` (pivot: the element the ratio test
+// accepted) from pivotRow(leave): y moves by θ·ρ, θ = d_enter/pivot, so
+// d_j -= θ·α_j where the row touches, d_enter = 0 and d_leaving = -θ.
+func (r *revised) carryDuals(leave, enter int, pivot float64) {
+	r.stale = true
+	theta := r.d[enter] / pivot
+	for _, j := range r.rowCols {
+		if r.status[j] != isBasic {
+			r.d[j] -= theta * r.alpha[j]
+		}
+	}
+	r.d[enter] = 0
+	if lv := r.rowVar[leave]; int(lv) < r.artLo {
+		r.d[lv] = -theta
+	}
+}
+
 // ftranCol scatters column j into work and FTRANs it: work = B⁻¹ a_j.
 func (r *revised) ftranCol(j int) []float64 {
 	w := r.work
@@ -332,19 +375,63 @@ func (r *revised) ftranCol(j int) []float64 {
 	return w
 }
 
+// pivotRow computes ρ = e_leaveᵀB⁻¹ (into r.work2) and α_j = ρ·a_j over
+// nonbasic structural and slack columns, listing ascending in r.rowCols
+// each j whose α may be nonzero. A hypersparse ρ is scattered through
+// the row-wise copy in ascending row order: each α_j sums the column
+// loop's nonzero products in its order (the rest add ±0), so the bits
+// are those of the column loop, which a ρ whose BTRAN went dense takes.
+func (r *revised) pivotRow(leave int) {
+	for _, j := range r.rowCols {
+		r.alpha[j] = 0
+	}
+	r.rowCols = r.rowCols[:0]
+	clear(r.work2)
+	rows := r.fac.btranUnit(int32(leave), r.work2)
+	if rows == nil {
+		for j := 0; j < r.artLo; j++ {
+			if r.status[j] != isBasic {
+				ind, val := r.csc.col(j)
+				for k, row := range ind {
+					r.alpha[j] += r.work2[row] * val[k]
+				}
+				r.rowCols = append(r.rowCols, j)
+			}
+		}
+		return
+	}
+	if r.csr == nil {
+		r.csr = r.csc.transpose()
+	}
+	slices.Sort(rows)
+	for _, i := range rows {
+		x := r.work2[i] // a zero here (cancellation) adds ±0
+		ind, val := r.csr.col(int(i))
+		for k, j := range ind {
+			if r.status[j] != isBasic {
+				if r.alpha[j] == 0 { // first touch, give or take a cancellation
+					r.rowCols = append(r.rowCols, int(j))
+				}
+				r.alpha[j] += x * val[k]
+			}
+		}
+	}
+	slices.Sort(r.rowCols)
+	r.rowCols = slices.Compact(r.rowCols)
+}
+
 // price selects the entering column and its direction (+1 from lower,
-// -1 from upper). Artificial columns never price in: once nonbasic
-// they are fixed at zero. Returns -1 at optimality.
+// -1 from upper) from r.d. Artificial columns never price in: once
+// nonbasic they are fixed at zero. Returns -1 at optimality.
 func (r *revised) price(bland bool) (int, float64) {
 	enter := -1
 	sigma := 1.0
 	best := -eps
-	for j := 0; j < r.artLo; j++ {
+	for j, d := range r.d {
 		st := r.status[j]
 		if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
 			continue
 		}
-		d := r.reducedCost(j)
 		var score float64
 		if st == atLower {
 			score = d // want d < -eps
@@ -379,8 +466,9 @@ func (r *revised) aborted() bool {
 	return r.cancel != nil && r.pivots%cancelCheckEvery == 0 && r.cancel() != nil
 }
 
-// primal runs bounded primal simplex iterations to optimality.
+// primal runs bounded primal simplex iterations to optimality on r.d.
 func (r *revised) primal(phase1 bool) Status {
+	r.refresh()
 	for {
 		if r.pivots >= maxPivots {
 			return IterLimit
@@ -389,8 +477,11 @@ func (r *revised) primal(phase1 bool) Status {
 			return Aborted
 		}
 		bland := r.rule == Bland || (r.rule != Dantzig && r.pivots >= blandThreshold)
-		r.computeY()
 		enter, sigma := r.price(bland)
+		if enter < 0 && r.stale {
+			r.refresh() // confirm the verdict on recomputed reduced costs
+			continue
+		}
 		if enter < 0 {
 			return Optimal
 		}
@@ -432,6 +523,10 @@ func (r *revised) primal(phase1 bool) Status {
 			}
 		}
 		if leave < 0 && math.IsInf(tMax, 1) {
+			if r.stale {
+				r.refresh() // confirm the ray on recomputed reduced costs
+				continue
+			}
 			if phase1 {
 				// Phase-1 objective is bounded below by 0; a free ray
 				// means numerical trouble. Mirror the dense engine.
@@ -461,6 +556,8 @@ func (r *revised) primal(phase1 bool) Status {
 			}
 			continue
 		}
+		r.pivotRow(leave)
+		r.carryDuals(leave, enter, w[leave])
 		r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w)
 	}
 }
@@ -625,17 +722,17 @@ func (r *revised) runWarm() (Status, string) {
 // by the offending reduced cost when it does not. The caller restores
 // the true costs with setPhase2Costs.
 func (r *revised) makeDualFeasible() {
-	r.computeY()
+	r.refresh()
 	flipped := false
-	for j := 0; j < r.artLo; j++ {
+	for j, d := range r.d {
 		st := r.status[j]
 		if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
 			continue
 		}
-		d := r.reducedCost(j)
 		switch {
 		case st == atLower && d < -feasTol && math.IsInf(r.hi[j], 1):
 			r.cost[j] -= d
+			r.d[j] = 0
 		case st == atLower && d < -feasTol:
 			r.status[j] = atUpper
 			flipped = true
@@ -661,9 +758,9 @@ func (r *revised) primalFeasible() bool {
 
 // dualSimplex restores primal feasibility from a dual-feasible basis:
 // the standard bounded-variable dual iteration (leaving row by largest
-// bound violation, entering column by the dual ratio test). Returns
-// Optimal once primal feasible, Infeasible when dual-unbounded (the
-// problem has no feasible point), IterLimit at warmRepairPivotCap.
+// bound violation, entering column by the dual ratio test on r.d).
+// Returns Optimal once primal feasible, Infeasible when dual-unbounded
+// (the problem has no feasible point), IterLimit at warmRepairPivotCap.
 func (r *revised) dualSimplex() Status {
 	for {
 		if r.pivots >= warmRepairPivotCap {
@@ -690,28 +787,16 @@ func (r *revised) dualSimplex() Status {
 		if leave < 0 {
 			return Optimal
 		}
-		// rho = row `leave` of B⁻¹; alpha_j = rho·a_j.
-		rho := r.work2
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[leave] = 1
-		r.fac.btran(rho)
-		r.computeY()
-
+		r.pivotRow(leave)
 		enter := -1
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
-		for j := 0; j < r.artLo; j++ {
+		for _, j := range r.rowCols {
 			st := r.status[j]
 			if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
 				continue
 			}
-			alpha := 0.0
-			ind, val := r.csc.col(j)
-			for k, row := range ind {
-				alpha += rho[row] * val[k]
-			}
+			alpha := r.alpha[j]
 			// Eligibility: moving j in its feasible direction must push
 			// the leaving basic toward its violated bound.
 			ok := false
@@ -723,10 +808,9 @@ func (r *revised) dualSimplex() Status {
 			if !ok {
 				continue
 			}
-			d := r.reducedCost(j)
-			mag := d
+			mag := r.d[j]
 			if st == atUpper {
-				mag = -d
+				mag = -mag
 			}
 			if mag < 0 {
 				mag = 0 // tolerance noise; treat as degenerate
@@ -761,6 +845,7 @@ func (r *revised) dualSimplex() Status {
 		if t < 0 {
 			t = 0
 		}
+		r.carryDuals(leave, enter, bestAlpha)
 		r.pivotStep(leave, enter, sigma, t, !below, w)
 	}
 }

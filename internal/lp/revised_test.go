@@ -95,7 +95,15 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 // boundary instances where pivoting is most fragile. Duals are not
 // compared (non-unique at degenerate optima).
 func TestEngineEquivalenceDegenerate(t *testing.T) {
-	cases := map[string]func() *Problem{
+	for name, build := range degenerateLPs() {
+		compareEngines(t, build(), false, name)
+	}
+}
+
+// degenerateLPs are crafted degenerate and boundary instances, Beale's
+// cycling example among them.
+func degenerateLPs() map[string]func() *Problem {
+	return map[string]func() *Problem{
 		"beale-cycling": func() *Problem {
 			// Beale's classic cycling example for Dantzig pivoting.
 			p := NewProblem()
@@ -155,9 +163,6 @@ func TestEngineEquivalenceDegenerate(t *testing.T) {
 			p.AddConstraint(Constraint{Terms: []Term{{x, 1}, {y, 1}}, Op: LE, RHS: 4})
 			return p
 		},
-	}
-	for name, build := range cases {
-		compareEngines(t, build(), false, name)
 	}
 }
 

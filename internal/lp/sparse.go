@@ -21,6 +21,32 @@ func (c *cscMatrix) col(j int) ([]int32, []float64) {
 	return c.ind[c.ptr[j]:c.ptr[j+1]], c.val[c.ptr[j]:c.ptr[j+1]]
 }
 
+// transpose returns the row-wise (CSR) copy: its column i is row i. A
+// pattern-only matrix (nil val) gives a pattern-only copy.
+func (c *cscMatrix) transpose() *cscMatrix {
+	t := &cscMatrix{m: c.n, n: c.m, ptr: make([]int32, c.m+1), ind: make([]int32, len(c.ind))}
+	if c.val != nil {
+		t.val = make([]float64, len(c.val))
+	}
+	for _, i := range c.ind {
+		t.ptr[i+1]++
+	}
+	for i := 0; i < c.m; i++ {
+		t.ptr[i+1] += t.ptr[i]
+	}
+	next := append([]int32(nil), t.ptr[:c.m]...)
+	for j := 0; j < c.n; j++ {
+		for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
+			i := c.ind[k]
+			if t.ind[next[i]] = int32(j); t.val != nil {
+				t.val[next[i]] = c.val[k]
+			}
+			next[i]++
+		}
+	}
+	return t
+}
+
 // buildCSC assembles the CSC matrix of the problem's structural
 // columns followed by one slack/surplus column per LE/GE row (+e_i for
 // LE, -e_i for GE). Duplicate variables within one constraint are
