@@ -502,32 +502,37 @@ func BenchmarkClassesWarm(b *testing.B) {
 }
 
 // BenchmarkSchedulePartitioned compares the global scheduling LP with
-// the hierarchical decomposition on the 300-node synthetic WAN (ISSUE 7
-// acceptance: >= 3x speedup at <= 2% optimality gap; the full record
-// lives in BENCH_partition.json). The gap and speedup come from a
-// paired measurement so they land in the benchmark output as metrics.
+// the hierarchical decomposition on the 300-node synthetic WAN (target:
+// >= 3x speedup at <= 2% optimality gap). The speedup is the ratio of
+// the global and partitioned ns/op; gap% comes from one paired solve
+// before the timed runs.
 func BenchmarkSchedulePartitioned(b *testing.B) {
-	c := experiments.PartitionCases(false)[1] // Synth300
-	row, err := experiments.MeasurePartition(c, 1, 1)
+	c := experiments.PartitionCase{Build: topo.Synth300, Regions: 15, Demands: 150}
+	in := experiments.PartitionInput(c, 1)
+	gOpts := bate.ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	pOpts := gOpts
+	pOpts.Partition = &partition.Options{Regions: c.Regions}
+	global, _, err := bate.Schedule(in, gOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := experiments.PartitionInput(c, 1)
+	parted, _, err := bate.Schedule(in, pOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gap := (parted.Total() - global.Total()) / global.Total()
 	for _, bc := range []struct {
 		name string
-		part *partition.Options
-	}{{"global", nil}, {"partitioned", &partition.Options{Regions: c.Regions}}} {
+		opts bate.ScheduleOptions
+	}{{"global", gOpts}, {"partitioned", pOpts}} {
 		b.Run(bc.name, func(b *testing.B) {
-			opts := bate.ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised, Partition: bc.part}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bate.Schedule(in, opts); err != nil {
+				if _, _, err := bate.Schedule(in, bc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if bc.part != nil {
-				b.ReportMetric(row.Speedup, "speedup")
-				b.ReportMetric(row.Gap*100, "gap%")
+			if bc.opts.Partition != nil {
+				b.ReportMetric(gap*100, "gap%")
 			}
 		})
 	}

@@ -16,25 +16,18 @@ import (
 	"time"
 
 	"bate/internal/broker"
-	"bate/internal/wire"
 )
 
 func main() {
 	dc := flag.String("dc", "", "datacenter name (must match a topology node)")
 	addr := flag.String("controller", "localhost:7001", "controller address")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting period (0 = off)")
-	wireName := flag.String("wire", "binary", "wire codec to negotiate: binary, or json for debugging")
 	flag.Parse()
 	if *dc == "" {
 		log.Fatal("bate-broker: -dc is required")
 	}
-	codec, err := wire.ParseCodec(*wireName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	b := broker.New(*dc, *addr)
-	b.SetWireCodec(codec)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -45,7 +45,6 @@ func main() {
 	recoveryDeadline := flag.Duration("recovery-deadline", 2*time.Second, "failure-recovery deadline: backup hit, then budgeted optimal, then greedy floor within this bound")
 	electDialTimeout := flag.Duration("election-dial-timeout", time.Second, "per-peer dial timeout during master election")
 	electSendTimeout := flag.Duration("election-send-timeout", time.Second, "per-peer send deadline during master election")
-	jsonWire := flag.Bool("json-wire", false, "answer every session in the JSON debug codec, ignoring binary negotiation (packet-capture friendly)")
 	partitions := flag.Int("partitions", 0, "hierarchical scheduling: split the topology into k regions solved in parallel (0/1 = global LP)")
 	partitionGap := flag.Float64("partition-gap", 0, "hierarchical scheduling: max relative optimality-gap bound before falling back to the global LP (0 = 2%)")
 	maxInflight := flag.Int("max-inflight", 0, "overload protection: admission gate base concurrency; shed excess client requests with retry-after hints instead of queueing unboundedly (0 = disabled)")
@@ -110,7 +109,6 @@ func main() {
 	cfg := controller.Config{
 		Net: net0, Tunnels: tunnels, MaxFail: *maxFail, SchedulePeriod: *period,
 		RecoveryDeadline: *recoveryDeadline,
-		ForceJSONWire:    *jsonWire,
 	}
 	if *maintenance != "" {
 		windows, err := parseMaintenance(*maintenance, time.Now())

@@ -25,7 +25,6 @@ import (
 
 func main() {
 	addr := flag.String("controller", "localhost:7001", "controller address")
-	wireName := flag.String("wire", "binary", "wire codec to negotiate: binary, or json for debugging with a packet capture")
 	retryMax := flag.Int("client-retry-max", 8, "retries when the controller sheds the request with a retry-after hint (overloaded controller); each retry backs off by the hinted delay with jitter")
 	flag.Parse()
 	args := flag.Args()
@@ -37,16 +36,12 @@ func main() {
 		storeCmd(args[1:])
 		return
 	}
-	codec, err := wire.ParseCodec(*wireName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	conn, err := wire.Dial(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "client", Codec: codec}}); err != nil {
+	if err := conn.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "client", Codec: wire.CodecBinary}}); err != nil {
 		log.Fatal(err)
 	}
 

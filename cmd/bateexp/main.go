@@ -4,13 +4,10 @@
 //
 //	bateexp [-quick] [-seed N] all
 //	bateexp [-quick] [-seed N] fig13 table3 ...
-//	bateexp [-quick] wireload
 //	bateexp -list
 //
 // Each subcommand prints the rows/series of the corresponding paper
 // artifact; see EXPERIMENTS.md for the paper-vs-measured record.
-// The wireload subcommand is not a paper artifact: it runs the wire
-// codec load harness (binary vs JSON) at smoke or full scale.
 package main
 
 import (
@@ -27,9 +24,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	repeats := flag.Int("repeats", 0, "override per-experiment repetition count")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	benchOut := flag.String("bench-out", "", "bench runners: write the machine-readable report here")
-	baseline := flag.String("baseline", "", "bench runners: gate against this committed report")
-	tolerance := flag.Float64("tolerance", 0, "bench runners: fractional regression tolerance for -baseline (0 = 20%)")
 	flag.Parse()
 
 	if *list {
@@ -44,10 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "known experiments:", experiments.IDs())
 		os.Exit(2)
 	}
-	opts := experiments.Options{
-		Quick: *quick, Seed: *seed, Repeats: *repeats,
-		BenchOut: *benchOut, Baseline: *baseline, Tolerance: *tolerance,
-	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Repeats: *repeats}
 
 	var runners []experiments.Runner
 	if len(args) == 1 && args[0] == "all" {

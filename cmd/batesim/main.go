@@ -1,38 +1,33 @@
 // Command batesim runs standalone simulations: the per-second
 // testbed-style emulation (§5.1), the event-driven large-scale
-// simulation (§5.2), or the wire load harness, for any built-in
-// topology and TE scheme.
+// simulation (§5.2), link shadow prices, or the full-stack chaos soak,
+// for any built-in topology and TE scheme.
 //
 // Usage:
 //
 //	batesim -mode time  -topology Testbed6 -te BATE -horizon 600 -rate 2
 //	batesim -mode event -topology B4 -te TEAVAR -admission none -rate 3
-//	batesim -mode load  -clients 100000 -wire both -bench-out BENCH_wire.json
-//	batesim -mode load  -overload -ramp 5 -bench-out BENCH_overload.json
+//	batesim -mode chaos -chaos-seed 7
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"strings"
-	"time"
 
 	"bate/internal/alloc"
 	"bate/internal/bate"
 	"bate/internal/chaos/soak"
 	"bate/internal/demand"
 	"bate/internal/metrics"
-	"bate/internal/overload"
 	"bate/internal/parallel"
 	"bate/internal/partition"
 	"bate/internal/routing"
 	"bate/internal/sim"
 	"bate/internal/topo"
-	"bate/internal/wire"
 )
 
 func parseTE(s string) (sim.TEKind, error) {
@@ -59,7 +54,7 @@ func parseAdmission(s string) (sim.AdmissionMode, error) {
 }
 
 func main() {
-	mode := flag.String("mode", "time", "time (per-second §5.1), event (§5.2), prices (link shadow prices), chaos (full-stack fault-injection soak), or load (wire protocol load harness)")
+	mode := flag.String("mode", "time", "time (per-second §5.1), event (§5.2), prices (link shadow prices), or chaos (full-stack fault-injection soak)")
 	topoName := flag.String("topology", "Testbed6", "built-in topology name or topology file path")
 	teName := flag.String("te", "BATE", "TE scheme: BATE, FFC, TEAVAR, SWAN, SMORE, B4")
 	admName := flag.String("admission", "bate", "admission: none, fixed, bate, opt")
@@ -80,21 +75,6 @@ func main() {
 	auditSLO := flag.Bool("audit-slo", false, "run the online SLO auditor, print the violation breakdown and refund exposure, and fail if the offline recomputation disagrees (time mode)")
 	workloadOut := flag.String("save-workload", "", "write the generated workload to a JSON file")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seeded fault injection: in time mode, generate a chaos outage trace when -trace is absent; mode 'chaos' runs the full-stack soak under this seed (0 = off)")
-	clients := flag.Int("clients", 100000, "load mode: simulated clients (one submit+withdraw each)")
-	conns := flag.Int("conns", 32, "load mode: TCP connections multiplexing the clients")
-	batch := flag.Int("batch", 64, "load mode: submits per submit-batch frame")
-	wireName := flag.String("wire", "both", "load mode: codec to drive — binary, json, or both")
-	statusEvery := flag.Int("status-every", 0, "load mode: status poll every N batches per conn (0 = default, <0 = off)")
-	realAdm := flag.Bool("load-real", false, "load mode: run the real admission pipeline instead of stub admission")
-	benchOut := flag.String("bench-out", "", "load mode: write the bench report JSON here (WireBenchReport, or OverloadBenchReport with -overload)")
-	baseline := flag.String("baseline", "", "load mode: committed bench report to gate against")
-	tolerance := flag.Float64("tolerance", 0.2, "load mode: fractional regression tolerance for -baseline")
-	overloadRun := flag.Bool("overload", false, "load mode: run the overload/backpressure scenario (1x calibration then a -ramp× flood against the admission gate) instead of the codec throughput harness")
-	maxInflight := flag.Int("max-inflight", 4, "overload scenario: admission gate base concurrency (AIMD may grow it up to 4×)")
-	ramp := flag.Int("ramp", 5, "overload scenario: offered-load multiple of calibrated capacity for the flood phase")
-	shedPrio := flag.String("shed-priority", "submit", "overload scenario: least-critical class the gate may shed (submit sheds submits+status, status sheds only status; withdrawals are never shed)")
-	clientRetryMax := flag.Int("client-retry-max", 8, "overload scenario: consecutive retry-afters a client tolerates per submission before abandoning it")
-	overloadSec := flag.Float64("overload-sec", 2, "overload scenario: wall-clock seconds per phase")
 	partitions := flag.Int("partitions", 0, "hierarchical scheduling: split the topology into k regions solved in parallel (0/1 = global LP)")
 	partitionGap := flag.Float64("partition-gap", 0, "hierarchical scheduling: max relative optimality-gap bound before falling back to the global LP (0 = 2%)")
 	flag.Parse()
@@ -107,16 +87,6 @@ func main() {
 	popts := partitionOptions(*partitions, *partitionGap)
 	if *mode == "chaos" {
 		runChaosSoak(*chaosSeed, *seed, *partitions)
-		return
-	}
-	if *mode == "load" {
-		if *overloadRun {
-			runOverloadBench(*topoName, *maxInflight, *ramp, *shedPrio, *clientRetryMax,
-				*overloadSec, *seed, *benchOut, *baseline, *tolerance)
-			return
-		}
-		runWireLoad(*topoName, *clients, *conns, *batch, *statusEvery, *wireName, *realAdm, *seed,
-			*benchOut, *baseline, *tolerance)
 		return
 	}
 
@@ -313,141 +283,6 @@ func main() {
 		fmt.Print(t.String())
 	default:
 		log.Fatalf("unknown mode %q", *mode)
-	}
-}
-
-// runWireLoad runs the wire load harness (batesim -mode load): 10^5+
-// simulated clients against one controller, per codec, optionally
-// gating the derived speedup/alloc ratios against a committed
-// baseline report.
-func runWireLoad(topoName string, clients, conns, batch, statusEvery int, wireName string, realAdm bool, seed int64, benchOut, baseline string, tolerance float64) {
-	net0, err := topo.Resolve(topoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tunnels := routing.Compute(net0, routing.KShortest, 4)
-	var codecs []wire.Codec
-	switch wireName {
-	case "both":
-		codecs = []wire.Codec{wire.CodecBinary, wire.CodecJSON}
-	default:
-		c, err := wire.ParseCodec(wireName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		codecs = []wire.Codec{c}
-	}
-	results := map[wire.Codec]*sim.LoadResult{}
-	for _, codec := range codecs {
-		res, err := sim.RunLoadSim(sim.LoadConfig{
-			Net: net0, Tunnels: tunnels,
-			Clients: clients, Conns: conns, Batch: batch,
-			StatusEvery: statusEvery,
-			Codec:       codec, RealAdmission: realAdm, Seed: seed,
-		})
-		if err != nil {
-			log.Fatalf("batesim: load (%s): %v", codec, err)
-		}
-		results[codec] = res
-		fmt.Printf("wire=%s clients=%d conns=%d batch=%d: %.0f admissions/sec, p50=%.3fms p99=%.3fms, %.1f allocs/op, %.0f bytes/op (%.2fs, %d ops)\n",
-			res.Codec, res.Clients, res.Conns, res.Batch,
-			res.AdmissionsPerSec, res.P50AckMs, res.P99AckMs,
-			res.AllocsPerOp, res.BytesPerOp, res.ElapsedSec, res.OpsTotal)
-	}
-	report := sim.NewWireBenchReport(net0.Name(), clients, results[wire.CodecBinary], results[wire.CodecJSON])
-	if report.Binary != nil && report.JSON != nil {
-		fmt.Printf("binary vs json: %.2fx admissions/sec, %.3fx allocs/op\n",
-			report.SpeedupAdmissionsPerSec, report.AllocsPerOpRatio)
-	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("batesim: wrote %s", benchOut)
-	}
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var base sim.WireBenchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			log.Fatalf("batesim: parse %s: %v", baseline, err)
-		}
-		if regs := sim.CompareWireBench(report, &base, tolerance); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("wire-bench gate: within ±%.0f%% of %s\n", tolerance*100, baseline)
-	}
-}
-
-// runOverloadBench runs the overload scenario (batesim -mode load
-// -overload): calibrate goodput at 1x, flood at -ramp× capacity, and
-// check that the admission gate sheds lowest-priority-first while
-// goodput holds ≥90% of calibration, optionally gating against a
-// committed OverloadBenchReport baseline.
-func runOverloadBench(topoName string, maxInflight, ramp int, shedPrio string, retryMax int, durationSec float64, seed int64, benchOut, baseline string, tolerance float64) {
-	net0, err := topo.Resolve(topoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prio, err := overload.ParsePriority(shedPrio)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report, err := sim.RunOverloadSim(sim.OverloadConfig{
-		Net: net0, Tunnels: routing.Compute(net0, routing.KShortest, 4),
-		MaxInflight: maxInflight, Ramp: ramp, ShedPriority: prio,
-		RetryMax: retryMax, Seed: seed,
-		Duration: time.Duration(durationSec * float64(time.Second)),
-	})
-	if err != nil {
-		log.Fatalf("batesim: overload: %v", err)
-	}
-	for _, res := range []*sim.OverloadResult{report.Baseline, report.Overload} {
-		fmt.Printf("phase=%s clients=%d: %.0f admitted/sec (%d offered, %d shed: %d submit/%d status/%d critical, %d gave up), p50=%.3fms p99=%.3fms\n",
-			res.Phase, res.Clients, res.GoodputPerSec, res.Offered,
-			res.ShedSubmit+res.ShedStatus+res.ShedCritical,
-			res.ShedSubmit, res.ShedStatus, res.ShedCritical, res.GaveUp,
-			res.P50AckMs, res.P99AckMs)
-	}
-	fmt.Printf("goodput ratio %.2fx of calibrated capacity at %dx offered load; gate: %d admitted, %d shed, %d queue timeouts, limit %d\n",
-		report.GoodputRatio, report.Ramp, report.Gate.Admitted,
-		report.Gate.ShedByPrio[overload.PCritical]+report.Gate.ShedByPrio[overload.PSubmit]+report.Gate.ShedByPrio[overload.PStatus],
-		report.Gate.Timeouts, report.Gate.Limit)
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("batesim: wrote %s", benchOut)
-	}
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var base sim.OverloadBenchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			log.Fatalf("batesim: parse %s: %v", baseline, err)
-		}
-		if regs := sim.CompareOverloadBench(report, &base, tolerance); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("overload-bench gate: within ±%.0f%% of %s\n", tolerance*100, baseline)
 	}
 }
 

@@ -35,34 +35,23 @@ type Broker struct {
 	entries map[uint32]*ForwardingEntry
 	onAlloc func(*wire.AllocUpdate)
 	dialer  func(addr string) (*wire.Conn, error)
-	codec   wire.Codec
 
 	logf func(string, ...interface{})
 }
 
 // New creates a broker for datacenter dc that will connect to the
-// controller at addr. Sessions negotiate the binary wire codec by
-// default; SetWireCodec selects the JSON debug codec instead.
+// controller at addr.
 func New(dc, addr string) *Broker {
 	return &Broker{
 		dc:      dc,
 		addr:    addr,
 		entries: make(map[uint32]*ForwardingEntry),
-		codec:   wire.CodecBinary,
 		logf:    log.Printf,
 	}
 }
 
 // SetLogf overrides the logger (tests use a silent one).
 func (b *Broker) SetLogf(f func(string, ...interface{})) { b.logf = f }
-
-// SetWireCodec selects the codec the broker's Hello negotiates
-// (default binary). Set before Run.
-func (b *Broker) SetWireCodec(c wire.Codec) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.codec = c
-}
 
 // SetDialer replaces the controller dialer, e.g. with a chaos-wrapped
 // one. Set before Run.
@@ -132,7 +121,6 @@ func (b *Broker) session(ctx context.Context) error {
 	b.mu.Lock()
 	b.conn = conn
 	epoch := b.epoch
-	codec := b.codec
 	b.mu.Unlock()
 	defer func() {
 		conn.Close()
@@ -142,7 +130,7 @@ func (b *Broker) session(ctx context.Context) error {
 		}
 		b.mu.Unlock()
 	}()
-	if err := conn.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "broker", DC: b.dc, Codec: codec}}); err != nil {
+	if err := conn.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "broker", DC: b.dc, Codec: wire.CodecBinary}}); err != nil {
 		return err
 	}
 	if epoch > 0 {

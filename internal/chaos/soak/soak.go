@@ -46,12 +46,6 @@ type Config struct {
 	// ArtifactPath, when set, receives the fault schedule as JSON before
 	// the run starts — a failing CI seed leaves its schedule behind.
 	ArtifactPath string
-	// JSONWire forces the debug JSON codec on every connection
-	// (controller locked to JSON, every peer hello requests JSON). The
-	// default soaks the binary codec, so mid-frame stall faults tear
-	// binary frames; a forced-JSON run of the same seed must reach the
-	// same admission decisions.
-	JSONWire bool
 	// Partitions, when > 1, runs the controller's reschedules through
 	// hierarchical (partitioned) scheduling. The decomposition is
 	// deterministic, so a partitioned run of the same seed must still
@@ -80,14 +74,6 @@ type Config struct {
 	Maintenance bool
 	// Logf receives narrative; nil is silent.
 	Logf func(string, ...interface{})
-}
-
-// codec is the wire codec every soak connection negotiates.
-func (cfg Config) codec() wire.Codec {
-	if cfg.JSONWire {
-		return wire.CodecJSON
-	}
-	return wire.CodecBinary
 }
 
 // Schedule is the JSON fault-schedule artifact: everything needed to
@@ -265,7 +251,6 @@ func Run(cfg Config) (*Report, error) {
 		RecoveryDeadline: cfg.RecoveryDeadline,
 		SolverGate:       budget.Gate,
 		SolverWatch:      budget.PivotWatcher,
-		ForceJSONWire:    cfg.JSONWire,
 		Partition:        popts,
 		Overload:         ovOpts,
 		Logf:             logf,
@@ -282,7 +267,6 @@ func Run(cfg Config) (*Report, error) {
 	for _, dc := range []string{"DC1", "DC2"} {
 		b := broker.New(dc, addr)
 		b.SetLogf(func(string, ...interface{}) {})
-		b.SetWireCodec(cfg.codec())
 		edge := "broker-" + dc
 		b.SetDialer(func(a string) (*wire.Conn, error) {
 			nc, err := wireNet.Dial(edge, "controller", a, 2*time.Second)
@@ -295,12 +279,12 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// ---- Phase 4: client submissions over a lossy connection. ----
-	clean, err := dialClean(addr, "client", "", cfg.codec())
+	clean, err := dialClean(addr, "client", "")
 	if err != nil {
 		return nil, fmt.Errorf("soak: clean client dial: %w", err)
 	}
 	defer clean.Close()
-	cl := &chaosClient{net: wireNet, addr: addr, codec: cfg.codec()}
+	cl := &chaosClient{net: wireNet, addr: addr}
 	defer cl.drop()
 	for _, p := range plans {
 		id, admitted, err := submitWithRetry(cl, clean, p)
@@ -324,7 +308,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// ---- Phase 6: the link-failure plan over a clean monitor session
 	// (ping/pong as a barrier after every event). ----
-	mon, err := newMonitor(addr, cfg.codec())
+	mon, err := newMonitor(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -602,7 +586,6 @@ func linkEventPlan(n *topo.Network, links []topo.Link) []LinkEventPlan {
 type chaosClient struct {
 	net   *chaos.Net
 	addr  string
-	codec wire.Codec
 	conn  *wire.Conn
 	seq   uint64
 	sheds int64
@@ -617,7 +600,7 @@ func (cl *chaosClient) ensure() error {
 		return err
 	}
 	c := wire.New(nc)
-	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "client", Codec: cl.codec}}); err != nil {
+	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "client", Codec: wire.CodecBinary}}); err != nil {
 		c.Close()
 		return err
 	}
@@ -665,12 +648,12 @@ type cleanConn struct {
 	sheds int64
 }
 
-func dialClean(addr, role, dc string, codec wire.Codec) (*cleanConn, error) {
+func dialClean(addr, role, dc string) (*cleanConn, error) {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: role, DC: dc, Codec: codec}}); err != nil {
+	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: role, DC: dc, Codec: wire.CodecBinary}}); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -804,12 +787,12 @@ type monitor struct {
 	pongs chan uint64
 }
 
-func newMonitor(addr string, codec wire.Codec) (*monitor, error) {
+func newMonitor(addr string) (*monitor, error) {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "broker", DC: "DC3", Codec: codec}}); err != nil {
+	if err := c.Send(&wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Role: "broker", DC: "DC3", Codec: wire.CodecBinary}}); err != nil {
 		c.Close()
 		return nil, err
 	}

@@ -54,12 +54,11 @@ func TestChaosSoak(t *testing.T) {
 			if dir := os.Getenv("CHAOS_ARTIFACT_DIR"); dir != "" {
 				artifact = filepath.Join(dir, fmt.Sprintf("soak-seed-%d.json", seed))
 			}
-			runOnce := func(tag string, jsonWire bool) *Report {
+			runOnce := func(tag string) *Report {
 				rep, err := Run(Config{
 					Seed: seed, Dir: t.TempDir(),
 					RecoveryDeadline: deadline,
 					ArtifactPath:     artifact,
-					JSONWire:         jsonWire,
 					Logf:             logf,
 				})
 				if err != nil {
@@ -67,7 +66,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 				return rep
 			}
-			rep := runOnce("run", false)
+			rep := runOnce("run")
 
 			// At most one master: all three replicas agreed.
 			if !rep.LeaderAgreed {
@@ -119,7 +118,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			// Same seed, fresh directory: byte-identical end state.
-			replay := runOnce("replay", false)
+			replay := runOnce("replay")
 			if replay.Digest != rep.Digest {
 				t.Errorf("replay digest %s != original %s", replay.Digest, rep.Digest)
 			}
@@ -131,25 +130,6 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if !reflect.DeepEqual(replay.FinalIDs, rep.FinalIDs) {
 				t.Errorf("replay book %v != original %v", replay.FinalIDs, rep.FinalIDs)
-			}
-
-			// Same seed forced to the JSON debug codec: the codec must
-			// not change a single admission decision, and because every
-			// fault draw is a pure function of (seed, edge, count) —
-			// never of frame bytes — the end state digest is identical
-			// too.
-			jsRep := runOnce("json-wire", true)
-			if jsRep.Digest != rep.Digest {
-				t.Errorf("json-wire digest %s != binary %s", jsRep.Digest, rep.Digest)
-			}
-			if !reflect.DeepEqual(jsRep.AckedIDs, rep.AckedIDs) {
-				t.Errorf("json-wire acked %v != binary %v", jsRep.AckedIDs, rep.AckedIDs)
-			}
-			if !reflect.DeepEqual(jsRep.FinalIDs, rep.FinalIDs) {
-				t.Errorf("json-wire book %v != binary %v", jsRep.FinalIDs, rep.FinalIDs)
-			}
-			if jsRep.Rejected != rep.Rejected {
-				t.Errorf("json-wire rejected %d != binary %d", jsRep.Rejected, rep.Rejected)
 			}
 		})
 	}

@@ -78,17 +78,10 @@ type Config struct {
 	// returned probes cost nothing.
 	SolverWatch func(op string) func() error
 	// StubAdmission admits every structurally valid demand without
-	// consulting the solver (method "stub"). The wire load harness uses
-	// it so throughput numbers measure the control channel, not LP
-	// cost. Durability and id allocation behave exactly as in real
-	// admission.
+	// consulting the solver (method "stub"), so a test of the control
+	// channel or the admission gate does not measure LP cost.
+	// Durability and id allocation behave exactly as in real admission.
 	StubAdmission bool
-	// ForceJSONWire pins every session's outgoing codec to the JSON
-	// debug codec, ignoring Hello negotiation. Peers may still *send*
-	// binary frames (the codec is sniffed per frame); this only forces
-	// the controller's replies, which is what the mixed-version matrix
-	// tests exercise.
-	ForceJSONWire bool
 	// Partition, when non-nil, runs every reschedule through BATE's
 	// hierarchical (partitioned) scheduling; rounds the decomposition
 	// declines fall back to the global solve transparently. See
@@ -107,8 +100,8 @@ type Config struct {
 	// StubWork simulates per-request admission cost in StubAdmission
 	// mode: every submit (or coalesced batch — the batch pays ONE
 	// unit, which is what makes coalescing raise goodput) sleeps this
-	// long outside the controller lock. The overload harness uses it
-	// to give the controller a known capacity. Zero disables.
+	// long outside the controller lock, which gives the controller a
+	// known capacity in overload tests. Zero disables.
 	StubWork time.Duration
 	// Maintenance schedules proactive drains around planned link work
 	// (§3.4 in reverse: the failure is known in advance). Serve walks
@@ -443,11 +436,6 @@ func (c *Controller) handleConn(ctx context.Context, conn *wire.Conn) {
 	case c.cfg.FrameTimeout == 0:
 		conn.SetIdleTimeout(30 * time.Second)
 	}
-	// Codec negotiation rides the peer's Hello unless operators
-	// forced JSON.
-	if c.cfg.ForceJSONWire {
-		conn.LockCodec(wire.CodecJSON)
-	}
 	hello, err := conn.Recv()
 	if err != nil {
 		countRecvErr(err)
@@ -607,7 +595,7 @@ func (c *Controller) dispatchClient(conn *wire.Conn, m *wire.Message) {
 	}
 }
 
-// stubWorkDelay simulates admission cost for the load harness. It
+// stubWorkDelay simulates admission cost in StubAdmission mode. It
 // runs outside the controller lock so capacity scales with the
 // concurrency ceiling, as real solver work would.
 func (c *Controller) stubWorkDelay() {

@@ -3,6 +3,8 @@ package controller
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -294,6 +296,59 @@ func TestBadHello(t *testing.T) {
 	if reply.Type != wire.TypeError {
 		t.Fatalf("got %+v, want error", reply)
 	}
+}
+
+// TestLegacyJSONPeerRejected: a peer that frames with a 4-byte JSON
+// length prefix (first byte 0x00) is a frame error. Its session is
+// closed and counted once in controller.frame_errors, and binary
+// clients on the same controller are served before and after it.
+func TestLegacyJSONPeerRejected(t *testing.T) {
+	n := topo.Testbed()
+	ts := routing.Compute(n, routing.KShortest, 4)
+	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent, StubAdmission: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go ctrl.Serve(ctx, ln)
+	addr := ln.Addr().String()
+	served := func(when string) {
+		t.Helper()
+		if reply, err := submitOne(dialClient(t, addr), 1); err != nil || reply.Type != wire.TypeAdmitResult {
+			t.Fatalf("binary client %s the JSON peer: %+v, %v", when, reply, err)
+		}
+	}
+	served("before")
+
+	before := metrics.Snapshot()["controller.frame_errors"]
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var legacy []byte
+	for _, body := range []string{`{"type":"hello","hello":{"role":"client"}}`, `{"type":"status","seq":1}`} {
+		legacy = binary.BigEndian.AppendUint32(legacy, uint32(len(body)))
+		legacy = append(legacy, body...)
+	}
+	if _, err := nc.Write(legacy); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := nc.Read(make([]byte, 256))
+	var ne net.Error
+	if got > 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("JSON peer read %d bytes, err %v; want its session closed", got, err)
+	}
+	if d := metrics.Snapshot()["controller.frame_errors"] - before; d != 1 {
+		t.Fatalf("controller.frame_errors advanced by %d, want 1", d)
+	}
+	served("after")
 }
 
 func TestNewValidation(t *testing.T) {

@@ -30,16 +30,6 @@ type Options struct {
 	// Repeats overrides the per-experiment repetition count (0 =
 	// experiment default, shrunk under Quick).
 	Repeats int
-	// BenchOut, when set, makes bench-style runners (partitionscale,
-	// wireload) write their machine-readable report here.
-	BenchOut string
-	// Baseline, when set, gates bench-style runners against the
-	// committed report at this path; regressions beyond Tolerance make
-	// the run fail.
-	Baseline string
-	// Tolerance is the fractional regression tolerance for Baseline
-	// (0 = 20%).
-	Tolerance float64
 }
 
 func (o Options) repeats(def, quick int) int {

@@ -34,8 +34,6 @@ func All() []Runner {
 		{"fig18", "Routing-scheme robustness", Fig18},
 		{"fig19", "Recovery approximation ratio (and Fig 21 speedup)", Fig19And21},
 		{"fig20", "Satisfaction vs failure time", Fig20},
-		{"wireload", "Wire codec load harness (binary vs JSON)", WireLoad},
-		{"partitionscale", "Partitioned vs global scheduling at 100-1000 nodes", PartitionScale},
 	}
 }
 

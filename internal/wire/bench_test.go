@@ -37,39 +37,35 @@ func benchMessages() map[string]*Message {
 
 func BenchmarkEncode(b *testing.B) {
 	for name, m := range benchMessages() {
-		for _, codec := range []Codec{CodecBinary, CodecJSON} {
-			b.Run(name+"/"+codec.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				bp := getBuf()
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					stored, off, err := encodeFrame((*bp)[:0], m, codec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					*bp = stored
-					bytes += int64(len(stored) - off)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			bp := getBuf()
+			var bytes int64
+			for i := 0; i < b.N; i++ {
+				stored, off, err := encodeFrame((*bp)[:0], m)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(bytes)/float64(b.N), "frame-bytes")
-			})
-		}
+				*bp = stored
+				bytes += int64(len(stored) - off)
+			}
+			b.ReportMetric(float64(bytes)/float64(b.N), "frame-bytes")
+		})
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
 	for name, m := range benchMessages() {
-		for _, codec := range []Codec{CodecBinary, CodecJSON} {
-			b.Run(name+"/"+codec.String(), func(b *testing.B) {
-				frame := frameBytes(b, m, codec)
-				c := &Conn{r: bufio.NewReader(&repeatReader{data: frame})}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Recv(); err != nil && err != io.EOF {
-						b.Fatal(err)
-					}
+		b.Run(name, func(b *testing.B) {
+			frame := frameBytes(b, m)
+			c := &Conn{r: bufio.NewReader(&repeatReader{data: frame})}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Recv(); err != nil && err != io.EOF {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -7,43 +7,13 @@ import (
 	"math"
 )
 
-// Codec selects the on-the-wire encoding for outgoing frames. Both
-// ends of a connection can read either codec on a per-frame basis —
-// a binary frame starts with the magic byte 0xBA, a JSON frame with
-// the 0x00 top byte of its 4-byte big-endian length prefix (lengths
-// are capped at MaxFrame = 1 MiB, so the top byte is always zero) —
-// which is what makes the one-byte Hello negotiation safe: the Hello
-// itself always travels as JSON on a fresh connection.
+// Codec is the type of Hello's reserved codec byte. The binary codec
+// is the only framing; the byte stays on the wire so a Hello keeps
+// its layout.
 type Codec uint8
 
-const (
-	// CodecJSON is the debug/compat codec: 4-byte big-endian length
-	// prefix plus an encoding/json Message. Every peer speaks it; it is
-	// the default until a Hello negotiates otherwise.
-	CodecJSON Codec = 0
-	// CodecBinary is the compact codec: fixed header (magic, version,
-	// type tag, uvarint body length) plus hand-rolled per-type bodies.
-	CodecBinary Codec = 1
-)
-
-// String names the codec for flags and logs.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// ParseCodec parses a -wire flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary", "bin":
-		return CodecBinary, nil
-	}
-	return CodecJSON, fmt.Errorf("wire: unknown codec %q (want binary or json)", s)
-}
+// CodecBinary is the value peers put in Hello.Codec.
+const CodecBinary Codec = 1
 
 // Binary frame header: [magic][version][tag][uvarint body length].
 // Version 1 bodies start with a uvarint Seq; version 2 bodies carry a
@@ -52,14 +22,14 @@ func ParseCodec(s string) (Codec, error) {
 // that never set one keep producing (and only ever need to accept)
 // version 1 — the deadline extension deploys without a flag day.
 const (
-	binaryMagic           = 0xBA // never the top byte of a JSON length prefix
+	binaryMagic           = 0xBA
 	binaryVersion         = 1
 	binaryVersionDeadline = 2
 )
 
-// Message-type tags. tagJSONMsg wraps any message the binary codec
-// has no hand-rolled body for (Paxos, future types) as JSON inside a
-// binary frame, so the codec never needs a fallback renegotiation.
+// Message-type tags. tagJSONMsg carries a Paxos message as JSON
+// inside a binary frame: election traffic is too rare to earn a
+// hand-rolled body. No other type may use it.
 const (
 	tagHello            = 1
 	tagSubmit           = 2
@@ -80,7 +50,7 @@ const (
 )
 
 // typeTag maps a message type to its binary tag; the second result is
-// false for types that ride the tagJSONMsg fallback.
+// false for types the codec does not know.
 func typeTag(t Type) (byte, bool) {
 	switch t {
 	case TypeHello:
@@ -113,8 +83,10 @@ func typeTag(t Type) (byte, bool) {
 		return tagStatusReply, true
 	case TypeRetryAfter:
 		return tagRetryAfter, true
+	case TypePaxos:
+		return tagJSONMsg, true
 	}
-	return tagJSONMsg, false
+	return 0, false
 }
 
 // ---- primitive encoders -------------------------------------------
@@ -438,15 +410,17 @@ func readStatusReply(r *breader) StatusReply {
 // appendBinaryBody appends the binary body for m (uvarint Seq plus a
 // type-specific payload) and returns the buffer with the tag and
 // header version to place in the frame header. Pointer payloads carry
-// a one-byte presence flag so a nil payload survives a round trip
-// exactly as JSON's omitempty does — the cross-codec fuzz target
-// depends on that. A non-zero DeadlineMs promotes the frame to header
-// version 2 and rides as a uvarint right after the Seq; tagJSONMsg
-// frames stay version 1 because the embedded JSON already carries the
-// deadline field.
+// a one-byte presence flag so a nil payload survives a round trip as
+// nil. A non-zero DeadlineMs promotes the frame to header version 2
+// and rides as a uvarint right after the Seq; tagJSONMsg frames stay
+// version 1 because the embedded JSON already carries the deadline
+// field.
 func appendBinaryBody(b []byte, m *Message) ([]byte, byte, byte, error) {
 	tag, ok := typeTag(m.Type)
 	if !ok {
+		return b, 0, 0, fmt.Errorf("wire: no encoding for message type %q", m.Type)
+	}
+	if tag == tagJSONMsg {
 		data, err := json.Marshal(m)
 		if err != nil {
 			return b, 0, 0, fmt.Errorf("wire: marshal: %w", err)
@@ -518,8 +492,10 @@ func appendBinaryBody(b []byte, m *Message) ([]byte, byte, byte, error) {
 
 // decodeBinaryBody decodes a binary frame body under header version
 // ver. Trailing bytes after the decoded payload are ignored so a
-// newer peer may append fields without breaking older decoders.
-// intern may be nil.
+// newer peer may append fields without breaking older decoders. A
+// tagJSONMsg body must hold a Paxos message: any other type fails with
+// ErrBadFrame, so JSON never reaches a non-election handler. intern
+// may be nil.
 func decodeBinaryBody(tag, ver byte, body []byte, intern map[string]string) (*Message, error) {
 	r := &breader{b: body, intern: intern}
 	seq := r.uvarint()
@@ -534,6 +510,9 @@ func decodeBinaryBody(tag, ver byte, body []byte, intern map[string]string) (*Me
 		var m Message
 		if err := json.Unmarshal(body[r.off:], &m); err != nil {
 			return nil, fmt.Errorf("%w: embedded json: %v", ErrBadFrame, err)
+		}
+		if m.Type != TypePaxos {
+			return nil, fmt.Errorf("%w: embedded json of type %q", ErrBadFrame, m.Type)
 		}
 		m.Seq = seq
 		if m.DeadlineMs == 0 {

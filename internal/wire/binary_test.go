@@ -13,7 +13,7 @@ import (
 )
 
 // allMessages returns one populated message per type, covering every
-// hand-rolled binary body plus the tagJSONMsg fallback (Paxos).
+// hand-rolled binary body plus the tagJSONMsg body (Paxos).
 func allMessages() []*Message {
 	return []*Message{
 		{Type: TypeHello, Seq: 1, Hello: &Hello{Role: "broker", DC: "DC2", Codec: CodecBinary}},
@@ -57,18 +57,8 @@ func allMessages() []*Message {
 	}
 }
 
-// binaryPair returns two ends that have both negotiated the binary
-// codec.
-func binaryPair(t *testing.T) (*Conn, *Conn) {
-	t.Helper()
-	ca, cb := pipePair(t)
-	ca.SetCodec(CodecBinary)
-	cb.SetCodec(CodecBinary)
-	return ca, cb
-}
-
 func TestBinaryAllTypesRoundTrip(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	msgs := allMessages()
 	go func() {
 		for _, m := range msgs {
@@ -86,118 +76,55 @@ func TestBinaryAllTypesRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("type %s:\n got  %+v\n want %+v", want.Type, got, want)
 		}
-		if cb.RecvCodec() != CodecBinary {
-			t.Fatalf("frame for %s arrived as %s", want.Type, cb.RecvCodec())
-		}
-	}
-}
-
-func TestHelloNegotiatesBinary(t *testing.T) {
-	ca, cb := pipePair(t)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Server side: reads the hello, mirrors the codec on replies.
-		m, err := cb.Recv()
-		if err != nil || m.Type != TypeHello {
-			t.Errorf("recv hello: %v %v", m, err)
-			return
-		}
-		if cb.SendCodec() != CodecBinary {
-			t.Errorf("server tx codec after hello = %s, want binary", cb.SendCodec())
-		}
-		cb.Send(&Message{Type: TypePong, Seq: m.Seq})
-	}()
-	if ca.SendCodec() != CodecJSON {
-		t.Fatalf("fresh conn tx codec = %s, want json", ca.SendCodec())
-	}
-	if err := ca.Send(&Message{Type: TypeHello, Seq: 1, Hello: &Hello{Role: "client", Codec: CodecBinary}}); err != nil {
-		t.Fatal(err)
-	}
-	if ca.SendCodec() != CodecBinary {
-		t.Fatalf("client tx codec after hello = %s, want binary", ca.SendCodec())
-	}
-	reply, err := ca.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != TypePong || reply.Seq != 1 {
-		t.Fatalf("reply %+v", reply)
-	}
-	if ca.RecvCodec() != CodecBinary {
-		t.Fatalf("reply codec = %s, want binary (server must mirror)", ca.RecvCodec())
-	}
-	<-done
-}
-
-func TestLockCodecIgnoresNegotiation(t *testing.T) {
-	ca, cb := pipePair(t)
-	cb.LockCodec(CodecJSON)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m, err := cb.Recv()
-		if err != nil || m.Type != TypeHello {
-			t.Errorf("recv hello: %v %v", m, err)
-			return
-		}
-		cb.Send(&Message{Type: TypePong, Seq: m.Seq})
-	}()
-	ca.Send(&Message{Type: TypeHello, Seq: 5, Hello: &Hello{Role: "client", Codec: CodecBinary}})
-	reply, err := ca.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != TypePong {
-		t.Fatalf("reply %+v", reply)
-	}
-	if ca.RecvCodec() != CodecJSON {
-		t.Fatalf("locked server replied with %s, want json", ca.RecvCodec())
-	}
-	<-done
-}
-
-func TestUnknownFutureCodecFallsBackToJSON(t *testing.T) {
-	ca, cb := pipePair(t)
-	go cb.Recv()
-	ca.Send(&Message{Type: TypeHello, Hello: &Hello{Role: "client", Codec: Codec(9)}})
-	if ca.SendCodec() != CodecJSON {
-		t.Fatalf("unknown codec negotiated to %s, want json fallback", ca.SendCodec())
-	}
-}
-
-func TestMixedCodecsOnOneConnection(t *testing.T) {
-	// A binary sender and a JSON sender can share a receiver: the codec
-	// is sniffed per frame.
-	ca, cb := pipePair(t)
-	go func() {
-		ca.SetCodec(CodecBinary)
-		ca.Send(&Message{Type: TypePing, Seq: 1})
-		ca.SetCodec(CodecJSON)
-		ca.Send(&Message{Type: TypePing, Seq: 2})
-		ca.SetCodec(CodecBinary)
-		ca.Send(&Message{Type: TypePing, Seq: 3})
-	}()
-	wantCodec := []Codec{CodecBinary, CodecJSON, CodecBinary}
-	for i := uint64(1); i <= 3; i++ {
-		m, err := cb.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Seq != i || cb.RecvCodec() != wantCodec[i-1] {
-			t.Fatalf("frame %d: seq %d codec %s", i, m.Seq, cb.RecvCodec())
-		}
 	}
 }
 
 func TestBadMagicTypedError(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	ca := New(a)
-	go b.Write([]byte("GET / HTTP/1.1\r\n"))
-	_, err := ca.Recv()
-	if !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	for name, raw := range map[string][]byte{
+		"http": []byte("GET / HTTP/1.1\r\n"),
+		// A JSON frame: 4-byte big-endian length prefix, then the body.
+		"json": append([]byte{0, 0, 0, 27}, `{"type":"hello","hello":{}}`...),
+	} {
+		c := &Conn{r: bufio.NewReader(bytes.NewReader(raw))}
+		if _, err := c.Recv(); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: err = %v, want ErrBadMagic", name, err)
+		}
+	}
+}
+
+// TestJSONBodyOnlyForPaxos: a tagJSONMsg body decodes only as a Paxos
+// message. Any other type wrapped in it fails with ErrBadFrame, so a
+// peer cannot submit, withdraw or push allocations as JSON.
+func TestJSONBodyOnlyForPaxos(t *testing.T) {
+	for _, tc := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"type":"submit","submit":{"src_dc":"DC1","dst_dc":"DC2","bandwidth_mbps":10,"target":0.9}}`, false},
+		{`{"type":"withdraw","withdraw_id":3}`, false},
+		{`{"type":"alloc-update","alloc":{"epoch":9,"tunnels":[{"label":4098,"hops":["DC1","DC2"],"rate_mbps":5}]}}`, false},
+		{`{"type":"paxos","paxos":{"kind":1,"from":2,"ballot_round":3}}`, true},
+	} {
+		body := append(binary.AppendUvarint(nil, 5), tc.json...)
+		frame := append([]byte{binaryMagic, binaryVersion, tagJSONMsg}, byte(len(body)))
+		frame = append(frame, body...)
+		c := &Conn{r: bufio.NewReader(bytes.NewReader(frame))}
+		m, err := c.Recv()
+		if !tc.ok {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: err = %v, want ErrBadFrame", tc.json, err)
+			}
+			continue
+		}
+		if err != nil || m.Type != TypePaxos || m.Seq != 5 || m.Paxos == nil || m.Paxos.From != 2 {
+			t.Errorf("%s: got %+v, %v", tc.json, m, err)
+		}
+	}
+}
+
+func TestUnknownTypeSendRejected(t *testing.T) {
+	if _, _, err := encodeFrame(nil, &Message{Type: "future"}); err == nil {
+		t.Fatal("a type with no encoding was framed")
 	}
 }
 
@@ -213,29 +140,18 @@ func TestBadVersionTypedError(t *testing.T) {
 }
 
 func TestOversizeTypedErrors(t *testing.T) {
-	// JSON header path.
+	// A header declaring a body beyond MaxFrame fails Recv without
+	// attempting the allocation.
 	a, b := net.Pipe()
 	defer a.Close()
 	ca := New(a)
 	go func() {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-		b.Write(hdr[:])
-	}()
-	if _, err := ca.Recv(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("json path: err = %v, want ErrFrameTooLarge", err)
-	}
-	// Binary header path.
-	a2, b2 := net.Pipe()
-	defer a2.Close()
-	ca2 := New(a2)
-	go func() {
 		frame := []byte{binaryMagic, binaryVersion, tagPing}
 		frame = binary.AppendUvarint(frame, MaxFrame+1)
-		b2.Write(frame)
+		b.Write(frame)
 	}()
-	if _, err := ca2.Recv(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("binary path: err = %v, want ErrFrameTooLarge", err)
+	if _, err := ca.Recv(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -258,8 +174,10 @@ func TestShortReadTypedError(t *testing.T) {
 }
 
 func TestBinaryTruncatedFrameTimesOut(t *testing.T) {
-	// The chaos layer stalls peers mid-frame; a binary frame must tear
-	// on the idle deadline exactly like a JSON frame does.
+	// A peer that sends a header plus part of the body and then goes
+	// silent (the chaos layer stalls peers mid-frame) must not block
+	// the reader forever once an idle timeout is set: the controller
+	// sets one on every session.
 	a, b := net.Pipe()
 	defer a.Close()
 	ca := New(a)
@@ -308,7 +226,7 @@ func TestBinaryGarbageBodyTypedError(t *testing.T) {
 }
 
 func TestCoalescedPipelinedSends(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	ca.EnableCoalescing()
 	const n = 500
 	go func() {
@@ -359,7 +277,7 @@ func TestCoalescedCloseFlushesQueuedFrames(t *testing.T) {
 }
 
 func TestCoalescedConcurrentSenders(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	ca.EnableCoalescing()
 	const n = 100
 	var wg sync.WaitGroup
@@ -401,7 +319,7 @@ func TestCoalescedStickyWriteError(t *testing.T) {
 }
 
 func TestBinaryOversizeSendRejected(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	go cb.Recv()
 	big := make([]byte, MaxFrame)
 	for i := range big {
@@ -432,7 +350,7 @@ func TestBinaryFrameReadsFromRawBytes(t *testing.T) {
 	// len][body], byte for byte. If this test breaks, the protocol
 	// version must be bumped.
 	bp := getBuf()
-	stored, off, err := encodeFrame((*bp)[:0], &Message{Type: TypePing, Seq: 300}, CodecBinary)
+	stored, off, err := encodeFrame((*bp)[:0], &Message{Type: TypePing, Seq: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

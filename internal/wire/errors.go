@@ -16,17 +16,17 @@ var (
 	// more bytes than ever arrived.
 	ErrShortRead = errors.New("wire: short read mid-frame")
 
-	// ErrBadMagic reports a frame that starts with neither the binary
-	// magic byte nor a JSON length prefix — the peer is not speaking
-	// this protocol at all.
+	// ErrBadMagic reports a frame that does not start with the magic
+	// byte 0xBA: the peer is not speaking this protocol at all (an old
+	// JSON-framing peer lands here too).
 	ErrBadMagic = errors.New("wire: bad frame magic")
 
 	// ErrBadVersion reports a binary frame with an unsupported
 	// protocol version byte.
 	ErrBadVersion = errors.New("wire: unsupported protocol version")
 
-	// ErrBadFrame reports a frame whose body failed to decode under
-	// the codec its header named.
+	// ErrBadFrame reports a frame whose body failed to decode as the
+	// type its header named.
 	ErrBadFrame = errors.New("wire: malformed frame body")
 
 	// ErrSendQueueFull reports a coalescing writer whose bounded queue

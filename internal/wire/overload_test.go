@@ -15,11 +15,11 @@ import (
 // with one is version 2 and carries the deadline between Seq and the
 // payload.
 func TestDeadlinePromotesHeaderVersion(t *testing.T) {
-	plain := frameBytes(t, &Message{Type: TypeStatus, Seq: 3}, CodecBinary)
+	plain := frameBytes(t, &Message{Type: TypeStatus, Seq: 3})
 	if plain[1] != binaryVersion {
 		t.Fatalf("no-deadline frame version = %d, want %d", plain[1], binaryVersion)
 	}
-	dl := frameBytes(t, &Message{Type: TypeStatus, Seq: 3, DeadlineMs: 40}, CodecBinary)
+	dl := frameBytes(t, &Message{Type: TypeStatus, Seq: 3, DeadlineMs: 40})
 	if dl[1] != binaryVersionDeadline {
 		t.Fatalf("deadline frame version = %d, want %d", dl[1], binaryVersionDeadline)
 	}
@@ -30,50 +30,47 @@ func TestDeadlinePromotesHeaderVersion(t *testing.T) {
 	}
 }
 
-// TestDeadlineRoundTripBothCodecs checks a deadline survives binary
-// and JSON transport and that the codecs agree.
+// TestDeadlineRoundTripBothCodecs checks a deadline survives both
+// body encodings a binary frame carries: a hand-rolled body (header
+// version 2) and the Paxos JSON body.
 func TestDeadlineRoundTripBothCodecs(t *testing.T) {
 	m := &Message{Type: TypeSubmit, Seq: 9, DeadlineMs: 125,
 		Submit: &Submit{DemandID: 1, Src: "DC1", Dst: "DC2", Bandwidth: 10, Target: 0.99}}
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		got := roundTrip(t, m, codec)
-		if got.DeadlineMs != 125 {
-			t.Fatalf("%s: deadline = %d, want 125", codec, got.DeadlineMs)
-		}
-		if got.Submit == nil || got.Submit.DemandID != 1 {
-			t.Fatalf("%s: payload lost: %+v", codec, got)
-		}
+	got := roundTrip(t, m)
+	if got.DeadlineMs != 125 {
+		t.Fatalf("deadline = %d, want 125", got.DeadlineMs)
 	}
-	// Paxos rides the tagJSONMsg fallback; its deadline travels inside
-	// the embedded JSON under header version 1.
+	if got.Submit == nil || got.Submit.DemandID != 1 {
+		t.Fatalf("payload lost: %+v", got)
+	}
+	// Paxos rides the tagJSONMsg body; its deadline travels inside the
+	// embedded JSON under header version 1.
 	pm := &Message{Type: TypePaxos, Seq: 2, DeadlineMs: 30, Paxos: &PaxosMsg{Kind: 1, From: 1}}
-	frame := frameBytes(t, pm, CodecBinary)
+	frame := frameBytes(t, pm)
 	if frame[1] != binaryVersion {
-		t.Fatalf("json-fallback frame version = %d, want %d", frame[1], binaryVersion)
+		t.Fatalf("json-body frame version = %d, want %d", frame[1], binaryVersion)
 	}
-	if got := roundTrip(t, pm, CodecBinary); got.DeadlineMs != 30 {
-		t.Fatalf("fallback deadline = %d, want 30", got.DeadlineMs)
+	if got := roundTrip(t, pm); got.DeadlineMs != 30 {
+		t.Fatalf("json-body deadline = %d, want 30", got.DeadlineMs)
 	}
 }
 
-// TestRetryAfterRoundTrip covers the typed overload reject on both
-// codecs, including the nil-payload presence flag.
+// TestRetryAfterRoundTrip covers the typed overload reject, including
+// the nil-payload presence flag.
 func TestRetryAfterRoundTrip(t *testing.T) {
 	for _, m := range []*Message{
 		{Type: TypeRetryAfter, Seq: 4, RetryAfter: &RetryAfter{RetryAfterMs: 200, Reason: "queue-timeout"}},
 		{Type: TypeRetryAfter, Seq: 5},
 	} {
-		for _, codec := range []Codec{CodecBinary, CodecJSON} {
-			got := roundTrip(t, m, codec)
-			if got.Type != TypeRetryAfter || got.Seq != m.Seq {
-				t.Fatalf("%s: envelope %+v", codec, got)
-			}
-			if (got.RetryAfter == nil) != (m.RetryAfter == nil) {
-				t.Fatalf("%s: presence flag lost: %+v", codec, got)
-			}
-			if m.RetryAfter != nil && *got.RetryAfter != *m.RetryAfter {
-				t.Fatalf("%s: payload = %+v, want %+v", codec, got.RetryAfter, m.RetryAfter)
-			}
+		got := roundTrip(t, m)
+		if got.Type != TypeRetryAfter || got.Seq != m.Seq {
+			t.Fatalf("envelope %+v", got)
+		}
+		if (got.RetryAfter == nil) != (m.RetryAfter == nil) {
+			t.Fatalf("presence flag lost: %+v", got)
+		}
+		if m.RetryAfter != nil && *got.RetryAfter != *m.RetryAfter {
+			t.Fatalf("payload = %+v, want %+v", got.RetryAfter, m.RetryAfter)
 		}
 	}
 }
@@ -83,7 +80,6 @@ func TestRetryAfterRoundTrip(t *testing.T) {
 // even in coalescing mode, not vanish into the async writer.
 func TestCoalescedOversizeSendSurfaces(t *testing.T) {
 	ca, cb := pipePair(t)
-	ca.SetCodec(CodecBinary)
 	ca.EnableCoalescing()
 	go func() { // keep the writer drained so the queue is not the cause
 		for {
@@ -140,7 +136,6 @@ func TestEnqueueBoundRejectsSlowPeer(t *testing.T) {
 	a, b := net.Pipe()
 	ca := New(a)
 	defer b.Close()
-	ca.SetCodec(CodecBinary)
 	ca.SetEnqueueGrace(5 * time.Millisecond)
 	ca.EnableCoalescing()
 	// Nobody reads from b: the writer wedges on the pipe, the queue

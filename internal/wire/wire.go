@@ -2,19 +2,17 @@
 // messages over long-lived TCP connections between the central
 // controller, the per-DC brokers, and user clients.
 //
-// Two codecs share one connection. Every connection starts in the
-// JSON debug/compat codec (4-byte big-endian length prefix + JSON
-// body); a Hello carrying Codec=CodecBinary switches both directions
-// to the compact binary protocol (fixed header: magic, version, type
-// tag, uvarint body length; hand-rolled per-type bodies). Receivers
-// sniff the codec per frame from the first byte, so mixed-version
-// peers interoperate without any out-of-band version handshake.
+// Every frame, from the first byte of a connection on, uses one binary
+// codec: a fixed header (magic 0xBA, version, type tag, uvarint body
+// length) followed by a hand-rolled per-type body. Paxos election
+// traffic rides the same frames with a JSON body (see tagJSONMsg).
+// A frame that does not start with the magic byte fails with
+// ErrBadMagic.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,11 +24,9 @@ import (
 	"bate/internal/metrics"
 )
 
-// MaxFrame bounds a single message frame (1 MiB); larger frames are
-// rejected to protect against corrupt peers. Keeping the bound under
-// 1<<24 also guarantees the top byte of a JSON length prefix is zero,
-// which is what lets a receiver distinguish JSON frames from binary
-// frames (magic 0xBA) by their first byte.
+// MaxFrame bounds a frame body (1 MiB) on both the send and the
+// receive side; larger frames fail with ErrFrameTooLarge, so a corrupt
+// or hostile length header cannot force a large allocation.
 const MaxFrame = 1 << 20
 
 // Type discriminates messages.
@@ -63,11 +59,9 @@ const (
 )
 
 // Hello announces a peer. Role is "broker" or "client"; DC names the
-// broker's datacenter. Codec asks the receiver to answer with the
-// named codec; the sender switches its own transmit codec to the same
-// value right after the Hello goes out (the Hello itself always rides
-// the codec in force before it, JSON on a fresh connection). Old
-// peers omit the field and keep the JSON default.
+// broker's datacenter. Codec is a reserved byte that receivers ignore.
+// Peers set it to CodecBinary so that an older controller, which
+// picked its reply codec from this byte, still answers in binary.
 type Hello struct {
 	Role  string `json:"role"`
 	DC    string `json:"dc,omitempty"`
@@ -163,9 +157,9 @@ type RetryAfter struct {
 }
 
 // PaxosMsg carries one Paxos protocol message between controller
-// replicas (§4: master election). Paxos frames ride the tagJSONMsg
-// fallback under the binary codec; election traffic is too rare to
-// earn a hand-rolled body.
+// replicas (§4: master election). Paxos frames carry a JSON body
+// (tagJSONMsg); election traffic is too rare to earn a hand-rolled
+// body.
 type PaxosMsg struct {
 	Kind           int8   `json:"kind"`
 	From           int    `json:"from"`
@@ -188,10 +182,9 @@ type Message struct {
 	// long the sender is still willing to wait for the answer. The
 	// controller's admission gate sheds a request it cannot start
 	// within this budget instead of doing work nobody will read. Zero
-	// means no deadline. On the binary codec a non-zero deadline
-	// promotes the frame to header version 2 (older frames stay
-	// version 1, so peers that never set deadlines interoperate
-	// unchanged); on JSON it is just another optional field.
+	// means no deadline. A non-zero deadline promotes the frame to
+	// header version 2 (older frames stay version 1, so peers that
+	// never set deadlines interoperate unchanged).
 	DeadlineMs  int64        `json:"deadline_ms,omitempty"`
 	Hello       *Hello       `json:"hello,omitempty"`
 	Submit      *Submit      `json:"submit,omitempty"`
@@ -218,8 +211,6 @@ var (
 	mBytesSent  = metrics.NewCounter("wire.bytes_sent")
 	mBytesRecv  = metrics.NewCounter("wire.bytes_recv")
 	mFlushes    = metrics.NewCounter("wire.flushes")
-	mBinaryRecv = metrics.NewCounter("wire.binary_frames_recv")
-	mJSONRecv   = metrics.NewCounter("wire.json_frames_recv")
 	mOversize   = metrics.NewCounter("wire.frame_too_large")
 	mShortReads = metrics.NewCounter("wire.short_reads")
 	mDecodeErrs = metrics.NewCounter("wire.decode_errors")
@@ -261,10 +252,6 @@ type Conn struct {
 	w       *bufio.Writer
 	pending atomic.Int32 // senders between encode and write (sync mode)
 
-	tx       atomic.Uint32 // Codec for outgoing frames
-	txPinned atomic.Bool   // LockCodec called; ignore negotiation
-	rx       atomic.Uint32 // Codec of the most recently received frame
-
 	// strIntern dedups decoded strings across this connection's
 	// frames; touched only by the reader goroutine.
 	strIntern map[string]string
@@ -292,8 +279,7 @@ type Conn struct {
 // the bound. Set before handing the Conn to a reader goroutine.
 func (c *Conn) SetIdleTimeout(d time.Duration) { c.idle = d }
 
-// New wraps an established net.Conn. The connection starts in the
-// JSON codec; a Hello negotiates the binary codec (see Hello.Codec).
+// New wraps an established net.Conn.
 func New(nc net.Conn) *Conn {
 	return &Conn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
 }
@@ -313,37 +299,6 @@ func Dial(addr string) (*Conn, error) {
 	return New(nc), nil
 }
 
-// SendCodec reports the codec outgoing frames currently use.
-func (c *Conn) SendCodec() Codec { return Codec(c.tx.Load()) }
-
-// RecvCodec reports the codec of the most recently received frame
-// (CodecJSON before any frame arrives).
-func (c *Conn) RecvCodec() Codec { return Codec(c.rx.Load()) }
-
-// SetCodec sets the outgoing codec directly, bypassing negotiation.
-func (c *Conn) SetCodec(codec Codec) { c.tx.Store(uint32(codec)) }
-
-// LockCodec pins the outgoing codec: subsequent Hello negotiation is
-// ignored. The controller uses this to force the JSON debug codec on
-// every session regardless of what peers ask for.
-func (c *Conn) LockCodec(codec Codec) {
-	c.tx.Store(uint32(codec))
-	c.txPinned.Store(true)
-}
-
-// negotiate applies a Hello's codec request to the transmit side.
-// Unknown future codecs fall back to JSON — the one codec every
-// implementation speaks.
-func (c *Conn) negotiate(codec Codec) {
-	if c.txPinned.Load() {
-		return
-	}
-	if codec != CodecBinary {
-		codec = CodecJSON
-	}
-	c.tx.Store(uint32(codec))
-}
-
 // EnableCoalescing switches the connection to an asynchronous writer:
 // Send enqueues encoded frames and returns, and a dedicated goroutine
 // writes queued frames back-to-back, flushing once per burst instead
@@ -352,8 +307,7 @@ func (c *Conn) negotiate(codec Codec) {
 // write failure surfaces on a *later* Send as a sticky error — and
 // that SetWriteDeadline no longer bounds an individual Send, so the
 // election path must NOT use it. Call once, before the Conn is shared
-// between goroutines; the controller enables it on accepted sessions
-// and the load harness on its clients.
+// between goroutines; the controller enables it on accepted sessions.
 func (c *Conn) EnableCoalescing() {
 	if c.coalesce {
 		return
@@ -383,24 +337,11 @@ const (
 // ErrSendQueueFull). Call before EnableCoalescing.
 func (c *Conn) SetEnqueueGrace(d time.Duration) { c.qgrace = d }
 
-// encodeFrame appends one framed message to b under the given codec.
-// It returns the (possibly grown) buffer and the offset where the
-// frame starts: the binary path reserves header space up front and
-// backfills it so the body is encoded exactly once, with no copy.
-func encodeFrame(b []byte, m *Message, codec Codec) ([]byte, int, error) {
-	if codec != CodecBinary {
-		data, err := json.Marshal(m)
-		if err != nil {
-			return b, 0, fmt.Errorf("wire: marshal: %w", err)
-		}
-		if len(data) > MaxFrame {
-			return b, 0, fmt.Errorf("wire: frame of %d bytes exceeds max %d: %w", len(data), MaxFrame, ErrFrameTooLarge)
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-		b = append(b, hdr[:]...)
-		return append(b, data...), 0, nil
-	}
+// encodeFrame appends one framed message to b. It returns the
+// (possibly grown) buffer and the offset where the frame starts: the
+// header space is reserved up front and backfilled so the body is
+// encoded exactly once, with no copy.
+func encodeFrame(b []byte, m *Message) ([]byte, int, error) {
 	const maxHdr = 3 + binary.MaxVarintLen32
 	b = append(b, make([]byte, maxHdr)...)
 	b, tag, ver, err := appendBinaryBody(b, m)
@@ -421,13 +362,10 @@ func encodeFrame(b []byte, m *Message, codec Codec) ([]byte, int, error) {
 	return b, off, nil
 }
 
-// Send writes one message frame using the connection's current
-// outgoing codec. Sending a Hello switches the outgoing codec to the
-// Hello's requested codec once the Hello itself is on the wire.
+// Send writes one message frame.
 func (c *Conn) Send(m *Message) error {
-	codec := Codec(c.tx.Load())
 	bp := getBuf()
-	stored, off, err := encodeFrame((*bp)[:0], m, codec)
+	stored, off, err := encodeFrame((*bp)[:0], m)
 	*bp = stored[:0]
 	if err != nil {
 		putBuf(bp)
@@ -435,17 +373,9 @@ func (c *Conn) Send(m *Message) error {
 	}
 	*bp = stored
 	if c.coalesce {
-		err = c.enqueue(qframe{bp, off})
-	} else {
-		err = c.writeFrame(qframe{bp, off})
+		return c.enqueue(qframe{bp, off})
 	}
-	if err != nil {
-		return err
-	}
-	if m.Type == TypeHello && m.Hello != nil {
-		c.negotiate(m.Hello.Codec)
-	}
-	return nil
+	return c.writeFrame(qframe{bp, off})
 }
 
 // writeFrame writes one frame synchronously. Concurrent senders
@@ -562,78 +492,23 @@ func (c *Conn) writeLoop() {
 }
 
 // Recv reads the next message frame, blocking until one arrives or
-// the connection fails. The codec is sniffed per frame from the first
-// byte: 0xBA opens a binary frame, 0x00 a JSON length prefix. With an
-// idle timeout set (SetIdleTimeout), the wait for the first byte is
-// unbounded but the rest of the frame must arrive within the timeout.
+// the connection fails. A frame must open with the magic byte 0xBA;
+// anything else fails with ErrBadMagic. With an idle timeout set
+// (SetIdleTimeout), the wait for the first byte is unbounded but the
+// rest of the frame must arrive within the timeout.
 func (c *Conn) Recv() (*Message, error) {
 	first, err := c.r.ReadByte()
 	if err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
+	if first != binaryMagic {
+		mDecodeErrs.Inc()
+		return nil, fmt.Errorf("wire: frame starts with %#02x: %w", first, ErrBadMagic)
+	}
 	if c.idle > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.idle))
 		defer c.nc.SetReadDeadline(time.Time{})
 	}
-	var m *Message
-	switch first {
-	case binaryMagic:
-		m, err = c.recvBinary()
-	case 0:
-		m, err = c.recvJSON()
-	default:
-		mDecodeErrs.Inc()
-		return nil, fmt.Errorf("wire: frame starts with %#02x: %w", first, ErrBadMagic)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mFramesRecv.Inc()
-	if m.Type == TypeHello && m.Hello != nil {
-		c.negotiate(m.Hello.Codec)
-	}
-	return m, nil
-}
-
-// recvJSON reads a JSON frame; the leading zero byte of the length
-// prefix has already been consumed.
-func (c *Conn) recvJSON() (*Message, error) {
-	var hdr [3]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		mShortReads.Inc()
-		return nil, fmt.Errorf("wire: read header: %w: %w", ErrShortRead, err)
-	}
-	n := uint32(hdr[0])<<16 | uint32(hdr[1])<<8 | uint32(hdr[2])
-	if n > MaxFrame {
-		mOversize.Inc()
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d: %w", n, MaxFrame, ErrFrameTooLarge)
-	}
-	bp := getBuf()
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	body := (*bp)[:n]
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		putBuf(bp)
-		mShortReads.Inc()
-		return nil, fmt.Errorf("wire: read body: %w: %w", ErrShortRead, err)
-	}
-	mBytesRecv.Add(int64(n) + 4)
-	var m Message
-	err := json.Unmarshal(body, &m)
-	putBuf(bp)
-	if err != nil {
-		mDecodeErrs.Inc()
-		return nil, fmt.Errorf("wire: unmarshal: %w: %v", ErrBadFrame, err)
-	}
-	mJSONRecv.Inc()
-	c.rx.Store(uint32(CodecJSON))
-	return &m, nil
-}
-
-// recvBinary reads a binary frame; the magic byte has already been
-// consumed.
-func (c *Conn) recvBinary() (*Message, error) {
 	ver, err := c.r.ReadByte()
 	if err != nil {
 		mShortReads.Inc()
@@ -689,8 +564,7 @@ func (c *Conn) recvBinary() (*Message, error) {
 		}
 		return nil, fmt.Errorf("wire: decode tag %d: %w", tag, err)
 	}
-	mBinaryRecv.Inc()
-	c.rx.Store(uint32(CodecBinary))
+	mFramesRecv.Inc()
 	return m, nil
 }
 

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -166,39 +164,6 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
-func TestTruncatedFrameTimesOut(t *testing.T) {
-	// A peer that sends a frame header plus part of the body and then
-	// goes silent must not block the reader goroutine forever once an
-	// idle timeout is set (the controller sets one on every session).
-	a, b := net.Pipe()
-	defer a.Close()
-	ca := New(a)
-	ca.SetIdleTimeout(50 * time.Millisecond)
-	go func() {
-		var hdr [4]byte
-		hdr[3] = 100 // declares a 100-byte body
-		b.Write(hdr[:])
-		b.Write([]byte(`{"type":"pi`)) // ...then stalls mid-frame
-	}()
-	done := make(chan error, 1)
-	go func() {
-		_, err := ca.Recv()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Recv returned a message from a truncated frame")
-		}
-		var ne net.Error
-		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("err = %v, want a timeout", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv blocked on a half-written frame")
-	}
-}
-
 func TestIdleTimeoutAllowsIdleConnections(t *testing.T) {
 	// The deadline bounds frame *completion*, not the wait between
 	// frames: a connection idle far past the timeout still delivers
@@ -218,22 +183,6 @@ func TestIdleTimeoutAllowsIdleConnections(t *testing.T) {
 	}
 	if m.Type != TypePing || m.Seq != 9 {
 		t.Fatalf("got %+v", m)
-	}
-}
-
-func TestOversizedFrameHeaderRejected(t *testing.T) {
-	// A header declaring a body beyond MaxFrame must fail Recv without
-	// attempting the allocation.
-	a, b := net.Pipe()
-	defer a.Close()
-	ca := New(a)
-	go func() {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-		b.Write(hdr[:])
-	}()
-	if _, err := ca.Recv(); err == nil || !strings.Contains(err.Error(), "exceeds max") {
-		t.Fatalf("oversized frame header: err = %v", err)
 	}
 }
 
