@@ -308,12 +308,12 @@ func SatisfiesGroups(in *Input, a Allocation, d *demand.Demand, maxFail int, gro
 }
 
 // ResidualCapacities returns per-link capacity minus current load,
-// floored at zero.
+// floored at zero. Capacity is FullCapacities', so a drained link has
+// none left.
 func (a Allocation) ResidualCapacities(in *Input) []float64 {
-	loads := a.LinkLoads(in)
-	out := make([]float64, in.Net.NumLinks())
-	for _, l := range in.Net.Links() {
-		out[l.ID] = math.Max(0, l.Capacity-loads[l.ID])
+	out := FullCapacities(in)
+	for e, load := range a.LinkLoads(in) {
+		out[e] = math.Max(0, out[e]-load)
 	}
 	return out
 }

@@ -156,6 +156,19 @@ func TestResidualCapacities(t *testing.T) {
 	if res[l.ID] != 6000 {
 		t.Fatalf("residual = %v, want 6000", res[l.ID])
 	}
+	// A drained link has no residual capacity, loaded or not; the others
+	// keep theirs.
+	in.Drained = []topo.LinkID{l.ID}
+	drained := a.ResidualCapacities(in)
+	for _, e := range in.Net.Links() {
+		want := res[e.ID]
+		if e.ID == l.ID {
+			want = 0
+		}
+		if drained[e.ID] != want {
+			t.Fatalf("drained input: link %d residual = %v, want %v", e.ID, drained[e.ID], want)
+		}
+	}
 }
 
 func TestDeliveredUnderFailure(t *testing.T) {

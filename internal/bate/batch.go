@@ -145,9 +145,10 @@ func AdmitBatch(in *alloc.Input, current alloc.Allocation, admitted []*demand.De
 			specs[i].res.Method == MethodFixed && footprintDisjoint(in, d, touched):
 			decision, speculative = specs[i].res, true
 		default:
-			live := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: adm}
+			live := *in
+			live.Demands = adm
 			var err error
-			decision, err = Admit(live, cur, adm, d, opts.MaxFail)
+			decision, err = Admit(&live, cur, adm, d, opts.MaxFail)
 			if err != nil {
 				return nil, err
 			}

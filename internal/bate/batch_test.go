@@ -7,6 +7,7 @@ import (
 	"bate/internal/alloc"
 	"bate/internal/demand"
 	"bate/internal/parallel"
+	"bate/internal/topo"
 )
 
 // forcePool pins the process-wide pool at n workers for one test so
@@ -29,8 +30,9 @@ func serialAdmitReference(t *testing.T, in *alloc.Input, current alloc.Allocatio
 	adm := append([]*demand.Demand(nil), admitted...)
 	out := make([]*AdmissionResult, 0, len(batch))
 	for _, d := range batch {
-		live := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: adm}
-		res, err := Admit(live, cur, adm, d, maxFail)
+		live := *in
+		live.Demands = adm
+		res, err := Admit(&live, cur, adm, d, maxFail)
 		if err != nil {
 			t.Fatalf("serial admit of %d: %v", d.ID, err)
 		}
@@ -62,12 +64,20 @@ func randomTestbedBatch(t *testing.T, in *alloc.Input, rng *rand.Rand, firstID, 
 
 // TestAdmitBatchMatchesSerial drives randomized batches through both
 // the parallel batch path and the serial reference and requires
-// identical admit/reject decisions, methods, and allocation bytes.
+// identical admit/reject decisions, methods, and allocation bytes. The
+// last trials run under a maintenance drain, which every admission —
+// speculative or serial — must route around.
 func TestAdmitBatchMatchesSerial(t *testing.T) {
 	forcePool(t, 4)
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		in := testbedInput(t, nil)
+		if trial >= 6 {
+			dc1, _ := in.Net.NodeByName("DC1")
+			dc2, _ := in.Net.NodeByName("DC2")
+			l, _ := in.Net.LinkBetween(dc1, dc2)
+			in.Drained = []topo.LinkID{l.ID}
+		}
 		var admitted []*demand.Demand
 		current := alloc.Allocation{}
 		nextID := 0
@@ -78,8 +88,9 @@ func TestAdmitBatchMatchesSerial(t *testing.T) {
 			nextID += len(batch)
 			want := serialAdmitReference(t, in, current, admitted, batch, 2)
 
-			liveIn := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: admitted}
-			got, err := AdmitBatch(liveIn, current, admitted, batch, BatchOptions{MaxFail: 2})
+			liveIn := *in
+			liveIn.Demands = admitted
+			got, err := AdmitBatch(&liveIn, current, admitted, batch, BatchOptions{MaxFail: 2})
 			if err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
@@ -95,6 +106,15 @@ func TestAdmitBatchMatchesSerial(t *testing.T) {
 				}
 				if !allocRowsEqual(dec.Result.NewAlloc, w.NewAlloc) {
 					t.Fatalf("trial %d round %d demand %d: allocation bytes diverge", trial, round, dec.Demand.ID)
+				}
+				for pi, row := range dec.Result.NewAlloc {
+					for ti, rate := range row {
+						for _, e := range in.Drained {
+							if rate > 0 && in.TunnelsFor(dec.Demand, pi)[ti].Uses(e) {
+								t.Fatalf("trial %d round %d demand %d: %.1f Mbps on drained link %d", trial, round, dec.Demand.ID, rate, e)
+							}
+						}
+					}
 				}
 			}
 			// Advance state exactly as a caller would.

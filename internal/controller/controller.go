@@ -44,10 +44,11 @@ type Config struct {
 	// ~10 minutes in production; examples use seconds). Zero disables
 	// the periodic loop (scheduling still runs after each admission).
 	SchedulePeriod time.Duration
-	// Store, when non-nil, makes the controller durable: New restores
-	// the full demand book, allocation, link-down set, epoch and id
-	// allocator from it, and every mutating transition is appended to
-	// its WAL before the client is acked.
+	// Store, when non-nil, makes the controller durable: New resumes
+	// from the state it replayed (demand book, allocation, link-down
+	// set, epoch and id allocator), and every state transition is
+	// appended to its WAL before it is applied, so before any client is
+	// acked.
 	Store *store.Store
 	// CompactEvery is the store compaction cadence: the controller
 	// snapshots its state and trims the WAL on this period (0 disables;
@@ -77,11 +78,6 @@ type Config struct {
 	// allocation). The chaos mid-solve front hooks in here; nil
 	// returned probes cost nothing.
 	SolverWatch func(op string) func() error
-	// StubAdmission admits every structurally valid demand without
-	// consulting the solver (method "stub"), so a test of the control
-	// channel or the admission gate does not measure LP cost.
-	// Durability and id allocation behave exactly as in real admission.
-	StubAdmission bool
 	// Partition, when non-nil, runs every reschedule through BATE's
 	// hierarchical (partitioned) scheduling; rounds the decomposition
 	// declines fall back to the global solve transparently. See
@@ -94,15 +90,9 @@ type Config struct {
 	// concurrency ceiling. Shed requests are answered with explicit
 	// TypeRetryAfter frames — never silently dropped. Under sustained
 	// overload the controller additionally serves status from the last
-	// snapshot, coalesces fresh single submits into shared AdmitBatch
-	// calls, and defers periodic reschedules. Nil disables all of it.
+	// snapshot, coalesces single submits into shared AdmitBatch calls,
+	// and defers periodic reschedules. Nil disables all of it.
 	Overload *overload.Options
-	// StubWork simulates per-request admission cost in StubAdmission
-	// mode: every submit (or coalesced batch — the batch pays ONE
-	// unit, which is what makes coalescing raise goodput) sleeps this
-	// long outside the controller lock, which gives the controller a
-	// known capacity in overload tests. Zero disables.
-	StubWork time.Duration
 	// Maintenance schedules proactive drains around planned link work
 	// (§3.4 in reverse: the failure is known in advance). Serve walks
 	// the windows by wall clock, draining each link Lead before its
@@ -203,16 +193,25 @@ type Controller struct {
 	// reschedule over an unchanged demand set warm-starts.
 	scheduler *bate.Scheduler
 
-	mu       sync.Mutex
-	demands  map[int]*demand.Demand
-	current  alloc.Allocation
-	backups  *bate.BackupSet
-	brokers  map[string]*wire.Conn
-	linkDown map[topo.LinkID]bool
+	mu sync.Mutex
+	// st is the demand book, allocation, link-down set, epoch and id
+	// allocator. It changes only through commit, the same Apply a WAL
+	// replay runs.
+	st      *store.State
+	backups *bate.BackupSet
+	brokers map[string]*wire.Conn
+	// drained is the maintenance drain set. Drains are deliberately not
+	// durable (see MaintenanceWindow), so it lives beside st, not in it.
 	drained  map[topo.LinkID]bool
-	epoch    uint64
-	nextID   int
 	restored bool // state came from the store; reschedule once on Serve
+
+	// stubWork is a test seam. When non-nil, admission skips the solver
+	// and admits every valid demand without allocation rows (method
+	// "stub"); durability, id allocation and pushes are unchanged.
+	// stubWork runs outside the lock once per submit or coalesced batch
+	// (a batch pays one unit, which is what makes coalescing raise
+	// goodput), giving overload tests a known controller capacity.
+	stubWork func()
 
 	// Overload control (nil gate = disabled). submitq feeds the
 	// submit coalescer; statusCache holds the last full status reply
@@ -231,7 +230,7 @@ type Controller struct {
 	sessions sync.WaitGroup
 }
 
-// pendingSubmit is one fresh submission parked for batch coalescing;
+// pendingSubmit is one TypeSubmit request parked for batch coalescing;
 // the submitter's gate slot travels with it and is released by the
 // coalescer.
 type pendingSubmit struct {
@@ -260,10 +259,8 @@ func New(cfg Config) (*Controller, error) {
 		cfg:       cfg,
 		logf:      logf,
 		scheduler: bate.NewScheduler(),
-		demands:   make(map[int]*demand.Demand),
-		current:   alloc.Allocation{},
+		st:        store.NewState(),
 		brokers:   make(map[string]*wire.Conn),
-		linkDown:  make(map[topo.LinkID]bool),
 		drained:   make(map[topo.LinkID]bool),
 		conns:     make(map[*wire.Conn]struct{}),
 	}
@@ -272,19 +269,13 @@ func New(cfg Config) (*Controller, error) {
 		c.submitq = make(chan pendingSubmit, 256)
 	}
 	if cfg.Store != nil {
-		// Durable restart / warm failover: resume with the replayed
-		// demand book, allocation, link state and id allocator exactly as
-		// the dead master acked them.
-		st := cfg.Store.Restored()
-		c.demands = st.Demands
-		c.current = st.Current
-		c.linkDown = st.LinkDown
-		c.epoch = st.Epoch
-		c.nextID = st.NextID
-		c.restored = len(st.Demands) > 0
+		// Durable restart / warm failover: resume with the replayed state
+		// exactly as the dead master acked it.
+		c.st = cfg.Store.Restored()
+		c.restored = len(c.st.Demands) > 0
 		if c.restored {
 			logf("controller: restored %d demands, epoch %d, %d links down, next id %d from %s",
-				len(st.Demands), st.Epoch, len(st.LinkDown), st.NextID, cfg.Store.Dir())
+				len(c.st.Demands), c.st.Epoch, len(c.st.LinkDown), c.st.NextID, cfg.Store.Dir())
 		}
 	}
 	return c, nil
@@ -412,19 +403,12 @@ func (c *Controller) CompactStore() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := &store.State{
-		Demands:  c.demands,
-		Current:  c.current,
-		LinkDown: c.linkDown,
-		Epoch:    c.epoch,
-		NextID:   c.nextID,
-	}
 	before := c.cfg.Store.WALRecords()
-	if err := c.cfg.Store.Compact(st); err != nil {
+	if err := c.cfg.Store.Compact(c.st); err != nil {
 		return err
 	}
 	c.logf("controller: compacted store: %d WAL records folded into snapshot (%d demands)",
-		before, len(c.demands))
+		before, len(c.st.Demands))
 	return nil
 }
 
@@ -463,7 +447,7 @@ func (c *Controller) serveBroker(conn *wire.Conn, dc string) {
 	c.mu.Lock()
 	c.brokers[dc] = conn
 	// Late joiner gets the current allocation immediately.
-	msg := c.allocMessageLocked(dc, c.current, false)
+	msg := c.allocMessageLocked(dc, c.st.Current, false)
 	c.mu.Unlock()
 	conn.Send(msg)
 	defer func() {
@@ -549,12 +533,10 @@ func (c *Controller) handleClientMsg(conn *wire.Conn, client string, m *wire.Mes
 			RetryAfter: &wire.RetryAfter{RetryAfterMs: dec.RetryAfterMs, Reason: dec.Reason}})
 		return
 	}
-	// Under sustained overload, fresh single submits coalesce into a
-	// shared AdmitBatch: one lock acquisition and one admission-work
-	// unit amortize over the whole batch. Resubmissions (DemandID set)
-	// stay on the direct path — only submit() detects duplicates.
-	if m.Type == wire.TypeSubmit && m.Submit != nil && m.Submit.DemandID == 0 &&
-		c.submitq != nil && c.gate.Overloaded() {
+	// Under sustained overload, single submits coalesce into a shared
+	// AdmitBatch: one lock acquisition and one admission-work unit
+	// amortize over the whole batch.
+	if m.Type == wire.TypeSubmit && m.Submit != nil && c.submitq != nil && c.gate.Overloaded() {
 		select {
 		case c.submitq <- pendingSubmit{conn: conn, seq: m.Seq, sub: m.Submit, start: time.Now()}:
 			return // the coalescer answers and releases the slot
@@ -573,11 +555,11 @@ func (c *Controller) dispatchClient(conn *wire.Conn, m *wire.Message) {
 	case wire.TypeSubmit:
 		// The reply carries the controller-assigned demand id;
 		// clients correlate via Seq.
-		c.stubWorkDelay()
+		c.stubDelay()
 		res := c.submit(m.Submit)
 		conn.Send(&wire.Message{Type: wire.TypeAdmitResult, Seq: m.Seq, AdmitResult: res})
 	case wire.TypeSubmitBatch:
-		c.stubWorkDelay()
+		c.stubDelay()
 		res := c.submitBatch(m.SubmitBatch)
 		conn.Send(&wire.Message{Type: wire.TypeAdmitBatchResult, Seq: m.Seq, AdmitBatchResult: res})
 	case wire.TypeWithdraw:
@@ -595,12 +577,12 @@ func (c *Controller) dispatchClient(conn *wire.Conn, m *wire.Message) {
 	}
 }
 
-// stubWorkDelay simulates admission cost in StubAdmission mode. It
-// runs outside the controller lock so capacity scales with the
+// stubDelay runs the stub admission's work unit, if the test seam is
+// set. It runs outside the controller lock so capacity scales with the
 // concurrency ceiling, as real solver work would.
-func (c *Controller) stubWorkDelay() {
-	if c.cfg.StubWork > 0 {
-		time.Sleep(c.cfg.StubWork)
+func (c *Controller) stubDelay() {
+	if c.stubWork != nil {
+		c.stubWork()
 	}
 }
 
@@ -617,7 +599,7 @@ func (c *Controller) cachedStatus() *wire.StatusReply {
 }
 
 // coalesceLoop is the submit coalescer: it greedily drains whatever
-// fresh submissions are parked on submitq into one AdmitBatch call.
+// single submissions are parked on submitq into one AdmitBatch call.
 // Each item arrived holding a gate slot; the coalescer answers each
 // submitter individually (index-aligned) and releases the slots with
 // the amortized latency, which is what lets the AIMD ceiling see the
@@ -666,7 +648,7 @@ func (c *Controller) drainSubmitQueue() {
 }
 
 func (c *Controller) runCoalesced(batch []pendingSubmit) {
-	c.stubWorkDelay() // one work unit amortized over the whole batch
+	c.stubDelay() // one work unit amortized over the whole batch
 	subs := make([]wire.Submit, len(batch))
 	for i, p := range batch {
 		subs[i] = *p.sub
@@ -682,80 +664,12 @@ func (c *Controller) runCoalesced(batch []pendingSubmit) {
 	}
 }
 
-// submit runs admission control for one demand (§3.2) and, when
-// admitted, installs it and pushes updated allocations.
+// submit admits one demand: a batch of one.
 func (c *Controller) submit(s *wire.Submit) *wire.AdmitResult {
 	if s == nil {
 		return &wire.AdmitResult{Admitted: false, Method: "invalid"}
 	}
-	src, ok1 := c.cfg.Net.NodeByName(s.Src)
-	dst, ok2 := c.cfg.Net.NodeByName(s.Dst)
-	if !ok1 || !ok2 || src == dst || s.Bandwidth <= 0 {
-		return &wire.AdmitResult{Admitted: false, Method: "invalid"}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	// Idempotent resubmission: a client retrying after a controller
-	// failover echoes the id it was assigned (DemandID 0 is the wire
-	// sentinel for "unassigned"). If that demand is already on the
-	// book with the same parameters, answer without double-admitting.
-	if s.DemandID != 0 {
-		if prev, ok := c.demands[s.DemandID]; ok && demandMatches(prev, src, dst, s) {
-			return &wire.AdmitResult{Admitted: true, DemandID: prev.ID, Method: "duplicate"}
-		}
-	}
-
-	id := c.allocateIDLocked()
-	if id < 0 {
-		return &wire.AdmitResult{Admitted: false, Method: "id-space-full"}
-	}
-	d := &demand.Demand{
-		ID:     id,
-		Pairs:  []demand.PairDemand{{Src: src, Dst: dst, Bandwidth: s.Bandwidth}},
-		Target: s.Target, Charge: s.Charge, RefundFrac: s.RefundFrac,
-	}
-	if c.cfg.StubAdmission {
-		if c.cfg.Store != nil {
-			if err := c.appendDurable("admit", func() error { return c.cfg.Store.AppendAdmit(d, nil) }); err != nil {
-				c.logf("controller: store admit %d: %v", id, err)
-				return &wire.AdmitResult{Admitted: false, Method: "store-error"}
-			}
-		}
-		c.demands[id] = d
-		return &wire.AdmitResult{Admitted: true, DemandID: id, Method: "stub"}
-	}
-	in, active := c.inputLocked()
-	res, err := bate.Admit(in, c.current, active, d, c.cfg.MaxFail)
-	if err != nil {
-		c.logf("controller: admit: %v", err)
-		return &wire.AdmitResult{Admitted: false, Method: "error"}
-	}
-	out := &wire.AdmitResult{
-		Admitted: res.Admitted,
-		Method:   string(res.Method),
-		DelayMs:  float64(res.Elapsed.Microseconds()) / 1000,
-	}
-	if !res.Admitted {
-		return out
-	}
-	// Durability before the ack, fail closed with retry: the admit
-	// record must be on stable storage before the client hears
-	// "admitted"; if it cannot be made durable the admission is
-	// refused, never acked on hope.
-	if c.cfg.Store != nil {
-		if err := c.appendDurable("admit", func() error { return c.cfg.Store.AppendAdmit(d, res.NewAlloc) }); err != nil {
-			c.logf("controller: store admit %d: %v", id, err)
-			return &wire.AdmitResult{Admitted: false, Method: "store-error"}
-		}
-	}
-	out.DemandID = id
-	c.demands[id] = d
-	if res.NewAlloc != nil {
-		c.current[id] = res.NewAlloc
-	}
-	c.pushAllLocked(false)
-	return out
+	return &c.submitBatch([]wire.Submit{*s})[0]
 }
 
 // demandMatches reports whether an existing single-pair demand is the
@@ -766,11 +680,12 @@ func demandMatches(d *demand.Demand, src, dst topo.NodeID, s *wire.Submit) bool 
 		d.Pairs[0].Bandwidth == s.Bandwidth && d.Target == s.Target
 }
 
-// submitBatch admits several demands as one batch: candidates are
-// speculated in parallel and committed with decisions identical to
-// submitting them one at a time in order (see bate.AdmitBatch).
-// Results are index-aligned with the request. Allocations are pushed
-// to brokers once, after the whole batch.
+// submitBatch runs admission control (§3.2) for several demands as one
+// batch: candidates are speculated in parallel and committed with
+// decisions identical to submitting them one at a time in order (see
+// bate.AdmitBatch). Results are index-aligned with the request. Each
+// admit is durable before it is applied; allocations are pushed to
+// brokers once, after the batch, if anything was admitted.
 func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	out := make([]wire.AdmitResult, len(subs))
 	if len(subs) == 0 {
@@ -779,21 +694,32 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// Validate and assign ids up front; invalid entries get an answer
-	// but never reach admission.
+	// Validate, answer resubmissions and assign ids up front; only
+	// fresh valid entries reach admission.
 	batch := make([]*demand.Demand, 0, len(subs))
 	slot := make([]int, 0, len(subs)) // batch index -> reply index
 	taken := make(map[int]bool, len(subs))
-	for i, s := range subs {
+	for i := range subs {
+		s := &subs[i]
 		src, ok1 := c.cfg.Net.NodeByName(s.Src)
 		dst, ok2 := c.cfg.Net.NodeByName(s.Dst)
 		if !ok1 || !ok2 || src == dst || s.Bandwidth <= 0 {
 			out[i] = wire.AdmitResult{Admitted: false, Method: "invalid"}
 			continue
 		}
-		id := c.allocateIDLocked()
+		// Idempotent resubmission: a client retrying after a controller
+		// failover echoes the id it was assigned (DemandID 0 is the wire
+		// sentinel for "unassigned"). If that demand is already on the
+		// book with the same parameters, answer without double-admitting.
+		if s.DemandID != 0 {
+			if prev, ok := c.st.Demands[s.DemandID]; ok && demandMatches(prev, src, dst, s) {
+				out[i] = wire.AdmitResult{Admitted: true, DemandID: prev.ID, Method: "duplicate"}
+				continue
+			}
+		}
+		id := c.st.AllocateID()
 		for id >= 0 && taken[id] {
-			id = c.allocateIDLocked()
+			id = c.st.AllocateID()
 		}
 		if id < 0 {
 			out[i] = wire.AdmitResult{Admitted: false, Method: "id-space-full"}
@@ -810,26 +736,9 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	if len(batch) == 0 {
 		return out
 	}
-	if c.cfg.StubAdmission {
-		for bi, d := range batch {
-			i := slot[bi]
-			if c.cfg.Store != nil {
-				d := d
-				if err := c.appendDurable("admit", func() error { return c.cfg.Store.AppendAdmit(d, nil) }); err != nil {
-					c.logf("controller: store admit %d: %v", d.ID, err)
-					out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
-					continue
-				}
-			}
-			c.demands[d.ID] = d
-			out[i] = wire.AdmitResult{Admitted: true, DemandID: d.ID, Method: "stub"}
-		}
-		return out
-	}
-	in, active := c.inputLocked()
-	br, err := bate.AdmitBatch(in, c.current, active, batch, bate.BatchOptions{MaxFail: c.cfg.MaxFail})
+	br, err := c.admitLocked(batch)
 	if err != nil {
-		c.logf("controller: admit batch: %v", err)
+		c.logf("controller: admit: %v", err)
 		for _, i := range slot {
 			out[i] = wire.AdmitResult{Admitted: false, Method: "error"}
 		}
@@ -846,67 +755,80 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 		if !dec.Result.Admitted {
 			continue
 		}
-		d := dec.Demand
-		if c.cfg.Store != nil {
-			if err := c.appendDurable("admit", func() error { return c.cfg.Store.AppendAdmit(d, dec.Result.NewAlloc) }); err != nil {
-				c.logf("controller: store admit %d: %v", d.ID, err)
-				out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
-				continue
-			}
+		// Durability before the ack, fail closed: an admit that cannot be
+		// made durable is refused, never acked on hope.
+		if err := c.commit(store.Admit{Demand: dec.Demand, Rows: dec.Result.NewAlloc}); err != nil {
+			out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
+			continue
 		}
-		out[i].DemandID = d.ID
-		c.demands[d.ID] = d
-		if dec.Result.NewAlloc != nil {
-			c.current[d.ID] = dec.Result.NewAlloc
-		}
+		out[i].DemandID = dec.Demand.ID
 		admitted++
 	}
-	c.logf("controller: batch of %d: %d admitted, %d speculative, %d serial fallback",
-		len(batch), admitted, br.SpecReused, br.SerialFallbacks)
-	c.pushAllLocked(false)
+	if len(batch) > 1 {
+		c.logf("controller: batch of %d: %d admitted, %d speculative, %d serial fallback",
+			len(batch), admitted, br.SpecReused, br.SerialFallbacks)
+	}
+	if admitted > 0 {
+		c.pushAllLocked(false)
+	}
 	return out
+}
+
+// admitLocked decides a batch against the current book: bate.AdmitBatch,
+// or the stub test seam, which admits everything without rows.
+func (c *Controller) admitLocked(batch []*demand.Demand) (*bate.BatchResult, error) {
+	if c.stubWork != nil {
+		br := &bate.BatchResult{}
+		for _, d := range batch {
+			br.Decisions = append(br.Decisions, bate.BatchDecision{
+				Demand: d, Result: &bate.AdmissionResult{Admitted: true, Method: "stub"},
+			})
+		}
+		return br, nil
+	}
+	in, active := c.inputLocked()
+	return bate.AdmitBatch(in, c.st.Current, active, batch, bate.BatchOptions{MaxFail: c.cfg.MaxFail})
 }
 
 func (c *Controller) withdraw(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.demands[id]; !ok {
+	if _, ok := c.st.Demands[id]; !ok {
 		return nil // unknown id: idempotent no-op
 	}
-	if c.cfg.Store != nil {
-		if err := c.appendDurable("withdraw", func() error { return c.cfg.Store.AppendWithdraw(id) }); err != nil {
-			c.logf("controller: store withdraw %d: %v", id, err)
-			return fmt.Errorf("withdraw not durable: %v", err)
-		}
+	if err := c.commit(store.Withdraw{ID: id}); err != nil {
+		return fmt.Errorf("withdraw not durable: %v", err)
 	}
-	delete(c.demands, id)
-	delete(c.current, id)
 	c.pushAllLocked(false)
 	return nil
 }
 
-// allocateIDLocked finds a free 12-bit demand id. Id 0 is never
-// assigned: it is the wire protocol's "unassigned" sentinel, which is
-// what makes idempotent resubmission detectable.
-func (c *Controller) allocateIDLocked() int {
-	for tries := 0; tries < 1<<12; tries++ {
-		id := c.nextID
-		c.nextID = (c.nextID + 1) % (1 << 12)
-		if id == 0 {
-			continue
-		}
-		if _, used := c.demands[id]; !used {
-			return id
+// commit is the one way the controller changes st: it appends r to the
+// store's WAL (with the appendDurable retries) and then applies it.
+// Admit, withdraw and schedule records fail closed: if the append
+// fails, nothing is applied and the error is returned. Link and epoch
+// records are best-effort: they are reconstructible from broker
+// reconnects and are not client-visible promises, so a failed append
+// is logged and the record applied anyway.
+func (c *Controller) commit(r store.Record) error {
+	if c.cfg.Store != nil {
+		what := r.Type().String()
+		if err := c.appendDurable(what, func() error { return c.cfg.Store.Append(r) }); err != nil {
+			c.logf("controller: store %s: %v", what, err)
+			if t := r.Type(); t != store.RecLink && t != store.RecEpoch {
+				return err
+			}
 		}
 	}
-	return -1
+	c.st.Apply(r)
+	return nil
 }
 
 // inputLocked builds the alloc.Input over the admitted demands in a
 // deterministic order.
 func (c *Controller) inputLocked() (*alloc.Input, []*demand.Demand) {
-	active := make([]*demand.Demand, 0, len(c.demands))
-	for _, d := range c.demands {
+	active := make([]*demand.Demand, 0, len(c.st.Demands))
+	for _, d := range c.st.Demands {
 		active = append(active, d)
 	}
 	sort.Slice(active, func(i, j int) bool { return active[i].ID < active[j].ID })
@@ -1060,7 +982,8 @@ func (c *Controller) reschedule() error {
 	defer c.mu.Unlock()
 	in, _ := c.inputLocked()
 	if len(in.Demands) == 0 {
-		c.current = alloc.Allocation{}
+		// Nothing to schedule, and no allocation to replace: a withdraw
+		// takes a demand's rows with it.
 		c.backups = nil
 		c.pushAllLocked(false)
 		return nil
@@ -1105,12 +1028,9 @@ func (c *Controller) reschedule() error {
 		mHardenFailures.Inc()
 		round += fmt.Sprintf("; harden failed: %v, relaxed allocation pushed", herr)
 	}
-	if c.cfg.Store != nil {
-		if err := c.appendDurable("schedule", func() error { return c.cfg.Store.AppendSchedule(a) }); err != nil {
-			return fmt.Errorf("schedule not durable: %w", err)
-		}
+	if err := c.commit(store.Schedule{Alloc: a}); err != nil {
+		return fmt.Errorf("schedule not durable: %w", err)
 	}
-	c.current = a
 	// Push before backing up: brokers enforce the certified allocation
 	// as soon as it is durable. c.mu is held throughout, so nothing
 	// reads c.backups between the push and the new set.
@@ -1151,22 +1071,13 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 	takenUp := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.Store != nil {
-		// Best-effort with retry: link state is continuously re-reported
-		// by brokers, so a failed append degrades recovery freshness,
-		// not correctness.
-		if err := c.appendDurable("link", func() error { return c.cfg.Store.AppendLink(ev.SrcDC, ev.DstDC, ev.Up) }); err != nil {
-			c.logf("controller: store link event: %v", err)
-		}
-	}
+	_ = c.commit(store.Link{ID: link.ID, Up: ev.Up}) // best-effort: never refused
 	if ev.Up {
-		delete(c.linkDown, link.ID)
 		c.pushAllLocked(false)
 		return
 	}
-	c.linkDown[link.ID] = true
 	var down []topo.LinkID
-	for id := range c.linkDown {
+	for id := range c.st.LinkDown {
 		down = append(down, id)
 	}
 	// Deadline-bounded recovery ladder: precomputed backup → budgeted
@@ -1192,16 +1103,11 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 
 // pushAllLocked pushes the scheduled allocation to every broker.
 func (c *Controller) pushAllLocked(backup bool) {
-	c.pushAllocationLocked(c.current, backup)
+	c.pushAllocationLocked(c.st.Current, backup)
 }
 
 func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
-	c.epoch++
-	if c.cfg.Store != nil {
-		if err := c.appendDurable("epoch", func() error { return c.cfg.Store.AppendEpoch(c.epoch) }); err != nil {
-			c.logf("controller: store epoch: %v", err)
-		}
-	}
+	_ = c.commit(store.Epoch{Epoch: c.st.Epoch + 1}) // best-effort: never refused
 	for dc, conn := range c.brokers {
 		msg := c.allocMessageLocked(dc, a, backup)
 		if err := conn.Send(msg); err != nil {
@@ -1224,7 +1130,7 @@ func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
 // allocMessageLocked builds the AllocUpdate for one broker: every
 // tunnel allocation whose path traverses that DC.
 func (c *Controller) allocMessageLocked(dc string, a alloc.Allocation, backup bool) *wire.Message {
-	update := &wire.AllocUpdate{Epoch: c.epoch, Backup: backup}
+	update := &wire.AllocUpdate{Epoch: c.st.Epoch, Backup: backup}
 	in, _ := c.inputLocked()
 	for _, d := range in.Demands {
 		rows, ok := a[d.ID]
@@ -1280,7 +1186,7 @@ func contains(ss []string, s string) bool {
 func (c *Controller) Snapshot() (demands int, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.demands), c.epoch
+	return len(c.st.Demands), c.st.Epoch
 }
 
 // OverloadSnapshot returns the admission gate's counters; ok is false
@@ -1300,11 +1206,11 @@ func (c *Controller) status() *wire.StatusReply {
 	// Shallow-copy the allocation map: concurrent withdrawals delete
 	// entries (the per-demand rows themselves are never mutated in
 	// place), and the availability loop below runs unlocked.
-	current := make(alloc.Allocation, len(c.current))
-	for id, rows := range c.current {
+	current := make(alloc.Allocation, len(c.st.Current))
+	for id, rows := range c.st.Current {
 		current[id] = rows
 	}
-	epoch := c.epoch
+	epoch := c.st.Epoch
 	c.mu.Unlock()
 	reply := &wire.StatusReply{Epoch: epoch, Counters: metrics.Snapshot()}
 	for _, d := range active {
@@ -1334,42 +1240,4 @@ func (c *Controller) status() *wire.StatusReply {
 		})
 	}
 	return reply
-}
-
-// State persistence: the master controller can snapshot its admitted
-// demands so a newly elected replica (see Elector) resumes with the
-// same commitments and recomputes allocations from them.
-
-// SaveState writes the admitted demand set as JSON.
-func (c *Controller) SaveState(w io.Writer) error {
-	c.mu.Lock()
-	_, active := c.inputLocked()
-	c.mu.Unlock()
-	return demand.Save(w, c.cfg.Net, active)
-}
-
-// RestoreState replaces the controller's demand set with a snapshot
-// and reschedules. Demand ids from the snapshot are preserved.
-func (c *Controller) RestoreState(r io.Reader) error {
-	demands, err := demand.Load(r, c.cfg.Net)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.demands = make(map[int]*demand.Demand, len(demands))
-	maxID := -1
-	for _, d := range demands {
-		if _, dup := c.demands[d.ID]; dup {
-			c.mu.Unlock()
-			return fmt.Errorf("controller: duplicate demand id %d in snapshot", d.ID)
-		}
-		c.demands[d.ID] = d
-		if d.ID > maxID {
-			maxID = d.ID
-		}
-	}
-	c.nextID = (maxID + 1) % (1 << 12)
-	c.current = alloc.Allocation{}
-	c.mu.Unlock()
-	return c.reschedule()
 }

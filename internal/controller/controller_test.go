@@ -1,13 +1,11 @@
 package controller
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -305,10 +303,11 @@ func TestBadHello(t *testing.T) {
 func TestLegacyJSONPeerRejected(t *testing.T) {
 	n := topo.Testbed()
 	ts := routing.Compute(n, routing.KShortest, 4)
-	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent, StubAdmission: true})
+	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stubAdmission(ctrl, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -402,50 +401,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("nothing admitted")
-	}
-}
-
-func TestStateSnapshotFailover(t *testing.T) {
-	// Master admits demands, snapshots; a fresh replica restores and
-	// serves them with identical commitments.
-	ctrl, _, client := startSystem(t)
-	r1 := submit(t, client, "DC1", "DC3", 400, 0.99)
-	r2 := submit(t, client, "DC2", "DC6", 300, 0.95)
-	if !r1.Admitted || !r2.Admitted {
-		t.Fatal("setup admission failed")
-	}
-	var snap bytes.Buffer
-	if err := ctrl.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	n := topo.Testbed()
-	ts := routing.Compute(n, routing.KShortest, 4)
-	replica, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.RestoreState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	nd, _ := replica.Snapshot()
-	if nd != 2 {
-		t.Fatalf("replica holds %d demands, want 2", nd)
-	}
-	// New ids must not collide with restored ones.
-	replica.mu.Lock()
-	id := replica.allocateIDLocked()
-	replica.mu.Unlock()
-	if id == r1.DemandID || id == r2.DemandID {
-		t.Fatalf("id %d collides with restored demands", id)
-	}
-	// Duplicate-id snapshots are rejected.
-	bad := strings.NewReader(`[
-	  {"id":1,"pairs":[{"src":"DC1","dst":"DC2","bandwidth_mbps":10}],"target":0.9},
-	  {"id":1,"pairs":[{"src":"DC1","dst":"DC3","bandwidth_mbps":10}],"target":0.9}
-	]`)
-	if err := replica.RestoreState(bad); err == nil {
-		t.Fatal("expected duplicate-id error")
 	}
 }
 

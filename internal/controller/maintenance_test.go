@@ -11,6 +11,7 @@ import (
 
 	"bate/internal/routing"
 	"bate/internal/topo"
+	"bate/internal/wire"
 )
 
 // Draining a link must move all allocated traffic off it while the
@@ -49,23 +50,10 @@ func TestDrainLinkReroutes(t *testing.T) {
 	// The synchronous reschedule has already landed: the demand keeps
 	// its bandwidth, but no tunnel crossing the drained link carries
 	// any of it.
-	ctrl.mu.Lock()
-	in, active := ctrl.inputLocked()
-	total := 0.0
-	for _, d := range active {
-		rows := ctrl.current[d.ID]
-		for pi := range d.Pairs {
-			tunnels := in.TunnelsFor(d, pi)
-			for ti, rate := range rows[pi] {
-				total += rate
-				if rate > 0 && tunnels[ti].Uses(link.ID) {
-					ctrl.mu.Unlock()
-					t.Fatalf("drained link still carries %.1f Mbps on tunnel %d", rate, ti)
-				}
-			}
-		}
+	onLink, total := bookLoad(ctrl, link.ID)
+	if onLink > 0 {
+		t.Fatalf("drained link still carries %.1f Mbps", onLink)
 	}
-	ctrl.mu.Unlock()
 	if total < 300*0.999 {
 		t.Fatalf("demand lost bandwidth under drain: %.1f Mbps", total)
 	}
@@ -78,6 +66,70 @@ func TestDrainLinkReroutes(t *testing.T) {
 	}
 	if got := ctrl.DrainedLinks(); len(got) != 0 {
 		t.Fatalf("drained set %v after undrain", got)
+	}
+}
+
+// bookLoad sums the installed allocation over the admitted book: the
+// Mbps on tunnels that cross link, and the Mbps overall.
+func bookLoad(c *Controller, link topo.LinkID) (onLink, total float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	in, active := c.inputLocked()
+	for _, d := range active {
+		rows := c.st.Current[d.ID]
+		for pi := 0; pi < len(d.Pairs) && pi < len(rows); pi++ {
+			tunnels := in.TunnelsFor(d, pi)
+			for ti, rate := range rows[pi] {
+				total += rate
+				if rate > 0 && tunnels[ti].Uses(link) {
+					onLink += rate
+				}
+			}
+		}
+	}
+	return onLink, total
+}
+
+// Admission honours a drain as scheduling does: with DC1->DC4 drained,
+// neither a single submit nor a batch frame may place a demand on a
+// tunnel that crosses it. Admission rows are what brokers enforce until
+// the next round. The demands are best-effort: with no availability
+// target to steer them off the 1 %-failure direct link, that link is
+// where the fixed check puts them unless it sees the drain.
+func TestSubmitDuringDrainAvoidsDrainedLink(t *testing.T) {
+	ctrl, _, client := startSystem(t)
+	if err := ctrl.DrainLink("DC1", "DC4"); err != nil {
+		t.Fatal(err)
+	}
+	drained := ctrl.DrainedLinks()
+	if len(drained) != 1 {
+		t.Fatalf("drained set %v", drained)
+	}
+	if r := submit(t, client, "DC1", "DC4", 100, 0); !r.Admitted {
+		t.Fatalf("single submit refused: %+v", r)
+	}
+	batch := make([]wire.Submit, 3)
+	for i := range batch {
+		batch[i] = wire.Submit{Src: "DC1", Dst: "DC4", Bandwidth: 100, Charge: 100, RefundFrac: 0.1}
+	}
+	if err := client.Send(&wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reply.AdmitBatchResult {
+		if !r.Admitted {
+			t.Fatalf("batch entry %d refused: %+v", i, r)
+		}
+	}
+	onLink, total := bookLoad(ctrl, drained[0])
+	if onLink > 0 {
+		t.Fatalf("admission placed %.1f of %.1f Mbps on the drained link", onLink, total)
+	}
+	if total < 400*0.999 {
+		t.Fatalf("admitted book carries %.1f Mbps, want 400", total)
 	}
 }
 

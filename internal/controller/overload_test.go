@@ -17,19 +17,23 @@ import (
 	"bate/internal/wire"
 )
 
+// stubAdmission puts c on solver-free admission (the stubWork seam)
+// whose every submit, or coalesced batch, costs work outside the lock.
+func stubAdmission(c *Controller, work time.Duration) {
+	c.stubWork = func() { time.Sleep(work) }
+}
+
 // startOverloaded launches a controller with a tight admission gate
 // and stub admission, returning its address.
 func startOverloaded(t *testing.T, opts overload.Options, stubWork time.Duration) (*Controller, string, context.CancelFunc) {
 	t.Helper()
 	n := topo.Testbed()
 	ts := routing.Compute(n, routing.KShortest, 4)
-	ctrl, err := New(Config{
-		Net: n, Tunnels: ts, MaxFail: 2, Logf: silent,
-		StubAdmission: true, StubWork: stubWork, Overload: &opts,
-	})
+	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent, Overload: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stubAdmission(ctrl, stubWork)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -372,10 +376,11 @@ func TestWithdrawNeverShed(t *testing.T) {
 func TestServeDrainsSessionsOnShutdown(t *testing.T) {
 	n := topo.Testbed()
 	ts := routing.Compute(n, routing.KShortest, 4)
-	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent, StubAdmission: true})
+	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stubAdmission(ctrl, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -464,12 +469,13 @@ func TestStatusFromSnapshotUnderOverload(t *testing.T) {
 	n := topo.Testbed()
 	ts := routing.Compute(n, routing.KShortest, 4)
 	ctrl, err := New(Config{
-		Net: n, Tunnels: ts, MaxFail: 2, Logf: silent, StubAdmission: true,
+		Net: n, Tunnels: ts, MaxFail: 2, Logf: silent,
 		Overload: &overload.Options{MaxInflight: 1, MaxCeiling: 1, LatencyTarget: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stubAdmission(ctrl, 0)
 	cached := &wire.StatusReply{Epoch: 777}
 	ctrl.setStatusCache(cached)
 	// Saturate the gate: one acquired slot = at the ceiling.

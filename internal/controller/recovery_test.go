@@ -34,19 +34,19 @@ func newStoreController(t *testing.T, dir string) (*Controller, *store.Store) {
 func stateOf(c *Controller) (map[int]demand.Demand, map[int][][]float64, uint64, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	demands := make(map[int]demand.Demand, len(c.demands))
-	for id, d := range c.demands {
+	demands := make(map[int]demand.Demand, len(c.st.Demands))
+	for id, d := range c.st.Demands {
 		demands[id] = *d
 	}
-	current := make(map[int][][]float64, len(c.current))
-	for id, rows := range c.current {
+	current := make(map[int][][]float64, len(c.st.Current))
+	for id, rows := range c.st.Current {
 		cp := make([][]float64, len(rows))
 		for i, r := range rows {
 			cp[i] = append([]float64(nil), r...)
 		}
 		current[id] = cp
 	}
-	return demands, current, c.epoch, c.nextID
+	return demands, current, c.st.Epoch, c.st.NextID
 }
 
 type step struct {
@@ -224,7 +224,7 @@ func TestRecoveryReplaysLinkDownAndSchedule(t *testing.T) {
 	dst, _ := n.NodeByName("DC4")
 	link, _ := n.LinkBetween(src, dst)
 	recovered.mu.Lock()
-	down := recovered.linkDown[link.ID]
+	down := recovered.st.LinkDown[link.ID]
 	recovered.mu.Unlock()
 	if !down {
 		t.Fatal("link-down fact lost across recovery")
@@ -271,6 +271,28 @@ func TestIdempotentResubmitOverTCP(t *testing.T) {
 	if r == nil || !r.Admitted || r.DemandID == 3999 || r.DemandID == 0 {
 		t.Fatalf("stale-id resubmit reply %+v", reply)
 	}
+	// The same retry inside a batch frame is answered the same way,
+	// next to a fresh entry that is admitted under a new id.
+	if err := client.Send(&wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: []wire.Submit{
+		{DemandID: first.DemandID, Src: "DC1", Dst: "DC3", Bandwidth: 400, Target: 0.99, Charge: 400, RefundFrac: 0.1},
+		{Src: "DC2", Dst: "DC6", Bandwidth: 100, Target: 0.9, Charge: 100, RefundFrac: 0.1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err = client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := reply.AdmitBatchResult
+	if len(br) != 2 || !br[0].Admitted || br[0].DemandID != first.DemandID || br[0].Method != "duplicate" {
+		t.Fatalf("batch resubmit reply %+v", reply)
+	}
+	if !br[1].Admitted || br[1].Method == "duplicate" || br[1].DemandID == first.DemandID || br[1].DemandID == r.DemandID {
+		t.Fatalf("fresh batch entry reply %+v", br[1])
+	}
+	if nd, _ := ctrl.Snapshot(); nd != 3 {
+		t.Fatalf("%d demands after batch retry, want 3", nd)
+	}
 }
 
 func TestDemandIDZeroNeverAssigned(t *testing.T) {
@@ -284,15 +306,15 @@ func TestDemandIDZeroNeverAssigned(t *testing.T) {
 	defer ctrl.mu.Unlock()
 	seen := make(map[int]bool)
 	for i := 0; i < 100; i++ {
-		id := ctrl.allocateIDLocked()
+		id := ctrl.st.AllocateID()
 		if id == 0 {
 			t.Fatal("id 0 assigned: it is the wire sentinel for unassigned")
 		}
 		if seen[id] {
-			// allocateIDLocked reuses free ids; mark them used.
+			// AllocateID reuses free ids; mark them used.
 			t.Fatalf("id %d assigned twice while marked used", id)
 		}
 		seen[id] = true
-		ctrl.demands[id] = &demand.Demand{ID: id}
+		ctrl.st.Demands[id] = &demand.Demand{ID: id}
 	}
 }

@@ -75,9 +75,11 @@ func FuzzWALRecord(f *testing.F) {
 			if end > size || !bytes.Equal(reenc, data[offset:end]) {
 				t.Fatalf("record at %d does not round-trip", offset)
 			}
-			// Applying an accepted record must never panic; decode
-			// failures (valid frame, junk JSON) surface as errors.
-			_ = applyRecord(NewState(), n, rt, body)
+			// Decoding and applying an accepted record must never panic;
+			// decode failures (valid frame, junk JSON) surface as errors.
+			if rec, err := decodeRecord(n, rt, body); err == nil && rec != nil {
+				NewState().Apply(rec)
+			}
 			offset = end
 		}
 	})

@@ -17,11 +17,15 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"bate/internal/demand"
+	"bate/internal/topo"
 )
 
 // recordVersion is the WAL record format version. Bump when the
@@ -105,6 +109,61 @@ type scheduleBody struct {
 	// Alloc is the full committed allocation, demand id -> pair ->
 	// tunnel -> Mbps (string keys: JSON object keys).
 	Alloc map[string][][]float64 `json:"alloc"`
+}
+
+// decodeRecord parses one WAL record body into the transition it
+// logged. A link record naming DCs the topology does not have decodes
+// to nil (topology drift between runs is tolerated); every other
+// decoding failure is an error the caller reports as corruption.
+func decodeRecord(net *topo.Network, t RecordType, body []byte) (Record, error) {
+	switch t {
+	case RecAdmit:
+		var b admitBody
+		if err := json.Unmarshal(body, &b); err != nil {
+			return nil, err
+		}
+		ds, err := demand.Load(bytes.NewReader(b.Demand), net)
+		if err != nil {
+			return nil, err
+		}
+		if len(ds) != 1 {
+			return nil, fmt.Errorf("admit record holds %d demands, want 1", len(ds))
+		}
+		return Admit{Demand: ds[0], Rows: b.Alloc}, nil
+	case RecWithdraw:
+		var b withdrawBody
+		if err := json.Unmarshal(body, &b); err != nil {
+			return nil, err
+		}
+		return Withdraw{ID: b.ID}, nil
+	case RecLink:
+		var b linkBody
+		if err := json.Unmarshal(body, &b); err != nil {
+			return nil, err
+		}
+		id, ok := linkByNames(net, b.Src, b.Dst)
+		if !ok {
+			return nil, nil
+		}
+		return Link{ID: id, Up: b.Up}, nil
+	case RecEpoch:
+		var b epochBody
+		if err := json.Unmarshal(body, &b); err != nil {
+			return nil, err
+		}
+		return Epoch{Epoch: b.Epoch}, nil
+	case RecSchedule:
+		var b scheduleBody
+		if err := json.Unmarshal(body, &b); err != nil {
+			return nil, err
+		}
+		a, err := allocFromJSON(b.Alloc)
+		if err != nil {
+			return nil, err
+		}
+		return Schedule{Alloc: a}, nil
+	}
+	return nil, fmt.Errorf("unknown record type %d", uint8(t))
 }
 
 // encodeRecord frames one record: 4-byte big-endian payload length,

@@ -16,26 +16,6 @@ import (
 // snapshotVersion is the snapshot.json format version.
 const snapshotVersion = 1
 
-// State is the controller state the store persists and restores: the
-// full demand book, the installed allocation, observed link failures,
-// the broker-push epoch and the next demand id to hand out.
-type State struct {
-	Demands  map[int]*demand.Demand
-	Current  alloc.Allocation
-	LinkDown map[topo.LinkID]bool
-	Epoch    uint64
-	NextID   int
-}
-
-// NewState returns an empty, non-nil state.
-func NewState() *State {
-	return &State{
-		Demands:  make(map[int]*demand.Demand),
-		Current:  alloc.Allocation{},
-		LinkDown: make(map[topo.LinkID]bool),
-	}
-}
-
 // snapshotFile is the on-disk snapshot. The demand set reuses the
 // demand.Save workload encoding (name-based node references) so a
 // snapshot stays meaningful across processes and is inspectable with
@@ -88,7 +68,8 @@ func encodeSnapshot(w io.Writer, net *topo.Network, st *State) error {
 	return enc.Encode(&sf)
 }
 
-// decodeSnapshot reads a snapshot back into a State.
+// decodeSnapshot reads a snapshot back into a State, built through
+// Apply like every other state change.
 func decodeSnapshot(r io.Reader, net *topo.Network) (*State, error) {
 	var sf snapshotFile
 	if err := json.NewDecoder(r).Decode(&sf); err != nil {
@@ -99,7 +80,7 @@ func decodeSnapshot(r io.Reader, net *topo.Network) (*State, error) {
 	}
 	st := NewState()
 	st.NextID = sf.NextID
-	st.Epoch = sf.Epoch
+	st.Apply(Epoch{Epoch: sf.Epoch})
 	if len(sf.Demands) > 0 {
 		demands, err := demand.Load(bytes.NewReader(sf.Demands), net)
 		if err != nil {
@@ -109,27 +90,33 @@ func decodeSnapshot(r io.Reader, net *topo.Network) (*State, error) {
 			if _, dup := st.Demands[d.ID]; dup {
 				return nil, fmt.Errorf("store: duplicate demand id %d in snapshot", d.ID)
 			}
-			st.Demands[d.ID] = d
+			st.Apply(Admit{Demand: d})
 		}
 	}
 	for _, pair := range sf.LinkDown {
-		src, ok1 := net.NodeByName(pair[0])
-		dst, ok2 := net.NodeByName(pair[1])
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("store: snapshot link %s-%s not in topology", pair[0], pair[1])
-		}
-		l, ok := net.LinkBetween(src, dst)
+		id, ok := linkByNames(net, pair[0], pair[1])
 		if !ok {
 			return nil, fmt.Errorf("store: snapshot link %s-%s not in topology", pair[0], pair[1])
 		}
-		st.LinkDown[l.ID] = true
+		st.Apply(Link{ID: id})
 	}
-	var err error
-	st.Current, err = allocFromJSON(sf.Allocation)
+	a, err := allocFromJSON(sf.Allocation)
 	if err != nil {
 		return nil, err
 	}
+	st.Apply(Schedule{Alloc: a})
 	return st, nil
+}
+
+// linkByNames resolves a DC name pair to the link between them.
+func linkByNames(net *topo.Network, src, dst string) (topo.LinkID, bool) {
+	s, ok1 := net.NodeByName(src)
+	d, ok2 := net.NodeByName(dst)
+	if !ok1 || !ok2 {
+		return 0, false
+	}
+	l, ok := net.LinkBetween(s, d)
+	return l.ID, ok
 }
 
 func allocToJSON(a alloc.Allocation) map[string][][]float64 {
@@ -150,24 +137,4 @@ func allocFromJSON(m map[string][][]float64) (alloc.Allocation, error) {
 		a[id] = rows
 	}
 	return a, nil
-}
-
-// clone deep-copies the state so the store and the controller never
-// share mutable structures.
-func (st *State) clone() *State {
-	out := NewState()
-	out.Epoch = st.Epoch
-	out.NextID = st.NextID
-	for id, d := range st.Demands {
-		cp := *d
-		cp.Pairs = append([]demand.PairDemand(nil), d.Pairs...)
-		out.Demands[id] = &cp
-	}
-	out.Current = st.Current.Clone()
-	for id, down := range st.LinkDown {
-		if down {
-			out.LinkDown[id] = true
-		}
-	}
-	return out
 }

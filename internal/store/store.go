@@ -95,17 +95,6 @@ func Open(dir string, net *topo.Network, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	st := NewState()
-	if f, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
-		st, err = decodeSnapshot(f, net)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-
 	openWAL := opts.OpenWAL
 	if openWAL == nil {
 		openWAL = func(path string) (File, error) {
@@ -116,13 +105,12 @@ func Open(dir string, net *topo.Network, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, net: net, opts: opts, logf: logf, wal: wal}
-	replayed, tail, torn, err := s.replay(st)
+	st, sum, tail, err := load(dir, net, wal)
 	if err != nil {
 		wal.Close()
 		return nil, err
 	}
-	if torn {
+	if sum.TornTail {
 		if err := wal.Truncate(tail); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
@@ -135,144 +123,80 @@ func Open(dir string, net *topo.Network, opts Options) (*Store, error) {
 		wal.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.tail = end
-	s.walRecords = replayed
-	deriveNextID(st)
-	s.restored = st
-	mReplayed.Add(int64(replayed))
-	return s, nil
+	mReplayed.Add(int64(sum.WALRecords))
+	return &Store{dir: dir, net: net, opts: opts, logf: logf, wal: wal,
+		walRecords: sum.WALRecords, tail: end, restored: st}, nil
 }
 
-// replay applies every WAL record to st, returning the number of
-// records applied, the clean tail offset, and whether a torn final
-// record must be truncated.
-func (s *Store) replay(st *State) (replayed int, tail int64, torn bool, err error) {
-	info, err := s.wal.Stat()
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("store: %w", err)
-	}
-	size := info.Size()
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, false, fmt.Errorf("store: %w", err)
-	}
-	r := bufio.NewReader(s.wal)
-	offset := int64(0)
-	for {
-		t, body, err := readRecord(r, offset, size)
-		if err == io.EOF {
-			return replayed, offset, false, nil
+// load is the one replay loop, shared by Open and Inspect: it decodes
+// the snapshot in dir, if any, and applies every complete record of wal
+// (nil when there is none) on top. It stops at a torn final record,
+// whose offset it returns as tail, and fails with a *CorruptError on a
+// corrupt interior one.
+func load(dir string, net *topo.Network, wal File) (st *State, sum *Summary, tail int64, err error) {
+	st = NewState()
+	sum = &Summary{Dir: dir, SnapshotBytes: -1, RecordsByType: make(map[RecordType]int)}
+	if f, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
+		info, err := f.Stat()
+		if err == nil {
+			sum.SnapshotBytes = info.Size()
+			st, err = decodeSnapshot(f, net)
 		}
-		if err == errTorn {
-			return replayed, offset, true, nil
-		}
+		f.Close()
 		if err != nil {
-			return 0, 0, false, err
+			return nil, nil, 0, err
 		}
-		if err := applyRecord(st, s.net, t, body); err != nil {
-			return 0, 0, false, &CorruptError{Offset: offset, Reason: err.Error()}
-		}
-		offset += 8 + 2 + int64(len(body))
-		replayed++
+		sum.SnapshotDemands = len(st.Demands)
+	} else if !os.IsNotExist(err) {
+		return nil, nil, 0, fmt.Errorf("store: %w", err)
 	}
-}
-
-// deriveNextID resumes the id allocator past every replayed demand id
-// (id 0 is the wire sentinel for "unassigned" and is never handed
-// out), so a recovered master cannot re-issue a live id.
-func deriveNextID(st *State) {
-	next := st.NextID
-	for id := range st.Demands {
-		if c := (id + 1) % (1 << 12); idDistance(next, c) > 0 {
-			next = c
-		}
-	}
-	if next <= 0 || next >= 1<<12 {
-		next = 1
-	}
-	st.NextID = next
-}
-
-// idDistance reports how far ahead b is of a in the 12-bit id ring;
-// positive means b is ahead.
-func idDistance(a, b int) int {
-	d := (b - a) % (1 << 12)
-	if d < 0 {
-		d += 1 << 12
-	}
-	if d > 1<<11 {
-		d -= 1 << 12
-	}
-	return d
-}
-
-// applyRecord mutates st with one replayed record. Unknown DC names
-// in link records are tolerated (topology drift between runs); every
-// other decoding failure is reported as corruption by the caller.
-func applyRecord(st *State, net *topo.Network, t RecordType, body []byte) error {
-	switch t {
-	case RecAdmit:
-		var b admitBody
-		if err := json.Unmarshal(body, &b); err != nil {
-			return err
-		}
-		ds, err := demand.Load(bytes.NewReader(b.Demand), net)
+	if wal != nil {
+		info, err := wal.Stat()
 		if err != nil {
-			return err
+			return nil, nil, 0, fmt.Errorf("store: %w", err)
 		}
-		if len(ds) != 1 {
-			return fmt.Errorf("admit record holds %d demands, want 1", len(ds))
+		sum.WALBytes = info.Size()
+		if _, err := wal.Seek(0, io.SeekStart); err != nil {
+			return nil, nil, 0, fmt.Errorf("store: %w", err)
 		}
-		d := ds[0]
-		st.Demands[d.ID] = d
-		if b.Alloc != nil {
-			st.Current[d.ID] = b.Alloc
+		r := bufio.NewReader(wal)
+		for {
+			t, body, err := readRecord(r, tail, sum.WALBytes)
+			if err == io.EOF {
+				break
+			}
+			if err == errTorn {
+				sum.TornTail = true
+				break
+			}
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			rec, err := decodeRecord(net, t, body)
+			if err != nil {
+				return nil, nil, 0, &CorruptError{Offset: tail, Reason: err.Error()}
+			}
+			if rec != nil {
+				st.Apply(rec)
+			}
+			tail += 8 + 2 + int64(len(body))
+			sum.WALRecords++
+			sum.RecordsByType[t]++
 		}
-	case RecWithdraw:
-		var b withdrawBody
-		if err := json.Unmarshal(body, &b); err != nil {
-			return err
-		}
-		delete(st.Demands, b.ID)
-		delete(st.Current, b.ID)
-	case RecLink:
-		var b linkBody
-		if err := json.Unmarshal(body, &b); err != nil {
-			return err
-		}
-		src, ok1 := net.NodeByName(b.Src)
-		dst, ok2 := net.NodeByName(b.Dst)
-		if !ok1 || !ok2 {
-			return nil
-		}
-		l, ok := net.LinkBetween(src, dst)
-		if !ok {
-			return nil
-		}
-		if b.Up {
-			delete(st.LinkDown, l.ID)
-		} else {
-			st.LinkDown[l.ID] = true
-		}
-	case RecEpoch:
-		var b epochBody
-		if err := json.Unmarshal(body, &b); err != nil {
-			return err
-		}
-		st.Epoch = b.Epoch
-	case RecSchedule:
-		var b scheduleBody
-		if err := json.Unmarshal(body, &b); err != nil {
-			return err
-		}
-		a, err := allocFromJSON(b.Alloc)
-		if err != nil {
-			return err
-		}
-		st.Current = a
-	default:
-		return fmt.Errorf("unknown record type %d", uint8(t))
 	}
-	return nil
+	st.deriveNextID()
+	sum.Demands, sum.NextID, sum.Epoch = len(st.Demands), st.NextID, st.Epoch
+	for _, down := range st.LinkDown {
+		if down {
+			sum.LinksDown++
+		}
+	}
+	for id := range st.Current {
+		if _, ok := st.Demands[id]; ok {
+			sum.AllocatedDemands++
+		}
+	}
+	return st, sum, tail, nil
 }
 
 // Restored returns a deep copy of the state recovered by Open. The
@@ -362,6 +286,25 @@ func (s *Store) Wedged() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.wedged
+}
+
+// Append logs one state transition. It is the record-typed form of the
+// per-type appends below.
+func (s *Store) Append(r Record) error {
+	switch r := r.(type) {
+	case Admit:
+		return s.AppendAdmit(r.Demand, r.Rows)
+	case Withdraw:
+		return s.AppendWithdraw(r.ID)
+	case Link:
+		l := s.net.Link(r.ID)
+		return s.AppendLink(s.net.NodeName(l.Src), s.net.NodeName(l.Dst), r.Up)
+	case Epoch:
+		return s.AppendEpoch(r.Epoch)
+	case Schedule:
+		return s.AppendSchedule(r.Alloc)
+	}
+	return fmt.Errorf("store: unknown record %T", r)
 }
 
 // AppendAdmit logs an admitted demand and its admission-time
@@ -489,72 +432,13 @@ type Summary struct {
 // Inspect reads a store directory read-only and summarizes snapshot,
 // WAL and replayed state. A torn tail is reported, not repaired.
 func Inspect(dir string, net *topo.Network) (*Summary, error) {
-	sum := &Summary{Dir: dir, SnapshotBytes: -1, RecordsByType: make(map[RecordType]int)}
-	st := NewState()
-	if f, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
-		info, _ := f.Stat()
-		sum.SnapshotBytes = info.Size()
-		st, err = decodeSnapshot(f, net)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		sum.SnapshotDemands = len(st.Demands)
+	var wal File
+	if f, err := os.Open(filepath.Join(dir, walName)); err == nil {
+		defer f.Close()
+		wal = f
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.Open(filepath.Join(dir, walName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			fillSummary(sum, st)
-			return sum, nil
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sum.WALBytes = info.Size()
-	r := bufio.NewReader(f)
-	offset := int64(0)
-	for {
-		t, body, err := readRecord(r, offset, info.Size())
-		if err == io.EOF {
-			break
-		}
-		if err == errTorn {
-			sum.TornTail = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := applyRecord(st, net, t, body); err != nil {
-			return nil, &CorruptError{Offset: offset, Reason: err.Error()}
-		}
-		offset += 8 + 2 + int64(len(body))
-		sum.WALRecords++
-		sum.RecordsByType[t]++
-	}
-	deriveNextID(st)
-	fillSummary(sum, st)
-	return sum, nil
-}
-
-func fillSummary(sum *Summary, st *State) {
-	sum.Demands = len(st.Demands)
-	sum.NextID = st.NextID
-	sum.Epoch = st.Epoch
-	for _, down := range st.LinkDown {
-		if down {
-			sum.LinksDown++
-		}
-	}
-	for id := range st.Current {
-		if _, ok := st.Demands[id]; ok {
-			sum.AllocatedDemands++
-		}
-	}
+	_, sum, _, err := load(dir, net, wal)
+	return sum, err
 }

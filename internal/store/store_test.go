@@ -373,7 +373,7 @@ func TestOpenRejectsNilNetwork(t *testing.T) {
 func TestDeriveNextIDWraps(t *testing.T) {
 	st := NewState()
 	st.Demands[4095] = &demand.Demand{ID: 4095}
-	deriveNextID(st)
+	st.deriveNextID()
 	if st.NextID != 1 {
 		t.Fatalf("next id %d, want 1 (wrap past the 0 sentinel)", st.NextID)
 	}
