@@ -481,7 +481,7 @@ func BenchmarkClassesCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scenario.DefaultClassCache.Reset()
-		if _, _, err := scenario.CachedClassesFor(in.Net, nil, tunnels, 2); err != nil {
+		if _, _, err := scenario.DefaultClassCache.ClassesFor(in.Net, nil, tunnels, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -490,12 +490,12 @@ func BenchmarkClassesCold(b *testing.B) {
 func BenchmarkClassesWarm(b *testing.B) {
 	in := benchScheduleInput()
 	tunnels := in.AllTunnelsFor(in.Demands[0])
-	if _, _, err := scenario.CachedClassesFor(in.Net, nil, tunnels, 2); err != nil {
+	if _, _, err := scenario.DefaultClassCache.ClassesFor(in.Net, nil, tunnels, 2); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := scenario.CachedClassesFor(in.Net, nil, tunnels, 2); err != nil || !hit {
+		if _, hit, err := scenario.DefaultClassCache.ClassesFor(in.Net, nil, tunnels, 2); err != nil || !hit {
 			b.Fatalf("want warm cache hit, got hit=%v err=%v", hit, err)
 		}
 	}

@@ -69,8 +69,8 @@ func main() {
 	workloadIn := flag.String("workload", "", "load the workload from a JSON file instead of generating")
 	traceIn := flag.String("trace", "", "replay a link failure trace file (time mode)")
 	scenarioName := flag.String("scenario", "", "hostile scenario preset (overrides -workload/-trace/-rate and arms -audit-slo); one of: "+strings.Join(sim.ScenarioFamilies(), ", "))
-	scheduleIn := flag.String("schedule", "", "scenario schedule file (srlg/storm/maint/link lines): outages and storms feed the trace, risk groups the scheduler, maintenance windows the proactive drain (time mode)")
-	srlgFile := flag.String("srlg-file", "", "schedule file read for its srlg groups only: makes the scheduler and injector correlation-aware without scripting any outages (time mode)")
+	scheduleIn := flag.String("schedule", "", "scenario schedule file (srlg/storm/maint/link lines): outages and storms feed the trace, risk groups the failure model of admission, scheduling and the injector, maintenance windows the proactive drain (time mode)")
+	srlgFile := flag.String("srlg-file", "", "schedule file read for its srlg groups only: makes admission, scheduling, hardening and the injector correlation-aware without scripting any outages (time mode)")
 	srlgStorm := flag.Int("srlg-storm", 0, "generate N seeded SRLG storms over the loaded risk groups (requires -schedule, -srlg-file or -scenario; time mode)")
 	auditSLO := flag.Bool("audit-slo", false, "run the online SLO auditor, print the violation breakdown and refund exposure, and fail if the offline recomputation disagrees (time mode)")
 	workloadOut := flag.String("save-workload", "", "write the generated workload to a JSON file")
@@ -234,7 +234,6 @@ func main() {
 			noMaint.Maintenance = nil
 			cfg.Trace = append(cfg.Trace, noMaint.AllEvents()...)
 			cfg.RiskGroups = sched.Groups
-			cfg.TE.Groups = sched.Groups
 			cfg.Maintenance = sched.Maintenance
 			fmt.Printf("batesim: schedule: %d groups, %d storms, %d maintenance windows, %d trace events\n",
 				len(sched.Groups), len(sched.Storms), len(sched.Maintenance), len(cfg.Trace))

@@ -29,6 +29,30 @@ type Input struct {
 	// planned maintenance window). Scenario/availability machinery is
 	// unaffected: a drained link can still fail while it drains.
 	Drained []topo.LinkID
+	// Groups are the shared-risk link groups of the declared failure
+	// model (scenario.RiskGroup; nil is the paper's independent model).
+	// Every scenario-class lookup goes through Classes, so admission,
+	// scheduling, hardening and availability checks all see them.
+	Groups []scenario.RiskGroup
+}
+
+// WithDemands returns a copy of the input with the book replaced by
+// ds: same network, tunnels, drains and risk groups. Sub-problems
+// (one candidate demand, a partition region, a priority class) derive
+// their inputs this way so no per-network fact is dropped.
+func (in *Input) WithDemands(ds []*demand.Demand) *Input {
+	sub := *in
+	sub.Demands = ds
+	return &sub
+}
+
+// Classes returns demand d's tunnel-state classes under the input's
+// failure model — its network and risk groups, pruned at maxFail
+// concurrent failure units — memoized through
+// scenario.DefaultClassCache. The bool reports a cache hit. The slice
+// is shared and read-only.
+func (in *Input) Classes(d *demand.Demand, maxFail int) ([]scenario.Class, bool, error) {
+	return scenario.DefaultClassCache.ClassesFor(in.Net, in.Groups, in.AllTunnelsFor(d), maxFail)
 }
 
 // TunnelsFor returns the tunnels demand d may use on its pair with
@@ -200,19 +224,12 @@ func (a Allocation) CheckCapacity(in *Input, tol float64) error {
 }
 
 // AchievedAvailability computes the probability (over failure
-// scenarios with at most maxFail concurrent failures) that every pair
-// of demand d receives its full bandwidth — the Σ_{z qualified} p_z of
-// §3.1. Pruned scenarios count as unqualified.
+// scenarios with at most maxFail concurrent failure units, under the
+// input's risk groups) that every pair of demand d receives its full
+// bandwidth — the Σ_{z qualified} p_z of §3.1. Pruned scenarios count
+// as unqualified.
 func AchievedAvailability(in *Input, a Allocation, d *demand.Demand, maxFail int) (float64, error) {
-	return AchievedAvailabilityGroups(in, a, d, maxFail, nil)
-}
-
-// AchievedAvailabilityGroups is AchievedAvailability under the
-// correlated failure model: shared-risk link groups fail as units (see
-// scenario.RiskGroup). Nil groups reduce to the independent model.
-func AchievedAvailabilityGroups(in *Input, a Allocation, d *demand.Demand, maxFail int, groups []scenario.RiskGroup) (float64, error) {
-	tunnels := in.AllTunnelsFor(d)
-	classes, _, err := scenario.CachedClassesFor(in.Net, groups, tunnels, maxFail)
+	classes, _, err := in.Classes(d, maxFail)
 	if err != nil {
 		return 0, err
 	}
@@ -250,15 +267,14 @@ func classQualified(in *Input, a Allocation, d *demand.Demand, cls scenario.Clas
 }
 
 // RelaxedAvailability computes the Eq. 3-4 B-relaxed availability of
-// allocation a for demand d under independent failures: per
+// allocation a for demand d under the input's failure model: per
 // tunnel-state class, B = min over pairs of min(1, delivered/b), and
 // the result is Σ p_class · B. This is exactly the quantity the
 // scheduling LP constrains to be ≥ β_d, so verification of LP outputs
 // (e.g. the partitioned-scheduling property test) checks it rather
 // than the stricter all-or-nothing AchievedAvailability.
 func RelaxedAvailability(in *Input, a Allocation, d *demand.Demand, maxFail int) (float64, error) {
-	tunnels := in.AllTunnelsFor(d)
-	classes, _, err := scenario.CachedClassesFor(in.Net, nil, tunnels, maxFail)
+	classes, _, err := in.Classes(d, maxFail)
 	if err != nil {
 		return 0, err
 	}
@@ -290,17 +306,12 @@ func RelaxedAvailability(in *Input, a Allocation, d *demand.Demand, maxFail int)
 }
 
 // Satisfies reports whether the achieved availability of d meets its
-// target β_d under ≤maxFail-failure scenarios.
+// target β_d under ≤maxFail-unit scenarios of the input's failure model.
 func Satisfies(in *Input, a Allocation, d *demand.Demand, maxFail int) (bool, error) {
-	return SatisfiesGroups(in, a, d, maxFail, nil)
-}
-
-// SatisfiesGroups is Satisfies under the correlated failure model.
-func SatisfiesGroups(in *Input, a Allocation, d *demand.Demand, maxFail int, groups []scenario.RiskGroup) (bool, error) {
 	if d.Target <= 0 {
 		return true, nil // best-effort
 	}
-	av, err := AchievedAvailabilityGroups(in, a, d, maxFail, groups)
+	av, err := AchievedAvailability(in, a, d, maxFail)
 	if err != nil {
 		return false, err
 	}

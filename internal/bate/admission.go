@@ -10,7 +10,6 @@ import (
 	"bate/internal/demand"
 	"bate/internal/lp"
 	"bate/internal/routing"
-	"bate/internal/scenario"
 )
 
 // AdmissionMethod labels which step of the §3.2 strategy admitted a
@@ -47,7 +46,7 @@ type AdmissionResult struct {
 func AdmitFixed(in *alloc.Input, current alloc.Allocation, d *demand.Demand, maxFail int) (*AdmissionResult, error) {
 	start := time.Now()
 	residual := current.ResidualCapacities(in)
-	one := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: []*demand.Demand{d}}
+	one := in.WithDemands([]*demand.Demand{d})
 
 	solve := func(hard bool) ([][]float64, error) {
 		p := lp.NewProblem()
@@ -71,9 +70,9 @@ func AdmitFixed(in *alloc.Input, current alloc.Allocation, d *demand.Demand, max
 		}
 		var err error
 		if hard && d.Target > 0 {
-			err = addHardGuarantee(p, one, fv, d, maxFail, nil)
+			err = addHardGuarantee(p, one, fv, d, maxFail)
 		} else {
-			err = addAvailabilityAggregated(p, one, fv, maxFail)
+			err = addAvailabilityAggregated(p, one, fv, maxFail, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -154,7 +153,7 @@ func Conjecture(in *alloc.Input, demands []*demand.Demand) bool {
 						avail[ti] = false
 						continue
 					}
-					score := ct * t.Availability(in.Net)
+					score := ct * tunnelAvailability(in, t)
 					if score < bestScore {
 						bestScore = score
 						best = ti
@@ -169,7 +168,7 @@ func Conjecture(in *alloc.Input, demands []*demand.Demand) bool {
 					capRem[e] -= f
 				}
 				avail[best] = false // line 10: T' = T' \ t
-				sd *= t.Availability(in.Net)
+				sd *= tunnelAvailability(in, t)
 				need -= f
 			}
 		}
@@ -178,6 +177,23 @@ func Conjecture(in *alloc.Input, demands []*demand.Demand) bool {
 		}
 	}
 	return true
+}
+
+// tunnelAvailability is Alg. 1's per-tunnel availability p_t under the
+// input's failure model: the product of the tunnel's link up
+// probabilities, times (1 − p_g) for every risk group touching it. With
+// no groups it is routing.Tunnel.Availability.
+func tunnelAvailability(in *alloc.Input, t routing.Tunnel) float64 {
+	av := t.Availability(in.Net)
+	for _, g := range in.Groups {
+		for _, e := range g.Links {
+			if t.Uses(e) {
+				av *= 1 - g.Prob
+				break
+			}
+		}
+	}
+	return av
 }
 
 func bottleneck(capRem []float64, t routing.Tunnel) float64 {
@@ -261,7 +277,7 @@ func greedyFill(in *alloc.Input, capRem []float64, d *demand.Demand) [][]float64
 func AdmitOptimal(in *alloc.Input, admitted []*demand.Demand, d *demand.Demand, maxFail int) (*AdmissionResult, alloc.Allocation, error) {
 	start := time.Now()
 	all := append(append([]*demand.Demand(nil), admitted...), d)
-	full := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: all}
+	full := in.WithDemands(all)
 
 	p := lp.NewProblem()
 	p.SetMaximize()
@@ -316,7 +332,7 @@ func addQualifiedScenarioConstraints(p *lp.Problem, in *alloc.Input, fv alloc.Fl
 	if d.Target <= 0 {
 		return nil
 	}
-	classes, _, err := scenario.CachedClassesFor(in.Net, nil, in.AllTunnelsFor(d), maxFail)
+	classes, _, err := in.Classes(d, maxFail)
 	if err != nil {
 		return err
 	}

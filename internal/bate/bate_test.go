@@ -987,22 +987,32 @@ func TestScheduleWithRiskGroups(t *testing.T) {
 	}
 	// Correlated model: P(conduit up) ≈ 0.98 < 0.99 — no allocation
 	// can reach the target, so the hardened schedule must fail.
-	if _, err := ScheduleHard(in, ScheduleOptions{MaxFail: 2, Groups: groups}); err == nil {
+	grouped := in.WithDemands(in.Demands)
+	grouped.Groups = groups
+	if _, err := ScheduleHard(grouped, ScheduleOptions{MaxFail: 2}); err == nil {
 		t.Fatal("correlated schedule should be infeasible at 99%")
 	}
 	// A 95% target tolerates the conduit.
 	u1.Target = 0.95
-	a, err := ScheduleHard(in, ScheduleOptions{MaxFail: 2, Groups: groups})
+	a, err := ScheduleHard(grouped, ScheduleOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatalf("95%% correlated schedule: %v", err)
 	}
-	ok, err := alloc.SatisfiesGroups(in, a, u1, 2, groups)
+	ok, err := alloc.Satisfies(grouped, a, u1, 2)
 	if err != nil || !ok {
-		av, _ := alloc.AchievedAvailabilityGroups(in, a, u1, 2, groups)
+		av, _ := alloc.AchievedAvailability(grouped, a, u1, 2)
 		t.Fatalf("correlated satisfaction failed: achieved %v, err %v", av, err)
 	}
-	// Enumerated mode refuses groups.
-	if _, _, err := Schedule(in, ScheduleOptions{MaxFail: 1, Mode: Enumerated, Groups: groups}); err == nil {
-		t.Fatal("enumerated mode must reject groups")
+	// Enumerated and Aggregated objectives agree under groups at y = 1.
+	agg, _, err := Schedule(grouped, ScheduleOptions{MaxFail: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enum, _, err := Schedule(grouped, ScheduleOptions{MaxFail: 1, Mode: Enumerated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(agg.Total()-enum.Total()) > 1 {
+		t.Fatalf("grouped aggregated %v != enumerated %v", agg.Total(), enum.Total())
 	}
 }

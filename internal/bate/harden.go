@@ -16,33 +16,41 @@ import (
 // allocation a, and for any demand the relaxation over-promised it
 // re-solves the scheduling LP with explicit full-delivery constraints
 // on a greedily chosen qualified-class set (most probable classes
-// first until their mass reaches β_d).
+// first until their mass reaches β_d). The re-solve can move a demand
+// that still rides the relaxation below its target, so the check
+// repeats, flagging each newly weak demand, until every demand holds.
 //
 // It returns the original allocation when every demand already holds,
 // the hardened allocation otherwise, and lp.ErrInfeasible when no
-// hard-guarantee allocation exists for the demand set.
+// hard-guarantee allocation exists for the flagged demands.
 func Harden(in *alloc.Input, opts ScheduleOptions, a alloc.Allocation) (alloc.Allocation, error) {
 	if opts.MaxFail <= 0 {
 		opts.MaxFail = 2
 	}
-	var weak []*demand.Demand
-	for _, d := range in.Demands {
-		ok, err := alloc.SatisfiesGroups(in, a, d, opts.MaxFail, opts.Groups)
-		if err != nil {
+	hard := make(map[int]bool)
+	for {
+		weak := 0
+		for _, d := range in.Demands {
+			if hard[d.ID] {
+				continue
+			}
+			ok, err := alloc.Satisfies(in, a, d, opts.MaxFail)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				hard[d.ID] = true
+				weak++
+			}
+		}
+		if weak == 0 {
+			return a, nil
+		}
+		var err error
+		if a, err = scheduleHardened(in, opts, hard); err != nil {
 			return nil, err
 		}
-		if !ok {
-			weak = append(weak, d)
-		}
 	}
-	if len(weak) == 0 {
-		return a, nil
-	}
-	hard := make(map[int]bool, len(weak))
-	for _, d := range weak {
-		hard[d.ID] = true
-	}
-	return scheduleHardened(in, opts, hard)
 }
 
 // ScheduleHard runs Schedule and then Harden, returning a hard-
@@ -85,20 +93,20 @@ func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) 
 			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: pr.Bandwidth})
 		}
 	}
-	soft := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels}
+	var soft []*demand.Demand
 	for _, d := range in.Demands {
 		if !hard[d.ID] {
-			soft.Demands = append(soft.Demands, d)
+			soft = append(soft, d)
 		}
 	}
-	if err := addAvailabilityGroupedStats(p, soft, fv, opts.MaxFail, opts.Groups, nil); err != nil {
+	if err := addAvailabilityAggregated(p, in.WithDemands(soft), fv, opts.MaxFail, nil); err != nil {
 		return nil, err
 	}
 	for _, d := range in.Demands {
 		if !hard[d.ID] || d.Target <= 0 {
 			continue
 		}
-		if err := addHardGuarantee(p, in, fv, d, opts.MaxFail, opts.Groups); err != nil {
+		if err := addHardGuarantee(p, in, fv, d, opts.MaxFail); err != nil {
 			return nil, err
 		}
 	}
@@ -113,8 +121,8 @@ func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) 
 // tunnel-state classes until their cumulative probability reaches the
 // demand's target. Returns lp.ErrInfeasible if even the total class
 // mass under the pruning depth cannot reach the target.
-func addHardGuarantee(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, d *demand.Demand, maxFail int, groups []scenario.RiskGroup) error {
-	cached, _, err := scenario.CachedClassesFor(in.Net, groups, in.AllTunnelsFor(d), maxFail)
+func addHardGuarantee(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, d *demand.Demand, maxFail int) error {
+	cached, _, err := in.Classes(d, maxFail)
 	if err != nil {
 		return err
 	}

@@ -44,14 +44,11 @@ const (
 // ScheduleOptions tunes the traffic-scheduling LP (Eq. 7).
 type ScheduleOptions struct {
 	// MaxFail is the pruning depth y: at most this many concurrent
-	// link failures are modeled; everything beyond is the aggregated
-	// unqualified residual (Fig. 3). The paper sweeps 1..4.
+	// failure units (links, and the Input's risk groups) are modeled;
+	// everything beyond is the aggregated unqualified residual
+	// (Fig. 3). The paper sweeps 1..4.
 	MaxFail int
 	Mode    ScheduleMode
-	// Groups are shared-risk link groups (correlated failures), an
-	// extension beyond the paper's independence assumption (§3.1
-	// footnote 3). Only the Aggregated mode supports them.
-	Groups []scenario.RiskGroup
 	// Engine selects the LP engine. The zero value (lp.EngineAuto)
 	// keeps the dense reference tableau in the one-shot Schedule and
 	// means lp.EngineRevised in Scheduler and Harden; lp.EngineRevised
@@ -258,9 +255,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps 
 	var err error
 	switch {
 	case opts.Mode == Aggregated:
-		err = addAvailabilityGroupedStats(p, in, fv, opts.MaxFail, opts.Groups, stats)
-	case opts.Mode == Enumerated && len(opts.Groups) > 0:
-		err = fmt.Errorf("bate: risk groups require the Aggregated mode")
+		err = addAvailabilityAggregated(p, in, fv, opts.MaxFail, stats)
 	case opts.Mode == Enumerated:
 		err = addAvailabilityEnumerated(p, in, fv, opts.MaxFail)
 	default:
@@ -328,21 +323,15 @@ func availabilityBonus(d *demand.Demand) float64 {
 }
 
 // addAvailabilityAggregated adds Eq. 3-4 using per-demand tunnel-state
-// classes: one B variable per (demand, class), B ∈ [0,1],
-// delivered_{k,class} ≥ b_k·B, and Σ p_class·B ≥ β_d.
-func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int) error {
-	return addAvailabilityGroupedStats(p, in, fv, maxFail, nil, nil)
-}
-
-// addAvailabilityGroupedStats is the aggregated formulation under the
-// correlated (SRLG) failure model; nil groups are the independent
-// case. The expensive pieces — scenario-class computation (memoized)
-// and constraint-row construction — fan out over demands on the
-// parallel pool; variables and constraints are then installed
+// classes under the input's failure model: one B variable per (demand,
+// class), B ∈ [0,1], delivered_{k,class} ≥ b_k·B, and
+// Σ p_class·B ≥ β_d. The expensive pieces — scenario-class computation
+// (memoized) and constraint-row construction — fan out over demands on
+// the parallel pool; variables and constraints are then installed
 // serially in the exact order the serial assembly used, so the LP
 // (and therefore the simplex pivot sequence and the solution bytes)
 // is identical at any worker count. stats may be nil.
-func addAvailabilityGroupedStats(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int, groups []scenario.RiskGroup, stats *ScheduleStats) error {
+func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int, stats *ScheduleStats) error {
 	targeted := make([]*demand.Demand, 0, len(in.Demands))
 	for _, d := range in.Demands {
 		if d.Target > 0 {
@@ -364,7 +353,7 @@ func addAvailabilityGroupedStats(p *lp.Problem, in *alloc.Input, fv alloc.FlowVa
 
 	// Phase 1: scenario classes per demand, concurrent and memoized.
 	err := pool.ForEach(ctx, len(targeted), func(i int) error {
-		classes, hit, err := scenario.CachedClassesFor(in.Net, groups, in.AllTunnelsFor(targeted[i]), maxFail)
+		classes, hit, err := in.Classes(targeted[i], maxFail)
 		if err != nil {
 			return fmt.Errorf("bate: classes for demand %d: %w", targeted[i].ID, err)
 		}
@@ -450,13 +439,13 @@ func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Clas
 }
 
 // addAvailabilityEnumerated adds Eq. 3-4 with one B variable per
-// explicit pruned scenario, following the paper's formulation
-// verbatim. Exponentially larger but numerically identical to the
-// aggregated form. Like the aggregated path, row construction fans
-// out over demands while variables and rows are installed serially in
-// the original order.
+// explicit pruned scenario of the input's failure model, following the
+// paper's formulation verbatim. Exponentially larger but numerically
+// identical to the aggregated form. Like the aggregated path, row
+// construction fans out over demands while variables and rows are
+// installed serially in the original order.
 func addAvailabilityEnumerated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int) error {
-	set, err := scenario.Enumerate(in.Net, maxFail)
+	set, err := scenario.Enumerate(in.Net, in.Groups, maxFail)
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func AdmitTimeline(in *alloc.Input, booked []*demand.Demand, d *demand.Demand) (
 				active = append(active, b)
 			}
 		}
-		win := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: active}
+		win := in.WithDemands(active)
 		if !Conjecture(win, active) {
 			dec.Admitted = false
 			dec.BlockingInterval = [2]float64{lo, hi}

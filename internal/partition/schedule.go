@@ -157,7 +157,7 @@ func Schedule(in *alloc.Input, opts Options, solve SubSolver, st *State) (*Resul
 	coordLB := 0.0
 	var coordAlloc alloc.Allocation
 	if len(groups.Cross) > 0 {
-		coordIn := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: groups.Cross}
+		coordIn := in.WithDemands(groups.Cross)
 		res, err := solve(coordIn, full, st.coordBasis)
 		if err != nil {
 			if errors.Is(err, lp.ErrInfeasible) {
@@ -191,7 +191,7 @@ func Schedule(in *alloc.Input, opts Options, solve SubSolver, st *State) (*Resul
 		if len(groups.Intra[r]) == 0 {
 			return nil
 		}
-		sub := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: groups.Intra[r]}
+		sub := in.WithDemands(groups.Intra[r])
 		res, err := solve(sub, residual, st.regionBases[r])
 		if err != nil {
 			return fmt.Errorf("region %d: %w", r, err)

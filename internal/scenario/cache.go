@@ -16,9 +16,11 @@ import (
 // every availability audit recomputes the tunnel-state classes of each
 // demand, yet between rounds the inputs — topology, failure
 // probabilities, tunnel sets, pruning depth — almost never change.
-// ClassCache memoizes ClassesForCorrelated keyed by a fingerprint of
+// ClassCache memoizes the class computation keyed by a fingerprint of
 // exactly those inputs, so repeated rounds hit a lock-guarded map
-// lookup instead of the exponential subset enumeration.
+// lookup instead of the exponential subset enumeration. Production
+// code reaches it through alloc.Input.Classes, which supplies the
+// network and risk groups from the Input itself.
 //
 // Cached class slices are shared between callers and MUST be treated
 // as read-only; every consumer in this repo only iterates them.
@@ -29,7 +31,7 @@ var (
 	cacheEvicts = metrics.NewCounter("scenario.class_cache.evictions")
 )
 
-// classKey fingerprints one ClassesForCorrelated call. The 128-bit
+// classKey fingerprints one class computation. The 128-bit
 // FNV digests make accidental collisions between distinct topologies
 // or tunnel sets vanishingly unlikely.
 type classKey struct {
@@ -101,7 +103,7 @@ func NewClassCache(max int) *ClassCache {
 	return &ClassCache{entries: make(map[classKey][]Class), max: max}
 }
 
-// DefaultClassCache is the process-wide cache used by CachedClassesFor.
+// DefaultClassCache is the process-wide cache behind alloc.Input.Classes.
 var DefaultClassCache = NewClassCache(0)
 
 // ClassesFor returns the tunnel-state classes for the inputs,
@@ -117,7 +119,7 @@ func (c *ClassCache) ClassesFor(net *topo.Network, groups []RiskGroup, tunnels [
 		return classes, true, nil
 	}
 	cacheMisses.Inc()
-	classes, err := ClassesForCorrelated(net, groups, tunnels, maxFail)
+	classes, err := classesFor(net, groups, tunnels, maxFail)
 	if err != nil {
 		return nil, false, err // errors are cheap to rediscover; don't cache
 	}
@@ -146,13 +148,6 @@ func (c *ClassCache) Reset() {
 	c.mu.Lock()
 	c.entries = make(map[classKey][]Class)
 	c.mu.Unlock()
-}
-
-// CachedClassesFor is ClassesForCorrelated memoized through the
-// process-wide DefaultClassCache. The returned slice is shared and
-// read-only; the bool reports a cache hit.
-func CachedClassesFor(net *topo.Network, groups []RiskGroup, tunnels []routing.Tunnel, maxFail int) ([]Class, bool, error) {
-	return DefaultClassCache.ClassesFor(net, groups, tunnels, maxFail)
 }
 
 // CacheStats reports the process-wide class-cache counters.

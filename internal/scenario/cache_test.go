@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"bate/internal/parallel"
 	"bate/internal/routing"
 	"bate/internal/topo"
 )
@@ -94,7 +95,7 @@ func TestClassCacheDistinguishesFailProbs(t *testing.T) {
 	if hit {
 		t.Fatal("different fail probs hit the cache")
 	}
-	want, err := ClassesForCorrelated(net2, nil, tunnels2, 2)
+	want, err := classesFor(net2, nil, tunnels2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestClassCacheEviction(t *testing.T) {
 // run with -race.
 func TestClassCacheConcurrent(t *testing.T) {
 	net, tunnels := cacheTestNet(t)
-	want, err := ClassesForCorrelated(net, nil, tunnels, 2)
+	want, err := classesFor(net, nil, tunnels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,46 @@ func TestEnumerateParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("test topology too small: %d scenarios", c)
 	}
 
-	got, err := Enumerate(net, 2)
+	got, err := Enumerate(net, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := enumerateSerialReference(net, 2)
+	assertSameSet(t, got, enumerateSerialReference(net, 2))
+	if math.Abs(got.Residual) > 1 {
+		t.Fatalf("implausible residual %v", got.Residual)
+	}
+	// Below the fan-out threshold the serial path must match too: with
+	// no groups the unit walk is exactly the link walk.
+	small := topo.Testbed()
+	for y := 0; y <= 3; y++ {
+		got, err := Enumerate(small, nil, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSet(t, got, enumerateSerialReference(small, y))
+	}
+
+	// With groups, the fan-out (one task per first unit, groups
+	// included) merges to the same bytes as a one-worker walk.
+	groups := []RiskGroup{
+		{Name: "a", Links: []topo.LinkID{0, 1, 7}, Prob: 2e-3},
+		{Name: "b", Links: []topo.LinkID{7, 40}, Prob: 5e-4},
+	}
+	parallel.SetDefaultSize(1)
+	serial, err := Enumerate(net, groups, 2)
+	parallel.SetDefaultSize(4)
+	fanned, err2 := Enumerate(net, groups, 2)
+	parallel.SetDefaultSize(0)
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	assertSameSet(t, fanned, serial)
+}
+
+// assertSameSet fails unless got and want hold the same scenarios, in
+// the same order, with bit-identical probabilities and residual.
+func assertSameSet(t *testing.T, got, want *Set) {
+	t.Helper()
 	if len(got.Scenarios) != len(want.Scenarios) {
 		t.Fatalf("got %d scenarios, want %d", len(got.Scenarios), len(want.Scenarios))
 	}
@@ -236,9 +272,6 @@ func TestEnumerateParallelMatchesSerial(t *testing.T) {
 	}
 	if got.Residual != want.Residual {
 		t.Fatalf("residual %v != %v", got.Residual, want.Residual)
-	}
-	if math.Abs(got.Residual) > 1 {
-		t.Fatalf("implausible residual %v", got.Residual)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Example enumerates the pruned failure-scenario set of the toy WAN.
 func Example() {
 	n := topo.Toy()
-	set, err := scenario.Enumerate(n, 1) // at most 1 concurrent failure
+	set, err := scenario.Enumerate(n, nil, 1) // at most 1 concurrent failure, no risk groups
 	if err != nil {
 		panic(err)
 	}
@@ -22,14 +22,14 @@ func Example() {
 	// all-up probability 0.9198
 }
 
-// ExampleClassesFor aggregates scenarios into tunnel-state classes —
-// the trick that keeps BATE's scheduling LP small.
-func ExampleClassesFor() {
+// ExampleClassCache_ClassesFor aggregates scenarios into tunnel-state
+// classes — the trick that keeps BATE's scheduling LP small.
+func ExampleClassCache_ClassesFor() {
 	n := topo.Toy()
 	dc1, _ := n.NodeByName("DC1")
 	dc4, _ := n.NodeByName("DC4")
 	tunnels := routing.YenKSP(n, dc1, dc4, 2)
-	classes, err := scenario.ClassesFor(n, tunnels, 2)
+	classes, _, err := scenario.NewClassCache(0).ClassesFor(n, nil, tunnels, 2)
 	if err != nil {
 		panic(err)
 	}

@@ -1,14 +1,16 @@
 // Package scenario models network failure scenarios (§3.1): a
 // scenario is a set of simultaneously failed links with probability
-// p_z = Π z_i(1-x_i) + (1-z_i)x_i under independent link failures.
+// p_z = Π z_i(1-x_i) + (1-z_i)x_i under independent link failures,
+// optionally extended with shared-risk link groups that fail as one
+// unit (see RiskGroup).
 //
 // BATE prunes the exponential scenario space by considering at most y
-// concurrent link failures and aggregating everything else into one
+// concurrent failures and aggregating everything else into one
 // unqualified residual scenario (Fig. 3). This package provides both
-// an explicit enumeration of the pruned set (used by failure recovery,
-// FFC, and the paper-faithful LP of Fig. 16/17) and an exact analytic
-// aggregation of scenarios into tunnel-state classes (used by the fast
-// scheduling LP; see DESIGN.md).
+// an explicit enumeration of the pruned set (the paper-faithful LP of
+// Fig. 16/17) and an exact analytic aggregation of scenarios into
+// tunnel-state classes, memoized by ClassCache (the fast scheduling
+// LP; see DESIGN.md).
 package scenario
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"bate/internal/parallel"
@@ -47,7 +50,7 @@ func (s Scenario) TunnelUp(t routing.Tunnel) bool {
 }
 
 // Set is a pruned scenario set: all scenarios with at most MaxFail
-// concurrent link failures, plus the aggregated residual probability
+// concurrent failure units, plus the aggregated residual probability
 // of every pruned (and therefore unqualified) scenario.
 type Set struct {
 	Net       *topo.Network
@@ -62,82 +65,128 @@ type Set struct {
 const MaxEnumerated = 2_000_000
 
 // Enumerate returns the pruned scenario set with at most maxFail
-// concurrent link failures. Scenario 0 is always the all-up scenario.
+// failure units down at once: every link is a unit, and so is every
+// risk group, which takes all of its links down together. Scenario 0
+// is always the all-up scenario. With groups, one down-link set can
+// arise from several unit combinations (a link alone, or inside its
+// group); those merge into one scenario, kept at its first position.
 //
 // Large sets are enumerated in parallel, fanned out over the subtrees
-// rooted at each first-failed link. The decomposition is exact: the
+// rooted at each first-failed unit. The decomposition is exact: the
 // serial depth-first order emits the all-up scenario followed by the
-// subtree of scenarios whose smallest down link is e, for e ascending,
+// subtree of scenarios whose smallest down unit is u, for u ascending,
 // and every scenario's probability is the same product chain either
 // way — so the output is byte-identical at any worker count.
-func Enumerate(net *topo.Network, maxFail int) (*Set, error) {
+func Enumerate(net *topo.Network, groups []RiskGroup, maxFail int) (*Set, error) {
 	if maxFail < 0 {
 		return nil, fmt.Errorf("scenario: negative maxFail %d", maxFail)
 	}
-	count := Count(net.NumLinks(), maxFail)
-	if count > MaxEnumerated {
-		return nil, fmt.Errorf("scenario: %d scenarios exceed limit %d (links=%d, y=%d)",
-			count, MaxEnumerated, net.NumLinks(), maxFail)
+	if err := validateGroups(net, groups); err != nil {
+		return nil, err
 	}
-	links := net.Links()
+	probs := unitProbs(net, groups)
+	count := Count(len(probs), maxFail)
+	if count > MaxEnumerated {
+		return nil, fmt.Errorf("scenario: %d scenarios exceed limit %d (links=%d, groups=%d, y=%d)",
+			count, MaxEnumerated, net.NumLinks(), len(groups), maxFail)
+	}
 	allUp := 1.0
-	odds := make([]float64, len(links)) // x_e / (1-x_e)
-	for i, l := range links {
-		allUp *= 1 - l.FailProb
-		odds[i] = l.FailProb / (1 - l.FailProb)
+	odds := make([]float64, len(probs)) // x_u / (1-x_u)
+	for i, x := range probs {
+		allUp *= 1 - x
+		odds[i] = x / (1 - x)
+	}
+	nLinks := net.NumLinks()
+	// downLinks maps ascending down units to the sorted down-link set.
+	// Link units come first with unit index = link id, so without groups
+	// the set is already sorted.
+	downLinks := func(down []int) []topo.LinkID {
+		var out []topo.LinkID
+		for _, u := range down {
+			if u < nLinks {
+				out = append(out, topo.LinkID(u))
+			} else {
+				out = append(out, groups[u-nLinks].Links...)
+			}
+		}
+		if len(groups) > 0 {
+			slices.Sort(out)
+			out = slices.Compact(out)
+		}
+		return out
 	}
 
-	// subtree enumerates every scenario whose down set starts with
-	// prefix (depth-first, ascending link ids), appending to out.
-	subtree := func(prefix []topo.LinkID, prob float64, out *[]Scenario) {
-		var down []topo.LinkID
-		down = append(down, prefix...)
+	// subtree enumerates every scenario whose smallest down unit is
+	// first (first < 0: the whole tree), depth-first in ascending unit
+	// order, appending to out.
+	subtree := func(first int, prob float64, out *[]Scenario) {
+		var down []int
 		var rec func(start int, prob float64)
 		rec = func(start int, prob float64) {
-			*out = append(*out, Scenario{Down: append([]topo.LinkID(nil), down...), Prob: prob})
+			*out = append(*out, Scenario{Down: downLinks(down), Prob: prob})
 			if len(down) == maxFail {
 				return
 			}
-			for i := start; i < len(links); i++ {
-				down = append(down, topo.LinkID(i))
+			for i := start; i < len(probs); i++ {
+				down = append(down, i)
 				rec(i+1, prob*odds[i])
 				down = down[:len(down)-1]
 			}
 		}
-		start := 0
-		if len(prefix) > 0 {
-			start = int(prefix[len(prefix)-1]) + 1
+		if first < 0 {
+			rec(0, prob)
+			return
 		}
-		rec(start, prob)
+		down = append(down, first)
+		rec(first+1, prob)
 	}
 
-	set := &Set{Net: net, MaxFail: maxFail}
+	var scenarios []Scenario
 	pool := parallel.Default()
 	if maxFail == 0 || count < parallelEnumerateThreshold || pool.Size() <= 1 {
-		subtree(nil, allUp, &set.Scenarios)
+		subtree(-1, allUp, &scenarios)
 	} else {
-		// Root scenario first, then one fan-out task per first link.
-		set.Scenarios = append(set.Scenarios, Scenario{Prob: allUp})
-		buckets := make([][]Scenario, len(links))
-		err := pool.ForEach(context.Background(), len(links), func(i int) error {
-			subtree([]topo.LinkID{topo.LinkID(i)}, allUp*odds[i], &buckets[i])
+		// Root scenario first, then one fan-out task per first unit.
+		scenarios = append(scenarios, Scenario{Prob: allUp})
+		buckets := make([][]Scenario, len(probs))
+		err := pool.ForEach(context.Background(), len(probs), func(i int) error {
+			subtree(i, allUp*odds[i], &buckets[i])
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		for _, b := range buckets {
-			set.Scenarios = append(set.Scenarios, b...)
+			scenarios = append(scenarios, b...)
 		}
 	}
-	// Sum serially over the final slice so Residual is bit-identical
+	// Sum serially over the unmerged slice so Residual is bit-identical
 	// to the serial enumeration regardless of worker count.
 	total := 0.0
-	for _, sc := range set.Scenarios {
+	for _, sc := range scenarios {
 		total += sc.Prob
 	}
-	set.Residual = math.Max(0, 1-total)
-	return set, nil
+	if len(groups) > 0 {
+		scenarios = mergeByDownSet(scenarios)
+	}
+	return &Set{Net: net, MaxFail: maxFail, Scenarios: scenarios, Residual: math.Max(0, 1-total)}, nil
+}
+
+// mergeByDownSet folds scenarios with identical down-link sets into the
+// first one seen, summing probabilities in slice order.
+func mergeByDownSet(scenarios []Scenario) []Scenario {
+	index := make(map[string]int, len(scenarios))
+	out := make([]Scenario, 0, len(scenarios))
+	for _, sc := range scenarios {
+		key := fmt.Sprint(sc.Down)
+		if i, ok := index[key]; ok {
+			out[i].Prob += sc.Prob
+			continue
+		}
+		index[key] = len(out)
+		out = append(out, sc)
+	}
+	return out
 }
 
 // parallelEnumerateThreshold is the scenario count below which the
@@ -178,123 +227,6 @@ func (c Class) AllUp(n int) bool { return c.UpMask == (uint64(1)<<n)-1 }
 
 // TunnelUp reports whether tunnel i is up in the class.
 func (c Class) TunnelUp(i int) bool { return c.UpMask&(1<<uint(i)) != 0 }
-
-// ClassesFor computes, exactly and without enumerating the full
-// scenario space, the probability of every tunnel-up/down combination
-// among the given tunnels, restricted to scenarios with at most
-// maxFail total link failures. Scenarios beyond maxFail contribute to
-// no class (they are the pruned residual). At most 63 tunnels are
-// supported.
-//
-// This is exact because a scenario's effect on the tunnels depends
-// only on the states of the links the tunnels traverse; for each
-// assignment S of those "relevant" links we multiply by the
-// Poisson-binomial probability that the remaining links suffer at most
-// maxFail-|S| failures.
-func ClassesFor(net *topo.Network, tunnels []routing.Tunnel, maxFail int) ([]Class, error) {
-	if len(tunnels) > 63 {
-		return nil, fmt.Errorf("scenario: %d tunnels exceed the 63-tunnel class limit", len(tunnels))
-	}
-	// Relevant links, deduplicated, in id order.
-	relSet := make(map[topo.LinkID]bool)
-	for _, t := range tunnels {
-		for _, e := range t.Links {
-			relSet[e] = true
-		}
-	}
-	rel := make([]topo.LinkID, 0, len(relSet))
-	for e := range relSet {
-		rel = append(rel, e)
-	}
-	sort.Slice(rel, func(i, j int) bool { return rel[i] < rel[j] })
-	if len(rel) > 30 {
-		return nil, fmt.Errorf("scenario: %d relevant links exceed the 2^30 subset limit", len(rel))
-	}
-
-	// Tail DP: prob of at most m failures among the non-relevant links.
-	tail := atMostFailures(net, relSet, maxFail)
-
-	// Tunnel masks over relevant links.
-	relIndex := make(map[topo.LinkID]int, len(rel))
-	for i, e := range rel {
-		relIndex[e] = i
-	}
-	tunMask := make([]uint32, len(tunnels)) // bit j ↔ relevant link j used
-	for i, t := range tunnels {
-		for _, e := range t.Links {
-			tunMask[i] |= 1 << uint(relIndex[e])
-		}
-	}
-
-	probs := make(map[uint64]float64)
-	nRel := len(rel)
-	// Enumerate down-subsets of relevant links with |S| <= maxFail.
-	var downIdx []int
-	var rec func(start int, prob float64)
-	base := 1.0
-	for _, e := range rel {
-		base *= 1 - net.Link(e).FailProb
-	}
-	odds := make([]float64, nRel)
-	for i, e := range rel {
-		odds[i] = net.Link(e).FailProb / (1 - net.Link(e).FailProb)
-	}
-	rec = func(start int, prob float64) {
-		var downMask uint32
-		for _, i := range downIdx {
-			downMask |= 1 << uint(i)
-		}
-		var up uint64
-		for i := range tunnels {
-			if tunMask[i]&downMask == 0 {
-				up |= 1 << uint(i)
-			}
-		}
-		budget := maxFail - len(downIdx)
-		probs[up] += prob * tail[budget]
-		if len(downIdx) == maxFail {
-			return
-		}
-		for i := start; i < nRel; i++ {
-			downIdx = append(downIdx, i)
-			rec(i+1, prob*odds[i])
-			downIdx = downIdx[:len(downIdx)-1]
-		}
-	}
-	rec(0, base)
-
-	classes := make([]Class, 0, len(probs))
-	for m, p := range probs {
-		classes = append(classes, Class{UpMask: m, Prob: p})
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i].UpMask > classes[j].UpMask })
-	return classes, nil
-}
-
-// atMostFailures returns tail[m] = P(at most m of the links outside
-// exclude fail), for m = 0..maxFail, via a Poisson-binomial DP.
-func atMostFailures(net *topo.Network, exclude map[topo.LinkID]bool, maxFail int) []float64 {
-	// dp[j] = P(exactly j failures so far), truncated at maxFail.
-	dp := make([]float64, maxFail+1)
-	dp[0] = 1
-	for _, l := range net.Links() {
-		if exclude[l.ID] {
-			continue
-		}
-		x := l.FailProb
-		for j := maxFail; j >= 1; j-- {
-			dp[j] = dp[j]*(1-x) + dp[j-1]*x
-		}
-		dp[0] *= 1 - x
-	}
-	tail := make([]float64, maxFail+1)
-	sum := 0.0
-	for m := 0; m <= maxFail; m++ {
-		sum += dp[m]
-		tail[m] = sum
-	}
-	return tail
-}
 
 // Weibull samples from a Weibull distribution with shape k and scale
 // lambda: λ·(-ln U)^(1/k).

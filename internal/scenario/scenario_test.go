@@ -12,7 +12,7 @@ import (
 
 func TestEnumerateToy(t *testing.T) {
 	n := topo.Toy() // 8 links
-	set, err := Enumerate(n, 1)
+	set, err := Enumerate(n, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEnumerateToy(t *testing.T) {
 func TestEnumerateCountsMatch(t *testing.T) {
 	n := topo.Testbed() // 16 links
 	for y := 0; y <= 3; y++ {
-		set, err := Enumerate(n, y)
+		set, err := Enumerate(n, nil, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +72,10 @@ func TestCount(t *testing.T) {
 }
 
 func TestEnumerateLimits(t *testing.T) {
-	if _, err := Enumerate(topo.ATT(), 4); err == nil {
+	if _, err := Enumerate(topo.ATT(), nil, 4); err == nil {
 		t.Fatal("expected limit error for ATT y=4")
 	}
-	if _, err := Enumerate(topo.Toy(), -1); err == nil {
+	if _, err := Enumerate(topo.Toy(), nil, -1); err == nil {
 		t.Fatal("expected error for negative maxFail")
 	}
 }
@@ -108,7 +108,7 @@ func TestLinkAndTunnelUp(t *testing.T) {
 // brute-force streaming over the enumerated scenario set.
 func classesByEnumeration(t *testing.T, n *topo.Network, tunnels []routing.Tunnel, y int) map[uint64]float64 {
 	t.Helper()
-	set, err := Enumerate(n, y)
+	set, err := Enumerate(n, nil, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestClassesForMatchesEnumeration(t *testing.T) {
 		tunnels := routing.YenKSP(n, dc1, dc4, 4)
 		for y := 0; y <= 3; y++ {
 			want := classesByEnumeration(t, n, tunnels, y)
-			classes, err := ClassesFor(n, tunnels, y)
+			classes, err := classesFor(n, nil, tunnels, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestClassesForB4DeepPruning(t *testing.T) {
 	// must still be instant and sum to P(<=4 failures).
 	n := topo.B4()
 	tunnels := routing.YenKSP(n, 0, 7, 4)
-	classes, err := ClassesFor(n, tunnels, 4)
+	classes, err := classesFor(n, nil, tunnels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestClassesForB4DeepPruning(t *testing.T) {
 	for _, c := range classes {
 		sum += c.Prob
 	}
-	tail := atMostFailures(n, map[topo.LinkID]bool{}, 4)
+	tail := atMostFailures(unitProbs(n, nil), 4)
 	if math.Abs(sum-tail[4]) > 1e-9 {
 		t.Fatalf("classes sum %v != P(<=4 failures) %v", sum, tail[4])
 	}
@@ -203,7 +203,7 @@ func TestClassesForErrors(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		many = append(many, paths[0])
 	}
-	if _, err := ClassesFor(n, many, 1); err == nil {
+	if _, err := classesFor(n, nil, many, 1); err == nil {
 		t.Fatal("expected tunnel-count error")
 	}
 }
@@ -243,7 +243,7 @@ func TestAtMostFailuresUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := atMostFailures(n, map[topo.LinkID]bool{}, 1)
+	tail := atMostFailures(unitProbs(n, nil), 1)
 	want := (1.0 + 8.0) / 256.0
 	if math.Abs(tail[1]-want) > 1e-12 {
 		t.Fatalf("tail[1] = %v, want %v", tail[1], want)
@@ -284,7 +284,7 @@ func TestClassesForMatchesEnumerationRandom(t *testing.T) {
 			continue
 		}
 		for y := 1; y <= 2; y++ {
-			classes, err := ClassesFor(n, tunnels, y)
+			classes, err := classesFor(n, nil, tunnels, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestClassesMonotoneInDepth(t *testing.T) {
 	prev := make(map[uint64]float64)
 	prevTotal := 0.0
 	for y := 0; y <= 4; y++ {
-		classes, err := ClassesFor(n, tunnels, y)
+		classes, err := classesFor(n, nil, tunnels, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,11 +334,11 @@ func TestClassesMonotoneInDepth(t *testing.T) {
 	}
 }
 
-func TestEnumerateCorrelated(t *testing.T) {
+func TestEnumerateGroups(t *testing.T) {
 	n := topo.Toy()
 	// The two directions of the DC1-DC2 fiber share a conduit.
 	group := RiskGroup{Name: "conduit", Links: []topo.LinkID{0, 1}, Prob: 0.01}
-	set, err := EnumerateCorrelated(n, []RiskGroup{group}, 1)
+	set, err := Enumerate(n, []RiskGroup{group}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +370,12 @@ func TestEnumerateCorrelated(t *testing.T) {
 	}
 }
 
-func TestEnumerateCorrelatedMerging(t *testing.T) {
+func TestEnumerateGroupsMerging(t *testing.T) {
 	// With maxFail 2, link-0-down can arise alone or inside the group;
 	// identical down sets must merge into one scenario.
 	n := topo.Toy()
 	group := RiskGroup{Name: "g", Links: []topo.LinkID{0, 1}, Prob: 0.01}
-	set, err := EnumerateCorrelated(n, []RiskGroup{group}, 2)
+	set, err := Enumerate(n, []RiskGroup{group}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestEnumerateCorrelatedMerging(t *testing.T) {
 	}
 }
 
-func TestEnumerateCorrelatedValidation(t *testing.T) {
+func TestEnumerateGroupsValidation(t *testing.T) {
 	n := topo.Toy()
 	cases := []RiskGroup{
 		{Name: "bad-prob", Links: []topo.LinkID{0}, Prob: 1.5},
@@ -411,44 +411,18 @@ func TestEnumerateCorrelatedValidation(t *testing.T) {
 		{Name: "bad-link", Links: []topo.LinkID{99}, Prob: 0.1},
 	}
 	for _, g := range cases {
-		if _, err := EnumerateCorrelated(n, []RiskGroup{g}, 1); err == nil {
+		if _, err := Enumerate(n, []RiskGroup{g}, 1); err == nil {
 			t.Errorf("group %q: expected error", g.Name)
 		}
 	}
-	if _, err := EnumerateCorrelated(n, nil, -1); err == nil {
+	if _, err := Enumerate(n, nil, -1); err == nil {
 		t.Error("expected negative maxFail error")
 	}
 }
 
-// Without groups, the correlated enumeration degenerates to the
-// independent one.
-func TestEnumerateCorrelatedDegenerate(t *testing.T) {
-	n := topo.Testbed()
-	indep, err := Enumerate(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corr, err := EnumerateCorrelated(n, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(indep.Scenarios) != len(corr.Scenarios) {
-		t.Fatalf("%d vs %d scenarios", len(indep.Scenarios), len(corr.Scenarios))
-	}
-	want := make(map[string]float64)
-	for _, sc := range indep.Scenarios {
-		want[fmt.Sprint(sc.Down)] = sc.Prob
-	}
-	for _, sc := range corr.Scenarios {
-		if math.Abs(want[fmt.Sprint(sc.Down)]-sc.Prob) > 1e-12 {
-			t.Fatalf("scenario %v prob mismatch", sc.Down)
-		}
-	}
-}
-
-// Correlated class aggregation must match brute force over the
-// correlated scenario set.
-func TestClassesForCorrelatedMatchesEnumeration(t *testing.T) {
+// Class aggregation under risk groups must match brute force over the
+// grouped scenario set.
+func TestClassesForGroupsMatchesEnumeration(t *testing.T) {
 	n := topo.Toy()
 	dc1, _ := n.NodeByName("DC1")
 	dc4, _ := n.NodeByName("DC4")
@@ -458,7 +432,7 @@ func TestClassesForCorrelatedMatchesEnumeration(t *testing.T) {
 		{Name: "conduit34", Links: []topo.LinkID{4, 5}, Prob: 0.005},
 	}
 	for y := 1; y <= 2; y++ {
-		set, err := EnumerateCorrelated(n, groups, y)
+		set, err := Enumerate(n, groups, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +446,7 @@ func TestClassesForCorrelatedMatchesEnumeration(t *testing.T) {
 			}
 			want[mask] += sc.Prob
 		}
-		classes, err := ClassesForCorrelated(n, groups, tunnels, y)
+		classes, err := classesFor(n, groups, tunnels, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,33 +457,6 @@ func TestClassesForCorrelatedMatchesEnumeration(t *testing.T) {
 		for mask, p := range want {
 			if math.Abs(got[mask]-p) > 1e-12 {
 				t.Fatalf("y=%d mask %b: got %v want %v", y, mask, got[mask], p)
-			}
-		}
-	}
-}
-
-// With no groups, the correlated aggregation equals the independent one.
-func TestClassesForCorrelatedDegenerate(t *testing.T) {
-	n := topo.Testbed()
-	dc1, _ := n.NodeByName("DC1")
-	dc5, _ := n.NodeByName("DC5")
-	tunnels := routing.YenKSP(n, dc1, dc5, 4)
-	for y := 1; y <= 3; y++ {
-		a, err := ClassesFor(n, tunnels, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ClassesForCorrelated(n, nil, tunnels, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		am := map[uint64]float64{}
-		for _, c := range a {
-			am[c.UpMask] += c.Prob
-		}
-		for _, c := range b {
-			if math.Abs(am[c.UpMask]-c.Prob) > 1e-12 {
-				t.Fatalf("y=%d mask %b: %v vs %v", y, c.UpMask, am[c.UpMask], c.Prob)
 			}
 		}
 	}
@@ -529,11 +476,11 @@ func TestCorrelationReducesAllUpMass(t *testing.T) {
 		firstHops = append(firstHops, t2.Links[0])
 	}
 	groups := []RiskGroup{{Name: "dc1-conduit", Links: firstHops, Prob: 0.01}}
-	indep, err := ClassesFor(n, tunnels, 2)
+	indep, err := classesFor(n, nil, tunnels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := ClassesForCorrelated(n, groups, tunnels, 2)
+	corr, err := classesFor(n, groups, tunnels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bate/internal/routing"
@@ -12,10 +11,10 @@ import (
 // Shared-risk link groups (SRLGs) relax the paper's independence
 // assumption (§3.1 footnote 3): links sharing a fiber conduit, an
 // optical segment or a line card fail together. A RiskGroup is one
-// such set with its own failure probability; correlated scenarios
-// enumerate link failures and group failures as independent *units*,
-// where a link is down if its own failure fires or any containing
-// group fires.
+// such set with its own failure probability. Scenarios count link
+// failures and group failures as independent *units*, where a link is
+// down if its own failure fires or any containing group fires; with no
+// groups the units are the links and the model is the paper's.
 
 // RiskGroup is a set of links that fail together with probability
 // Prob.
@@ -25,108 +24,79 @@ type RiskGroup struct {
 	Prob  float64
 }
 
-// EnumerateCorrelated returns the pruned scenario set under the
-// correlated model: at most maxFail failure units (individual links or
-// whole groups) down simultaneously. Scenarios with identical down-link
-// sets (reachable through different unit combinations) are merged.
-func EnumerateCorrelated(net *topo.Network, groups []RiskGroup, maxFail int) (*Set, error) {
-	if maxFail < 0 {
-		return nil, fmt.Errorf("scenario: negative maxFail %d", maxFail)
-	}
+// validateGroups checks every group against the network: a probability
+// in [0,1), at least one link, and only links the network has.
+func validateGroups(net *topo.Network, groups []RiskGroup) error {
 	for _, g := range groups {
 		if g.Prob < 0 || g.Prob >= 1 {
-			return nil, fmt.Errorf("scenario: group %q probability %v out of [0,1)", g.Name, g.Prob)
+			return fmt.Errorf("scenario: group %q probability %v out of [0,1)", g.Name, g.Prob)
 		}
 		if len(g.Links) == 0 {
-			return nil, fmt.Errorf("scenario: group %q has no links", g.Name)
+			return fmt.Errorf("scenario: group %q has no links", g.Name)
 		}
 		for _, e := range g.Links {
 			if int(e) < 0 || int(e) >= net.NumLinks() {
-				return nil, fmt.Errorf("scenario: group %q references unknown link %d", g.Name, e)
+				return fmt.Errorf("scenario: group %q references unknown link %d", g.Name, e)
 			}
 		}
 	}
-	// Units: every link, then every group.
-	type unit struct {
-		links []topo.LinkID
-		prob  float64
-	}
-	units := make([]unit, 0, net.NumLinks()+len(groups))
-	for _, l := range net.Links() {
-		units = append(units, unit{links: []topo.LinkID{l.ID}, prob: l.FailProb})
-	}
-	for _, g := range groups {
-		units = append(units, unit{links: append([]topo.LinkID(nil), g.Links...), prob: g.Prob})
-	}
-	count := Count(len(units), maxFail)
-	if count > MaxEnumerated {
-		return nil, fmt.Errorf("scenario: %d correlated scenarios exceed limit %d", count, MaxEnumerated)
-	}
-
-	allUp := 1.0
-	odds := make([]float64, len(units))
-	for i, u := range units {
-		allUp *= 1 - u.prob
-		odds[i] = u.prob / (1 - u.prob)
-	}
-	merged := make(map[string]*Scenario)
-	var order []string
-	var downIdx []int
-	total := 0.0
-	var rec func(start int, prob float64)
-	rec = func(start int, prob float64) {
-		downSet := map[topo.LinkID]bool{}
-		for _, ui := range downIdx {
-			for _, e := range units[ui].links {
-				downSet[e] = true
-			}
-		}
-		down := make([]topo.LinkID, 0, len(downSet))
-		for e := range downSet {
-			down = append(down, e)
-		}
-		sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
-		key := fmt.Sprint(down)
-		if sc, ok := merged[key]; ok {
-			sc.Prob += prob
-		} else {
-			merged[key] = &Scenario{Down: down, Prob: prob}
-			order = append(order, key)
-		}
-		total += prob
-		if len(downIdx) == maxFail {
-			return
-		}
-		for i := start; i < len(units); i++ {
-			downIdx = append(downIdx, i)
-			rec(i+1, prob*odds[i])
-			downIdx = downIdx[:len(downIdx)-1]
-		}
-	}
-	rec(0, allUp)
-
-	set := &Set{Net: net, MaxFail: maxFail, Residual: math.Max(0, 1-total)}
-	for _, key := range order {
-		set.Scenarios = append(set.Scenarios, *merged[key])
-	}
-	return set, nil
+	return nil
 }
 
-// ClassesForCorrelated is ClassesFor under the correlated model: the
-// probability of every tunnel-up combination among the given tunnels,
-// restricted to scenarios with at most maxFail failure units (links or
-// risk groups). A unit is "relevant" when any of its links appears on
-// a tunnel; the non-relevant units contribute through the same
-// Poisson-binomial tail as the independent case, which stays exact
-// because units are mutually independent.
-func ClassesForCorrelated(net *topo.Network, groups []RiskGroup, tunnels []routing.Tunnel, maxFail int) ([]Class, error) {
+// unitProbs returns the failure probability of every failure unit:
+// each link in id order, then each group.
+func unitProbs(net *topo.Network, groups []RiskGroup) []float64 {
+	probs := make([]float64, 0, net.NumLinks()+len(groups))
+	for _, l := range net.Links() {
+		probs = append(probs, l.FailProb)
+	}
+	for _, g := range groups {
+		probs = append(probs, g.Prob)
+	}
+	return probs
+}
+
+// atMostFailures returns tail[m] = P(at most m of the independent
+// events with the given probabilities occur), for m = 0..maxFail, via
+// a Poisson-binomial DP.
+func atMostFailures(probs []float64, maxFail int) []float64 {
+	// dp[j] = P(exactly j events so far), truncated at maxFail.
+	dp := make([]float64, maxFail+1)
+	dp[0] = 1
+	for _, x := range probs {
+		for j := maxFail; j >= 1; j-- {
+			dp[j] = dp[j]*(1-x) + dp[j-1]*x
+		}
+		dp[0] *= 1 - x
+	}
+	tail := make([]float64, maxFail+1)
+	sum := 0.0
+	for m := 0; m <= maxFail; m++ {
+		sum += dp[m]
+		tail[m] = sum
+	}
+	return tail
+}
+
+// classesFor computes, exactly and without enumerating the full
+// scenario space, the probability of every tunnel-up/down combination
+// among the given tunnels, restricted to scenarios with at most maxFail
+// failure units (links or risk groups) down. Scenarios beyond maxFail
+// contribute to no class (they are the pruned residual). At most 63
+// tunnels are supported. Callers reach it through ClassCache.ClassesFor.
+//
+// This is exact because units fail independently and a scenario's
+// effect on the tunnels depends only on the "relevant" units: the
+// links the tunnels traverse and the groups touching them. For each
+// down-subset S of the relevant units it multiplies by the
+// Poisson-binomial probability that the remaining units suffer at most
+// maxFail-|S| failures.
+func classesFor(net *topo.Network, groups []RiskGroup, tunnels []routing.Tunnel, maxFail int) ([]Class, error) {
 	if len(tunnels) > 63 {
 		return nil, fmt.Errorf("scenario: %d tunnels exceed the 63-tunnel class limit", len(tunnels))
 	}
-	for _, g := range groups {
-		if g.Prob < 0 || g.Prob >= 1 {
-			return nil, fmt.Errorf("scenario: group %q probability %v out of [0,1)", g.Name, g.Prob)
-		}
+	if err := validateGroups(net, groups); err != nil {
+		return nil, err
 	}
 	relLinks := make(map[topo.LinkID]bool)
 	for _, t := range tunnels {
@@ -134,9 +104,7 @@ func ClassesForCorrelated(net *topo.Network, groups []RiskGroup, tunnels []routi
 			relLinks[e] = true
 		}
 	}
-	// Units relevant to the tunnels: their own links plus groups
-	// touching them. Each relevant unit's "kill mask" marks the
-	// tunnels it takes down.
+	// Each relevant unit's "kill mask" marks the tunnels it takes down.
 	type unit struct {
 		prob float64
 		kill uint64
@@ -173,21 +141,7 @@ func ClassesForCorrelated(net *topo.Network, groups []RiskGroup, tunnels []routi
 	if len(rel) > 30 {
 		return nil, fmt.Errorf("scenario: %d relevant units exceed the 2^30 subset limit", len(rel))
 	}
-	// Tail DP over non-relevant units.
-	tail := make([]float64, maxFail+1)
-	dp := make([]float64, maxFail+1)
-	dp[0] = 1
-	for _, x := range otherProbs {
-		for j := maxFail; j >= 1; j-- {
-			dp[j] = dp[j]*(1-x) + dp[j-1]*x
-		}
-		dp[0] *= 1 - x
-	}
-	sum := 0.0
-	for m := 0; m <= maxFail; m++ {
-		sum += dp[m]
-		tail[m] = sum
-	}
+	tail := atMostFailures(otherProbs, maxFail)
 
 	base := 1.0
 	odds := make([]float64, len(rel))

@@ -10,7 +10,6 @@ import (
 	"bate/internal/demand"
 	"bate/internal/pricing"
 	"bate/internal/routing"
-	"bate/internal/scenario"
 	"bate/internal/topo"
 )
 
@@ -41,10 +40,6 @@ type EventSimConfig struct {
 	// and speedup (Figs. 19, 21).
 	RecoveryCompare bool
 	Seed            int64
-	// Groups, when non-empty, evaluate epoch satisfaction under the
-	// correlated (shared-risk group) failure model; pair with TE.Groups
-	// so the scheduler sees the same model it is judged by.
-	Groups []scenario.RiskGroup
 }
 
 func (c EventSimConfig) defaults() EventSimConfig {
@@ -180,7 +175,7 @@ func RunEventSim(cfg EventSimConfig) (*EventSimResult, error) {
 				res.Satisfied++
 				continue
 			}
-			ok, err := alloc.SatisfiesGroups(in, a, d, cfg.MaxFail, cfg.Groups)
+			ok, err := alloc.Satisfies(in, a, d, cfg.MaxFail)
 			if err != nil {
 				return err
 			}

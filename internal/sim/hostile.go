@@ -98,17 +98,17 @@ func BuildHostileScenario(name string, net *topo.Network, horizonSec float64, se
 }
 
 // SimConfig assembles the per-second simulation config that runs the
-// scenario with the SLO auditor armed and the scheduler aware of the
-// correlated failure model. Maintenance windows ride through
-// cfg.Maintenance (drain lead + scripted outage), so the trace holds
-// only the scripted and storm events.
+// scenario with the SLO auditor armed and its risk groups as the run's
+// failure model (TimeSimConfig.RiskGroups). Maintenance windows ride
+// through cfg.Maintenance (drain lead + scripted outage), so the trace
+// holds only the scripted and storm events.
 func (h *HostileScenario) SimConfig(tunnels *routing.TunnelSet) TimeSimConfig {
 	noMaint := *h.Schedule
 	noMaint.Maintenance = nil
 	return TimeSimConfig{
 		Net: h.Net, Tunnels: tunnels, Workload: h.Workload,
 		HorizonSec: h.HorizonSec, ScheduleEverySec: 60,
-		TE:          TEConfig{Kind: KindBATE, Groups: h.Schedule.Groups},
+		TE:          TEConfig{Kind: KindBATE},
 		Admission:   AdmitBATE,
 		Seed:        h.Seed,
 		Trace:       noMaint.AllEvents(),

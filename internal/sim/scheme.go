@@ -65,11 +65,6 @@ type TEConfig struct {
 	TEAVARBeta float64
 	// Mode selects BATE's scheduling formulation.
 	Mode bate.ScheduleMode
-	// Groups are shared-risk link groups: BATE's scheduling and
-	// hardening evaluate availability under the correlated failure
-	// model (only the Aggregated mode supports them). Baseline schemes
-	// ignore groups — they do not model availability at all.
-	Groups []scenario.RiskGroup
 	// Scheduler, when set, runs BATE's scheduling solves through the
 	// sparse revised simplex and warm-starts each epoch from the
 	// previous epoch's optimal basis (the admitted set usually changes
@@ -107,7 +102,7 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 	}
 	switch c.Kind {
 	case KindBATE:
-		opts := bate.ScheduleOptions{MaxFail: c.MaxFail, Mode: c.Mode, Partition: c.Partition, Groups: c.Groups}
+		opts := bate.ScheduleOptions{MaxFail: c.MaxFail, Mode: c.Mode, Partition: c.Partition}
 		var a alloc.Allocation
 		var err error
 		if c.Scheduler != nil {
@@ -126,7 +121,7 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 			}
 			return a, nil
 		}
-		return bestEffortBATE(in, c.MaxFail, c.Groups)
+		return bestEffortBATE(in, c.MaxFail)
 	case KindFFC:
 		return te.FFC(in, c.FFCK)
 	case KindTEAVAR:
@@ -146,7 +141,7 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 // plus the availability the grants achieve, weighted per demand by
 // target stringency. Demands keep their heterogeneous β treatment
 // (unlike TEAVAR's single level).
-func bestEffortBATE(in *alloc.Input, maxFail int, groups []scenario.RiskGroup) (alloc.Allocation, error) {
+func bestEffortBATE(in *alloc.Input, maxFail int) (alloc.Allocation, error) {
 	p := lp.NewProblem()
 	p.SetMaximize()
 	fv := alloc.AddFlowVars(p, in, alloc.FullCapacities(in), nil)
@@ -155,7 +150,7 @@ func bestEffortBATE(in *alloc.Input, maxFail int, groups []scenario.RiskGroup) (
 		var bvars []lp.VarID
 		if d.Target > 0 {
 			var err error
-			classes, _, err = scenario.CachedClassesFor(in.Net, groups, in.AllTunnelsFor(d), maxFail)
+			classes, _, err = in.Classes(d, maxFail)
 			if err != nil {
 				return nil, fmt.Errorf("sim: best-effort classes: %w", err)
 			}

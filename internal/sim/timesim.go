@@ -76,10 +76,11 @@ type TimeSimConfig struct {
 	// with zero failure probabilities, instead of) the Bernoulli
 	// failure process.
 	Trace []FailureEvent
-	// RiskGroups arms correlated whole-group failures: groups with
-	// Prob > 0 fire in the injector every second, and all groups flow
-	// into TE.Groups is the caller's choice (set TE.Groups to make the
-	// scheduler correlation-aware too).
+	// RiskGroups is the run's one shared-risk failure model: groups with
+	// Prob > 0 fire whole in the injector every second, and every
+	// alloc.Input the run builds carries all of them, so admission,
+	// scheduling, hardening and the TE baselines' class lookups plan
+	// against the same correlated failures the injector produces.
 	RiskGroups []scenario.RiskGroup
 	// Maintenance schedules planned windows: each link is reported as
 	// drained (zero capacity) from StartSec-LeadSec — forcing an
@@ -226,7 +227,7 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 	var active []*demand.Demand
 	var drained []topo.LinkID
 	input := func() *alloc.Input {
-		return &alloc.Input{Net: cfg.Net, Tunnels: cfg.Tunnels, Demands: active, Drained: drained}
+		return &alloc.Input{Net: cfg.Net, Tunnels: cfg.Tunnels, Demands: active, Drained: drained, Groups: cfg.RiskGroups}
 	}
 	// drainSet lists the links inside a maintenance drain window
 	// (lead-in through end) at time now, in cfg.Maintenance order.

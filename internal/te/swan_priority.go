@@ -57,7 +57,7 @@ func SWANPriority(in *alloc.Input, priority PriorityOf) (alloc.Allocation, error
 	result := alloc.New(in)
 	caps := alloc.FullCapacities(in)
 	for _, cls := range order {
-		sub := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: classes[cls]}
+		sub := in.WithDemands(classes[cls])
 		p := lp.NewProblem()
 		p.SetMaximize()
 		fv := alloc.AddFlowVars(p, sub, caps, nil)

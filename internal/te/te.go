@@ -151,11 +151,12 @@ func FFC(in *alloc.Input, k int) (alloc.Allocation, error) {
 }
 
 // demandClasses computes, per demand, the tunnel-state classes
-// reachable with at most k concurrent failures.
+// reachable with at most k concurrent failure units under the input's
+// failure model.
 func demandClasses(in *alloc.Input, k int) (map[int][]scenario.Class, error) {
 	out := make(map[int][]scenario.Class, len(in.Demands))
 	for _, d := range in.Demands {
-		cls, _, err := scenario.CachedClassesFor(in.Net, nil, in.AllTunnelsFor(d), k)
+		cls, _, err := in.Classes(d, k)
 		if err != nil {
 			return nil, fmt.Errorf("te: classes for demand %d: %w", d.ID, err)
 		}
