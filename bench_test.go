@@ -122,7 +122,7 @@ func BenchmarkScheduleAggregated(b *testing.B) {
 	in := benchScheduleInput()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: 2, Mode: bate.Aggregated}); err != nil {
+		if _, _, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func BenchmarkScheduleEnumerated(b *testing.B) {
 	in := benchScheduleInput()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: 1, Mode: bate.Enumerated}); err != nil {
+		if _, _, err := bate.ScheduleEnumerated(in, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,6 +73,18 @@ func (in *Input) AllTunnelsFor(d *demand.Demand) []routing.Tunnel {
 	return out
 }
 
+// pairBit returns the class-mask bit of pair pi's first tunnel: a
+// class's UpMask numbers d's tunnels in AllTunnelsFor order, so tunnel
+// ti of pair pi is bit pairBit(in, d, pi)+ti. ClassTerms and DeliveredIn
+// are the only readers of that encoding.
+func pairBit(in *Input, d *demand.Demand, pi int) int {
+	bit := 0
+	for q := 0; q < pi; q++ {
+		bit += len(in.TunnelsFor(d, q))
+	}
+	return bit
+}
+
 // Allocation maps demand ID -> pair index -> tunnel index -> Mbps
 // (the f^t_d output variables of Table 2).
 type Allocation map[int][][]float64
@@ -141,6 +153,24 @@ func (a Allocation) Delivered(in *Input, d *demand.Demand, pairIdx int, up func(
 	sum := 0.0
 	for ti, f := range rows[pairIdx] {
 		if f > 0 && up(tunnels[ti]) {
+			sum += f
+		}
+	}
+	return sum
+}
+
+// DeliveredIn returns pair pi of d's delivered bandwidth in
+// tunnel-state class cls: Σ f^t_d over the tunnels up in the class,
+// summed in tunnel order (the value ClassTerms constrains).
+func (a Allocation) DeliveredIn(in *Input, d *demand.Demand, pi int, cls scenario.Class) float64 {
+	rows := a[d.ID]
+	if pi >= len(rows) {
+		return 0
+	}
+	bit := pairBit(in, d, pi)
+	sum := 0.0
+	for ti, f := range rows[pi] {
+		if cls.TunnelUp(bit + ti) {
 			sum += f
 		}
 	}
@@ -243,23 +273,12 @@ func AchievedAvailability(in *Input, a Allocation, d *demand.Demand, maxFail int
 }
 
 // classQualified reports whether allocation a fully satisfies every
-// pair of d in tunnel-state class cls (mask bits follow
-// Input.AllTunnelsFor ordering). The tolerance is relative so that
-// solver-epsilon slack (schemes constrain delivery with (1-1e-9)
+// pair of d in tunnel-state class cls. The tolerance is relative so
+// that solver-epsilon slack (schemes constrain delivery with (1-1e-9)
 // factors) never flips a fully-served pair to unqualified.
 func classQualified(in *Input, a Allocation, d *demand.Demand, cls scenario.Class) bool {
-	bit := 0
-	rows := a[d.ID]
 	for pi, p := range d.Pairs {
-		tunnels := in.TunnelsFor(d, pi)
-		delivered := 0.0
-		for ti := range tunnels {
-			if cls.TunnelUp(bit) && rows != nil && pi < len(rows) && ti < len(rows[pi]) {
-				delivered += rows[pi][ti]
-			}
-			bit++
-		}
-		if delivered < p.Bandwidth*(1-1e-7)-1e-6 {
+		if a.DeliveredIn(in, d, pi, cls) < p.Bandwidth*(1-1e-7)-1e-6 {
 			return false
 		}
 	}
@@ -278,22 +297,12 @@ func RelaxedAvailability(in *Input, a Allocation, d *demand.Demand, maxFail int)
 	if err != nil {
 		return 0, err
 	}
-	rows := a[d.ID]
 	total := 0.0
 	for _, cls := range classes {
 		b := 1.0
-		bit := 0
 		for pi, p := range d.Pairs {
-			nt := len(in.TunnelsFor(d, pi))
-			delivered := 0.0
-			for ti := 0; ti < nt; ti++ {
-				if cls.TunnelUp(bit) && rows != nil && pi < len(rows) && ti < len(rows[pi]) {
-					delivered += rows[pi][ti]
-				}
-				bit++
-			}
 			if p.Bandwidth > 0 {
-				if r := delivered / p.Bandwidth; r < b {
+				if r := a.DeliveredIn(in, d, pi, cls) / p.Bandwidth; r < b {
 					b = r
 				}
 			}

@@ -4,8 +4,10 @@ import (
 	"math"
 	"strconv"
 
+	"bate/internal/demand"
 	"bate/internal/lp"
 	"bate/internal/routing"
+	"bate/internal/scenario"
 	"bate/internal/topo"
 )
 
@@ -84,6 +86,22 @@ func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(ro
 		})
 	}
 	return fv, capIdx
+}
+
+// ClassTerms returns the LP terms Σ_t f^t_d of pair pi of d over the
+// tunnels up in class cls, in tunnel order: the pair's delivered
+// bandwidth in that class. The slice is fresh, with room for one more
+// term (the caller's B, q or grant variable).
+func (fv FlowVars) ClassTerms(in *Input, d *demand.Demand, pi int, cls scenario.Class) []lp.Term {
+	bit := pairBit(in, d, pi)
+	vars := fv[d.ID][pi]
+	terms := make([]lp.Term, 0, len(vars)+1)
+	for ti, v := range vars {
+		if cls.TunnelUp(bit + ti) {
+			terms = append(terms, lp.Term{Var: v, Coef: 1})
+		}
+	}
+	return terms
 }
 
 // FullCapacities returns the link capacities of the input's network,

@@ -48,32 +48,10 @@ func AdmitFixed(in *alloc.Input, current alloc.Allocation, d *demand.Demand, max
 	residual := current.ResidualCapacities(in)
 	one := in.WithDemands([]*demand.Demand{d})
 
-	solve := func(hard bool) ([][]float64, error) {
+	// hard is nil for the relaxed trial and {d} for the fallback.
+	solve := func(hard map[int]bool) ([][]float64, error) {
 		p := lp.NewProblem()
-		fv := alloc.AddFlowVars(p, one, residual, nil)
-		for _, rows := range fv {
-			for _, r := range rows {
-				for _, v := range r {
-					p.SetCost(v, 1)
-				}
-			}
-		}
-		for pi, pr := range d.Pairs {
-			if pr.Bandwidth <= 0 {
-				continue
-			}
-			terms := make([]lp.Term, 0, len(fv[d.ID][pi]))
-			for _, v := range fv[d.ID][pi] {
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
-			}
-			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: pr.Bandwidth})
-		}
-		var err error
-		if hard && d.Target > 0 {
-			err = addHardGuarantee(p, one, fv, d, maxFail)
-		} else {
-			err = addAvailabilityAggregated(p, one, fv, maxFail, nil)
-		}
+		fv, _, err := buildScheduleLP(p, one, maxFail, residual, hard, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +63,7 @@ func AdmitFixed(in *alloc.Input, current alloc.Allocation, d *demand.Demand, max
 	}
 
 	res := &AdmissionResult{}
-	rows, err := solve(false)
+	rows, err := solve(nil)
 	if err == nil && d.Target > 0 {
 		// Posterior check against the true achieved availability.
 		trial := alloc.Allocation{d.ID: rows}
@@ -94,7 +72,7 @@ func AdmitFixed(in *alloc.Input, current alloc.Allocation, d *demand.Demand, max
 			return nil, satErr
 		}
 		if !ok {
-			rows, err = solve(true)
+			rows, err = solve(map[int]bool{d.ID: true})
 		}
 	}
 	res.Elapsed = time.Since(start)
@@ -347,21 +325,11 @@ func addQualifiedScenarioConstraints(p *lp.Problem, in *alloc.Input, fv alloc.Fl
 			q = p.AddBinary(fmt.Sprintf("q[d%d,c%d]", d.ID, ci), cls.Prob)
 		}
 		availTerms = append(availTerms, lp.Term{Var: q, Coef: cls.Prob})
-		bit := 0
 		for pi, pr := range d.Pairs {
-			tunnels := in.TunnelsFor(d, pi)
 			if pr.Bandwidth <= 0 {
-				bit += len(tunnels)
 				continue
 			}
-			terms := make([]lp.Term, 0, len(tunnels)+1)
-			for ti := range tunnels {
-				if cls.TunnelUp(bit) {
-					terms = append(terms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
-				}
-				bit++
-			}
-			terms = append(terms, lp.Term{Var: q, Coef: -pr.Bandwidth})
+			terms := append(fv.ClassTerms(in, d, pi, cls), lp.Term{Var: q, Coef: -pr.Bandwidth})
 			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
 		}
 	}

@@ -85,13 +85,13 @@ func TestScheduleFig2(t *testing.T) {
 	}
 }
 
-func TestScheduleModesAgree(t *testing.T) {
+func TestScheduleEnumeratedAgrees(t *testing.T) {
 	in := fig2Input(t)
-	agg, _, err := Schedule(in, ScheduleOptions{MaxFail: 2, Mode: Aggregated})
+	agg, _, err := Schedule(in, ScheduleOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enum, _, err := Schedule(in, ScheduleOptions{MaxFail: 2, Mode: Enumerated})
+	enum, _, err := ScheduleEnumerated(in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +475,6 @@ func TestBackups(t *testing.T) {
 
 func TestScheduleDefaultsAndErrors(t *testing.T) {
 	in := fig2Input(t)
-	if _, _, err := Schedule(in, ScheduleOptions{Mode: ScheduleMode(9)}); err == nil {
-		t.Fatal("expected unknown-mode error")
-	}
 	// Default MaxFail (2) applies when 0 given.
 	if _, _, err := Schedule(in, ScheduleOptions{}); err != nil {
 		t.Fatal(err)
@@ -1003,12 +1000,12 @@ func TestScheduleWithRiskGroups(t *testing.T) {
 		av, _ := alloc.AchievedAvailability(grouped, a, u1, 2)
 		t.Fatalf("correlated satisfaction failed: achieved %v, err %v", av, err)
 	}
-	// Enumerated and Aggregated objectives agree under groups at y = 1.
+	// Enumerated and aggregated objectives agree under groups at y = 1.
 	agg, _, err := Schedule(grouped, ScheduleOptions{MaxFail: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enum, _, err := Schedule(grouped, ScheduleOptions{MaxFail: 1, Mode: Enumerated})
+	enum, _, err := ScheduleEnumerated(grouped, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,9 @@ func ScheduleHard(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, erro
 	return Harden(in, opts, a)
 }
 
-// scheduleHardened rebuilds the scheduling LP with hard full-delivery
+// scheduleHardened solves the scheduling LP with hard full-delivery
 // constraints for the flagged demands and the usual relaxation for the
-// rest.
+// rest (buildScheduleLP with hard).
 func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) (alloc.Allocation, error) {
 	if opts.Engine == lp.EngineAuto {
 		// As in Scheduler.Schedule: the controller hardens the whole
@@ -73,42 +73,9 @@ func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) 
 		opts.Engine = lp.EngineRevised
 	}
 	p := lp.NewProblem()
-	fv := alloc.AddFlowVars(p, in, alloc.FullCapacities(in), nil)
-	for _, rows := range fv {
-		for _, r := range rows {
-			for _, v := range r {
-				p.SetCost(v, 1)
-			}
-		}
-	}
-	for _, d := range in.Demands {
-		for pi, pr := range d.Pairs {
-			if pr.Bandwidth <= 0 {
-				continue
-			}
-			terms := make([]lp.Term, 0, len(fv[d.ID][pi]))
-			for _, v := range fv[d.ID][pi] {
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
-			}
-			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: pr.Bandwidth})
-		}
-	}
-	var soft []*demand.Demand
-	for _, d := range in.Demands {
-		if !hard[d.ID] {
-			soft = append(soft, d)
-		}
-	}
-	if err := addAvailabilityAggregated(p, in.WithDemands(soft), fv, opts.MaxFail, nil); err != nil {
+	fv, _, err := buildScheduleLP(p, in, opts.MaxFail, alloc.FullCapacities(in), hard, nil)
+	if err != nil {
 		return nil, err
-	}
-	for _, d := range in.Demands {
-		if !hard[d.ID] || d.Target <= 0 {
-			continue
-		}
-		if err := addHardGuarantee(p, in, fv, d, opts.MaxFail); err != nil {
-			return nil, err
-		}
 	}
 	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine})
 	if err != nil {
@@ -147,20 +114,11 @@ func addHardGuarantee(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, d *dema
 			break
 		}
 		mass += cls.Prob
-		bit := 0
 		for pi, pr := range d.Pairs {
-			tunnels := in.TunnelsFor(d, pi)
 			if pr.Bandwidth <= 0 {
-				bit += len(tunnels)
 				continue
 			}
-			terms := make([]lp.Term, 0, len(tunnels))
-			for ti := range tunnels {
-				if cls.TunnelUp(bit) {
-					terms = append(terms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
-				}
-				bit++
-			}
+			terms := fv.ClassTerms(in, d, pi, cls)
 			if len(terms) == 0 {
 				// A required class with no surviving tunnel cannot be
 				// covered at all.

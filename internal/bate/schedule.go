@@ -27,20 +27,6 @@ import (
 // amortized.
 var schedules = metrics.NewCounter("bate.schedules")
 
-// ScheduleMode selects how the scheduling LP represents failure
-// scenarios.
-type ScheduleMode int8
-
-const (
-	// Aggregated groups scenarios into per-demand tunnel-state classes
-	// (exact, and exponentially smaller; the production mode).
-	Aggregated ScheduleMode = iota
-	// Enumerated instantiates one B variable per demand per explicit
-	// pruned scenario, exactly as written in Eq. 3-4. Used by the
-	// Fig. 16/17 benchmarks, whose cost grows with the scenario count.
-	Enumerated
-)
-
 // ScheduleOptions tunes the traffic-scheduling LP (Eq. 7).
 type ScheduleOptions struct {
 	// MaxFail is the pruning depth y: at most this many concurrent
@@ -48,7 +34,6 @@ type ScheduleOptions struct {
 	// everything beyond is the aggregated unqualified residual
 	// (Fig. 3). The paper sweeps 1..4.
 	MaxFail int
-	Mode    ScheduleMode
 	// Engine selects the LP engine. The zero value (lp.EngineAuto)
 	// keeps the dense reference tableau in the one-shot Schedule and
 	// means lp.EngineRevised in Scheduler and Harden; lp.EngineRevised
@@ -70,7 +55,7 @@ type ScheduleOptions struct {
 	// LPs solve concurrently, stitched by a coordination solve for the
 	// cross-region demands. Rounds the decomposition declines (span or
 	// gap-bound violations, infeasible subproblems) fall back to the
-	// global LP transparently. Aggregated mode only.
+	// global LP transparently.
 	Partition *partition.Options
 }
 
@@ -166,7 +151,7 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 	}
 	start := time.Now()
 	var declined string // why partitioning handed the round to the global solve
-	if opts.Partition != nil && opts.Partition.Regions > 1 && opts.Mode == Aggregated {
+	if opts.Partition != nil && opts.Partition.Regions > 1 {
 		res, err := partition.Schedule(in, *opts.Partition, subSolver(opts), pst)
 		var fb *partition.FallbackError
 		switch {
@@ -196,13 +181,39 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 	}
 	p := lp.NewProblem()
 	stats := &ScheduleStats{PoolWorkers: parallel.Default().Size(), PartitionFallback: declined}
-	fv, _, err := buildScheduleLP(p, in, opts, alloc.FullCapacities(in), stats)
+	fv, _, err := buildScheduleLP(p, in, opts.MaxFail, alloc.FullCapacities(in), nil, stats)
 	if err != nil {
 		return nil, nil, err
 	}
+	return solveSchedule(p, fv, lp.Options{Engine: opts.Engine, Warm: warm, Cancel: opts.Cancel}, start, stats, basisOut)
+}
+
+// ScheduleEnumerated solves the scheduling LP with Eq. 3-4 written as
+// the paper writes them: one B variable per demand per explicit pruned
+// scenario of the input's failure model, instead of one per
+// tunnel-state class. The optimum is the same as Schedule's, at a cost
+// that grows with the scenario count; it is the reference the
+// aggregated formulation is tested against and the enumerated series
+// of Fig. 17. maxFail ≤ 0 means 2.
+func ScheduleEnumerated(in *alloc.Input, maxFail int) (alloc.Allocation, *ScheduleStats, error) {
+	if maxFail <= 0 {
+		maxFail = 2
+	}
+	start := time.Now()
+	p := lp.NewProblem()
+	fv, _ := addDemandLP(p, in, alloc.FullCapacities(in))
+	if err := addAvailabilityEnumerated(p, in, fv, maxFail); err != nil {
+		return nil, nil, err
+	}
+	return solveSchedule(p, fv, lp.Options{}, start, &ScheduleStats{PoolWorkers: parallel.Default().Size()}, nil)
+}
+
+// solveSchedule solves an assembled scheduling LP and fills stats;
+// basisOut, when non-nil, receives the optimal basis.
+func solveSchedule(p *lp.Problem, fv alloc.FlowVars, o lp.Options, start time.Time, stats *ScheduleStats, basisOut **lp.Basis) (alloc.Allocation, *ScheduleStats, error) {
 	schedules.Inc()
 	stats.Variables, stats.Constraints = p.NumVariables(), p.NumConstraints()
-	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine, Warm: warm, Cancel: opts.Cancel})
+	sol, err := p.SolveOpts(o)
 	stats.Elapsed = time.Since(start)
 	if sol != nil {
 		stats.Iterations = sol.Iterations
@@ -218,16 +229,47 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 	return fv.Extract(sol), stats, nil
 }
 
-// buildScheduleLP assembles the Eq. 7 scheduling LP — flow variables
-// with capacity rows for the given per-link capacities, the Eq. 1
-// demand rows, and the Eq. 3-4 availability rows — into p. It is
-// shared by the global solve (full capacities), the partitioned
-// subproblem solver (residual capacities over a demand subset) and
-// LinkPrices. The returned map gives each link's capacity-row index
-// for dual lookups. stats may be nil.
-func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps []float64, stats *ScheduleStats) (alloc.FlowVars, map[topo.LinkID]int, error) {
+// buildScheduleLP assembles the Eq. 7 scheduling LP into p, the one
+// assembly every BATE solve over a book uses: addDemandLP, then the
+// relaxed Eq. 3-4 rows for every targeted demand not in hard, then
+// addHardGuarantee's full-delivery rows for every targeted demand in
+// hard, in book order. The global solve, the partitioned subproblems
+// and LinkPrices pass hard == nil; Harden's re-solve and AdmitFixed's
+// fallback trial name the demands the relaxation over-promised. The
+// returned map gives each link's capacity-row index for dual lookups.
+// stats may be nil.
+func buildScheduleLP(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64, hard map[int]bool, stats *ScheduleStats) (alloc.FlowVars, map[topo.LinkID]int, error) {
+	fv, capIdx := addDemandLP(p, in, caps)
+	soft := in
+	if hard != nil {
+		var ds []*demand.Demand
+		for _, d := range in.Demands {
+			if !hard[d.ID] {
+				ds = append(ds, d)
+			}
+		}
+		soft = in.WithDemands(ds)
+	}
+	if err := addAvailabilityAggregated(p, soft, fv, maxFail, stats); err != nil {
+		return nil, nil, err
+	}
+	for _, d := range in.Demands {
+		if hard[d.ID] && d.Target > 0 {
+			if err := addHardGuarantee(p, in, fv, d, maxFail); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return fv, capIdx, nil
+}
+
+// addDemandLP adds the rows every scheduling LP shares: a flow variable
+// per (demand, pair, tunnel) with the Eq. 6 capacity rows for caps,
+// cost 1 on every flow (Eq. 7 minimizes total allocated bandwidth), and
+// the named Eq. 1 full-bandwidth row of every pair. The map gives each
+// link's capacity-row index.
+func addDemandLP(p *lp.Problem, in *alloc.Input, caps []float64) (alloc.FlowVars, map[topo.LinkID]int) {
 	fv, capIdx := alloc.AddFlowVarsIndexed(p, in, caps, nil)
-	// Objective: minimize total allocated bandwidth.
 	for _, rows := range fv {
 		for _, r := range rows {
 			for _, v := range r {
@@ -252,19 +294,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, opts ScheduleOptions, caps 
 			})
 		}
 	}
-	var err error
-	switch {
-	case opts.Mode == Aggregated:
-		err = addAvailabilityAggregated(p, in, fv, opts.MaxFail, stats)
-	case opts.Mode == Enumerated:
-		err = addAvailabilityEnumerated(p, in, fv, opts.MaxFail)
-	default:
-		err = fmt.Errorf("bate: unknown schedule mode %d", opts.Mode)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return fv, capIdx, nil
+	return fv, capIdx
 }
 
 // subSolver adapts the scheduling-LP formulation to the partition
@@ -275,7 +305,7 @@ func subSolver(opts ScheduleOptions) partition.SubSolver {
 	return func(sub *alloc.Input, caps []float64, warm *lp.Basis) (*partition.SubResult, error) {
 		p := lp.NewProblem()
 		stats := &ScheduleStats{}
-		fv, capIdx, err := buildScheduleLP(p, sub, opts, caps, stats)
+		fv, capIdx, err := buildScheduleLP(p, sub, opts.MaxFail, caps, nil, stats)
 		if err != nil {
 			return nil, err
 		}
@@ -410,21 +440,11 @@ func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Clas
 	var name [32]byte
 	for ci, cls := range classes {
 		availTerms = append(availTerms, lp.Term{Var: bv[ci], Coef: cls.Prob})
-		bit := 0
 		for pi, pr := range d.Pairs {
-			tunnels := in.TunnelsFor(d, pi)
 			if pr.Bandwidth <= 0 {
-				bit += len(tunnels)
 				continue
 			}
-			terms := make([]lp.Term, 0, len(tunnels)+1)
-			for ti := range tunnels {
-				if cls.TunnelUp(bit) {
-					terms = append(terms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
-				}
-				bit++
-			}
-			terms = append(terms, lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
+			terms := append(fv.ClassTerms(in, d, pi, cls), lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
 			rows = append(rows, lp.Constraint{
 				Name:  string(alloc.AppendName(name[:0], "deliv", "dcp", d.ID, ci, pi)),
 				Terms: terms, Op: lp.GE, RHS: 0,
@@ -520,8 +540,7 @@ func LinkPrices(in *alloc.Input, opts ScheduleOptions) (map[topo.LinkID]float64,
 		opts.MaxFail = 2
 	}
 	p := lp.NewProblem()
-	opts.Mode = Aggregated
-	_, capIdx, err := buildScheduleLP(p, in, opts, alloc.FullCapacities(in), nil)
+	_, capIdx, err := buildScheduleLP(p, in, opts.MaxFail, alloc.FullCapacities(in), nil, nil)
 	if err != nil {
 		return nil, err
 	}

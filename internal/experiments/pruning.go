@@ -101,14 +101,14 @@ func Fig17(w io.Writer, opts Options) error {
 			scenarios := scenario.Count(env.net.NumLinks(), y)
 			enumCell := "skipped (LP too large)"
 			if scenarios*int64(len(demands)) <= maxEnumVars {
-				if _, stats, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: y, Mode: bate.Enumerated}); err == nil {
+				if _, stats, err := bate.ScheduleEnumerated(in, y); err == nil {
 					enumCell = stats.Elapsed.String()
 				} else {
 					enumCell = "infeasible"
 				}
 			}
 			aggCell := "infeasible"
-			if _, stats, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: y, Mode: bate.Aggregated}); err == nil {
+			if _, stats, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: y}); err == nil {
 				aggCell = stats.Elapsed.String()
 			}
 			t.AddRow(name, fmt.Sprint(y), fmt.Sprint(scenarios), enumCell, aggCell)

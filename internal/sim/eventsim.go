@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -275,22 +274,6 @@ func RunEventSim(cfg EventSimConfig) (*EventSimResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// admitWith dispatches an admission decider without mutating state.
-func admitWith(mode AdmissionMode, in *alloc.Input, current alloc.Allocation, active []*demand.Demand, d *demand.Demand, maxFail int) (*bate.AdmissionResult, error) {
-	switch mode {
-	case AdmitNone:
-		return &bate.AdmissionResult{Admitted: true, Method: "none"}, nil
-	case AdmitFixedOnly:
-		return bate.AdmitFixed(in, current, d, maxFail)
-	case AdmitBATE:
-		return bate.Admit(in, current, active, d, maxFail)
-	case AdmitOptimal:
-		res, _, err := bate.AdmitOptimal(in, active, d, minInt(maxFail, 1))
-		return res, err
-	}
-	return nil, fmt.Errorf("sim: unknown admission mode %d", mode)
 }
 
 // sampleProfit evaluates post-failure profit for one failed link.

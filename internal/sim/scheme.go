@@ -63,8 +63,6 @@ type TEConfig struct {
 	// TEAVARBeta is TEAVAR's single availability level (paper: 99.9%,
 	// the maximum target in the workload).
 	TEAVARBeta float64
-	// Mode selects BATE's scheduling formulation.
-	Mode bate.ScheduleMode
 	// Scheduler, when set, runs BATE's scheduling solves through the
 	// sparse revised simplex and warm-starts each epoch from the
 	// previous epoch's optimal basis (the admitted set usually changes
@@ -102,7 +100,7 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 	}
 	switch c.Kind {
 	case KindBATE:
-		opts := bate.ScheduleOptions{MaxFail: c.MaxFail, Mode: c.Mode, Partition: c.Partition}
+		opts := bate.ScheduleOptions{MaxFail: c.MaxFail, Partition: c.Partition}
 		var a alloc.Allocation
 		var err error
 		if c.Scheduler != nil {
@@ -166,11 +164,8 @@ func bestEffortBATE(in *alloc.Input, maxFail int) (alloc.Allocation, error) {
 				bvars[ci] = p.AddVariable(fmt.Sprintf("B[d%d,c%d]", d.ID, ci), 0, 1, bonus*cls.Prob)
 			}
 		}
-		bit := 0
 		for pi, pr := range d.Pairs {
-			tunnels := in.TunnelsFor(d, pi)
 			if pr.Bandwidth <= 0 {
-				bit += len(tunnels)
 				continue
 			}
 			// Granted bandwidth, capped by the demand.
@@ -188,18 +183,11 @@ func bestEffortBATE(in *alloc.Input, maxFail int) (alloc.Allocation, error) {
 			// Class availability anchored to the grant:
 			// delivered_cls ≥ b·B - (b - g).
 			for ci, cls := range classes {
-				cterms := make([]lp.Term, 0, len(tunnels)+2)
-				for ti := range tunnels {
-					if cls.TunnelUp(bit + ti) {
-						cterms = append(cterms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
-					}
-				}
-				cterms = append(cterms,
+				cterms := append(fv.ClassTerms(in, d, pi, cls),
 					lp.Term{Var: bvars[ci], Coef: -pr.Bandwidth},
 					lp.Term{Var: g, Coef: -1})
 				p.AddConstraint(lp.Constraint{Terms: cterms, Op: lp.GE, RHS: -pr.Bandwidth})
 			}
-			bit += len(tunnels)
 		}
 	}
 	sol, err := p.Solve()

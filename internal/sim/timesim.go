@@ -47,6 +47,23 @@ func (m AdmissionMode) String() string {
 	return "unknown"
 }
 
+// admitWith runs admission mode m for d against the current state,
+// which it does not mutate; both simulators decide arrivals through it.
+func admitWith(m AdmissionMode, in *alloc.Input, current alloc.Allocation, active []*demand.Demand, d *demand.Demand, maxFail int) (*bate.AdmissionResult, error) {
+	switch m {
+	case AdmitNone:
+		return &bate.AdmissionResult{Admitted: true, Method: "none"}, nil
+	case AdmitFixedOnly:
+		return bate.AdmitFixed(in, current, d, maxFail)
+	case AdmitBATE:
+		return bate.Admit(in, current, active, d, maxFail)
+	case AdmitOptimal:
+		res, _, err := bate.AdmitOptimal(in, active, d, min(maxFail, 1))
+		return res, err
+	}
+	return nil, fmt.Errorf("sim: unknown admission mode %d", m)
+}
+
 // TimeSimConfig drives the per-second testbed-style simulation (§5.1).
 type TimeSimConfig struct {
 	Net     *topo.Network
@@ -417,7 +434,7 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 			}
 		} else {
 			for _, d := range arrivals {
-				adRes, err := admitOne(cfg, input(), current, active, d)
+				adRes, err := admitWith(cfg.Admission, input(), current, active, d, cfg.MaxFail)
 				if err != nil {
 					return nil, err
 				}
@@ -507,29 +524,6 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 		res.SLOLog = auditor.Log()
 	}
 	return res, nil
-}
-
-// admitOne dispatches the configured admission mode.
-func admitOne(cfg TimeSimConfig, in *alloc.Input, current alloc.Allocation, active []*demand.Demand, d *demand.Demand) (*bate.AdmissionResult, error) {
-	switch cfg.Admission {
-	case AdmitNone:
-		return &bate.AdmissionResult{Admitted: true, Method: "none"}, nil
-	case AdmitFixedOnly:
-		return bate.AdmitFixed(in, current, d, cfg.MaxFail)
-	case AdmitBATE:
-		return bate.Admit(in, current, active, d, cfg.MaxFail)
-	case AdmitOptimal:
-		res, _, err := bate.AdmitOptimal(in, active, d, minInt(cfg.MaxFail, 1))
-		return res, err
-	}
-	return nil, fmt.Errorf("sim: unknown admission mode %d", cfg.Admission)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // secondAccounting carries the sent/lost tally of one second.

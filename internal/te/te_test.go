@@ -297,69 +297,3 @@ func TestSchemesOnTestbed(t *testing.T) {
 		}
 	}
 }
-
-func TestSWANPriorityInteractiveWins(t *testing.T) {
-	// One 10 Gbps bottleneck; an interactive (99.99%) demand and a
-	// background bulk demand both want 8 Gbps. Priority SWAN serves the
-	// interactive demand fully and gives background the leftovers;
-	// single-class SWAN splits arbitrarily.
-	n := topo.NewBuilder("line").
-		AddLink("a", "b", 10000, 0.0001).
-		MustBuild()
-	ts := routing.Compute(n, routing.KShortest, 1)
-	a0, _ := n.NodeByName("a")
-	b0, _ := n.NodeByName("b")
-	interactive := &demand.Demand{ID: 0, Pairs: []demand.PairDemand{{Src: a0, Dst: b0, Bandwidth: 8000}}, Target: 0.9999}
-	bulk := &demand.Demand{ID: 1, Pairs: []demand.PairDemand{{Src: a0, Dst: b0, Bandwidth: 8000}}, Target: 0}
-	in := &alloc.Input{Net: n, Tunnels: ts, Demands: []*demand.Demand{interactive, bulk}}
-
-	a, err := SWANPriority(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CheckCapacity(in, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	gi := a.Delivered(in, interactive, 0, allUp)
-	gb := a.Delivered(in, bulk, 0, allUp)
-	if gi < 8000-1 {
-		t.Fatalf("interactive got %v, want full 8000", gi)
-	}
-	if gb > 2000+1 {
-		t.Fatalf("background got %v, want the 2000 leftover", gb)
-	}
-}
-
-func TestSWANPriorityCustomClasses(t *testing.T) {
-	in := fig2Input(t)
-	// Invert the default: the 90% user outranks the 99% one.
-	prio := func(d *demand.Demand) int {
-		if d.ID == 1 {
-			return 0
-		}
-		return 1
-	}
-	a, err := SWANPriority(in, prio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// User2 (12 Gbps) is served first; capacity still covers both.
-	if got := a.Delivered(in, in.Demands[1], 0, allUp); got < 12000-1 {
-		t.Fatalf("priority user got %v", got)
-	}
-}
-
-func TestPriorityByTarget(t *testing.T) {
-	cases := []struct {
-		target float64
-		want   int
-	}{
-		{0.9999, 0}, {0.9995, 0}, {0.999, 1}, {0.9, 1}, {0, 2},
-	}
-	for _, c := range cases {
-		d := &demand.Demand{Target: c.target}
-		if got := PriorityByTarget(d); got != c.want {
-			t.Errorf("PriorityByTarget(%v) = %d, want %d", c.target, got, c.want)
-		}
-	}
-}
