@@ -769,6 +769,10 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 			len(batch), admitted, br.SpecReused, br.SerialFallbacks)
 	}
 	if admitted > 0 {
+		// The round's backups were built for a book without these
+		// demands: a hit would push plans that give them nothing. Until
+		// the next round, recovery starts at the budgeted-optimal rung.
+		c.backups = nil
 		c.pushAllLocked(false)
 	}
 	return out

@@ -265,6 +265,91 @@ func TestBackupPushesLeaveBackupsIntact(t *testing.T) {
 	}
 }
 
+// A backup set covers the book it was computed for. After a round, a
+// fixed admit puts a demand on the book that the round's set has never
+// seen: every single-link recovery pushed after it must still carry the
+// new demand in full, not a plan that leaves it out.
+func TestBackupsDroppedOnAdmit(t *testing.T) {
+	n := topo.Testbed()
+	ts := routing.Compute(n, routing.KShortest, 4)
+	ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: silent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runSequence(ctrl, []step{{"DC1", "DC4", 300, 0.95}, {"DC1", "DC3", 300, 0.95}}) {
+		if !r.Admitted {
+			t.Fatalf("setup admission refused: %+v", r)
+		}
+	}
+	if err := ctrl.Reschedule(); err != nil {
+		t.Fatal(err)
+	}
+	late := runSequence(ctrl, []step{{"DC2", "DC5", 200, 0.95}})[0]
+	if !late.Admitted || late.Method != string(bate.MethodFixed) {
+		t.Fatalf("DC2-DC5 admission: %+v, want a fixed admit", late)
+	}
+
+	// DC2 is the new demand's source, so it forwards every one of its
+	// tunnels: its pushes carry the demand's whole allocation.
+	src, _ := n.NodeByName("DC2")
+	dst, _ := n.NodeByName("DC5")
+	labels := make(map[uint32]bool)
+	for ti := range ts.For(src, dst) {
+		l, err := wire.Label(late.DemandID, ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[l] = true
+	}
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	pushes := make(chan *wire.AllocUpdate, 1)
+	go func() {
+		defer close(pushes)
+		rc := wire.New(b)
+		for {
+			m, err := rc.Recv()
+			if err != nil {
+				return
+			}
+			pushes <- m.Alloc
+		}
+	}()
+	ctrl.mu.Lock()
+	ctrl.brokers["DC2"] = wire.New(a)
+	ctrl.mu.Unlock()
+	next := func() *wire.AllocUpdate {
+		t.Helper()
+		select {
+		case u := <-pushes:
+			if u == nil {
+				t.Fatal("broker pipe closed")
+			}
+			return u
+		case <-time.After(5 * time.Second):
+			t.Fatal("no push")
+		}
+		return nil
+	}
+
+	for _, l := range n.Links() {
+		s, d := n.NodeName(l.Src), n.NodeName(l.Dst)
+		ctrl.onLinkEvent(&wire.LinkEvent{SrcDC: s, DstDC: d, Up: false})
+		u := next()
+		got := 0.0
+		for _, ta := range u.Tunnels {
+			if labels[ta.Label] {
+				got += ta.Rate
+			}
+		}
+		if !u.Backup || got < 200-1e-6 {
+			t.Errorf("%s-%s down: recovery push (backup=%v) gives the new demand %.1f of 200 Mbps", s, d, u.Backup, got)
+		}
+		ctrl.onLinkEvent(&wire.LinkEvent{SrcDC: s, DstDC: d, Up: true})
+		next()
+	}
+}
+
 func TestRescheduleEmpty(t *testing.T) {
 	ctrl, _, _ := startSystem(t)
 	if err := ctrl.Reschedule(); err != nil {

@@ -74,9 +74,9 @@ func Fig16(w io.Writer, opts Options) error {
 }
 
 // Fig17 measures scheduling time as the pruning depth grows, using the
-// paper-faithful Enumerated formulation (one B variable per explicit
+// paper-faithful bate.ScheduleEnumerated (one B variable per explicit
 // scenario, Eq. 3-4) where the dense LP fits in memory, and the exact
-// Aggregated formulation everywhere. The enumerated column is the
+// class-aggregated bate.Schedule everywhere. The enumerated column is the
 // paper's Fig. 17 series: its cost explodes with the scenario count
 // (see EXPERIMENTS.md for the dense-solver scale note).
 func Fig17(w io.Writer, opts Options) error {

@@ -43,6 +43,28 @@ func scenarioDigest(t *testing.T, h *HostileScenario) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// TestMaintenanceNoShedViolations: the lazy backup cache is dropped on
+// every admit, so a link that fails again after an admit is never
+// served a plan computed without the new demand. On the maintenance
+// preset (seed 1) such stale plans were the only cause of shed seconds
+// and violated 4 demands.
+func TestMaintenanceNoShedViolations(t *testing.T) {
+	n := topo.Testbed()
+	sc, err := BuildHostileScenario("maintenance", n, 600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTimeSim(sc.SimConfig(routing.Compute(n, routing.KShortest, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.SLOReports {
+		if r.Violated && r.Cause == CauseShed {
+			t.Errorf("demand %d violated by shed seconds (%d unsatisfied)", r.ID, r.UnsatShed)
+		}
+	}
+}
+
 // The hostile-soak gate: for each scenario family, the same seed must
 // replay byte-identically, and the online SLO auditor must agree
 // exactly with the offline recomputation — zero unnoticed (and zero

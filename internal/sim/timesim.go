@@ -387,6 +387,9 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 				current[d.ID] = adRes.NewAlloc
 				rates[d.ID] = adRes.NewAlloc
 			}
+			// Cached backups leave the new demand out; recompute them
+			// against the grown book on the next failure.
+			clear(backups)
 		}
 		var arrivals []*demand.Demand
 		for nextArrival < len(workload) && workload[nextArrival].Start <= now {
