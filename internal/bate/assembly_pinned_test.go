@@ -24,7 +24,7 @@ import (
 // and both paths run; the SHA-256 covers the hardened allocation and
 // every fixed-admission decision, against the hardened book and against
 // an empty network. The constants were recorded on amd64 with the
-// per-solve assembly this builder replaced; one moved row, column or
+// per-solve assembly that buildScheduleLP replaced; one moved row, column or
 // coefficient fails here.
 func TestAssemblyPinned(t *testing.T) {
 	for _, c := range []struct {
