@@ -202,11 +202,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		trace, err = sim.ParseTrace(f, net0)
+		ts, err := sim.ParseSchedule(f, net0)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
+		if len(ts.Groups)+len(ts.Storms)+len(ts.Maintenance) > 0 {
+			log.Fatalf("batesim: %s declares groups, storms or maintenance; pass it with -schedule", *traceIn)
+		}
+		trace = ts.Events
 	} else if *chaosSeed != 0 {
 		// Seed-replayable outage schedule in place of a trace file.
 		n := int(*horizon / 60)

@@ -1,8 +1,7 @@
 // Operations: the operator-facing tooling around the core algorithms —
 // portable workload files, replaying a measured outage trace against a
-// schedule, pricing link-capacity upgrades with LP shadow prices,
-// checking an advance reservation against the future booking timeline,
-// and the stop-the-master failover drill with the durable store.
+// schedule, pricing link-capacity upgrades with LP shadow prices, and
+// the stop-the-master failover drill with the durable store.
 //
 // Run with: go run ./examples/operations
 package main
@@ -61,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	quietTunnels := routing.Compute(quiet, routing.KShortest, 4)
-	trace, err := sim.ParseTrace(strings.NewReader(`
+	cut, err := sim.ParseSchedule(strings.NewReader(`
 # conduit cut takes the direct DC1-DC4 fiber down for 40 s
 DC1 DC4 100 140
 DC4 DC1 100 140
@@ -73,7 +72,7 @@ DC4 DC1 100 140
 		Net: quiet, Tunnels: quietTunnels, Workload: reloaded,
 		HorizonSec: 300, ScheduleEverySec: 300,
 		TE: sim.TEConfig{Kind: sim.KindBATE}, Admission: sim.AdmitNone,
-		Trace: trace, Seed: 1,
+		Trace: cut.Events, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -108,32 +107,7 @@ DC4 DC1 100 140
 		fmt.Println("  (no scarce links at this load)")
 	}
 
-	// --- 4. Advance reservations --------------------------------------------
-	booked := []*demand.Demand{
-		{ID: 10, Pairs: []demand.PairDemand{{Src: dc("DC1"), Dst: dc("DC3"), Bandwidth: 900}},
-			Target: 0.95, Start: 3600, End: 7200},
-	}
-	tryBook := func(bw, start, end float64) {
-		d := &demand.Demand{
-			ID: 11, Pairs: []demand.PairDemand{{Src: dc("DC1"), Dst: dc("DC3"), Bandwidth: bw}},
-			Target: 0.95, Start: start, End: end,
-		}
-		dec, err := bate.AdmitTimeline(in, booked, d)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if dec.Admitted {
-			fmt.Printf("reservation %.0f Mbps [%v, %v): ACCEPTED across %d windows\n",
-				bw, start, end, len(dec.Intervals))
-		} else {
-			fmt.Printf("reservation %.0f Mbps [%v, %v): REFUSED (blocked in [%v, %v))\n",
-				bw, start, end, dec.BlockingInterval[0], dec.BlockingInterval[1])
-		}
-	}
-	tryBook(1500, 3000, 5000) // clashes with the booked 900 Mbps window
-	tryBook(1500, 7200, 9000) // after the booking departs: fits
-
-	// --- 5. Stop the master: durable store + standby takeover ---------------
+	// --- 4. Stop the master: durable store + standby takeover ---------------
 	// The same drill an operator runs before trusting failover in
 	// production: admit through master A, kill it without warning, bring
 	// up standby B on the same store, and check nothing acked was lost.

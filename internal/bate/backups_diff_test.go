@@ -137,7 +137,7 @@ func TestBackupsMatchReferenceGreedy(t *testing.T) {
 		walk = func(start int, cur []topo.LinkID) {
 			if len(cur) > 0 {
 				want, _ := refRecoverGreedy(in, cur)
-				got, ok := bs.For(cur)
+				got, ok := bs.For(in, cur)
 				if !ok {
 					t.Fatalf("%s: no backup for %v", tc.name, cur)
 				}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"bate/internal/alloc"
+	"bate/internal/demand"
 	"bate/internal/topo"
 )
 
@@ -17,6 +18,12 @@ import (
 //
 // The allocations share rows with each other and with the no-failure
 // run they were propagated from: all of a BackupSet is read-only.
+//
+// A set knows the book it was planned for: the demands (by pointer,
+// keyed by ID) and the drained links of its input. For refuses it
+// once the book holds a demand the set never planned or the drain set
+// has changed, so a failure between rounds never pushes plans that
+// leave an admitted demand out or route over a drained link.
 type BackupSet struct {
 	Depth int
 	// One-demand LPs the pass solved (the no-failure run's included)
@@ -24,9 +31,11 @@ type BackupSet struct {
 	FitsSolved, FitsReused int
 	byKey                  map[string]*RecoveryResult
 	skipped                int
+	planned                map[int]*demand.Demand
+	drained                string // comboKey of the input's drained links
 }
 
-// comboKey canonicalizes a failure set.
+// comboKey canonicalizes a link set: a failure set, or a drain set.
 func comboKey(down []topo.LinkID) string {
 	ids := append([]topo.LinkID(nil), down...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -77,7 +86,15 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 		}
 		return len(combos[i].links) < len(combos[j].links)
 	})
-	bs := &BackupSet{Depth: depth, byKey: make(map[string]*RecoveryResult)}
+	bs := &BackupSet{
+		Depth:   depth,
+		byKey:   make(map[string]*RecoveryResult),
+		planned: make(map[int]*demand.Demand, len(in.Demands)),
+		drained: comboKey(in.Drained),
+	}
+	for _, d := range in.Demands {
+		bs.planned[d.ID] = d
+	}
 	w := newGreedyWalk(in)
 	_, fitted := w.run(nil)
 	copy(w.base, fitted)
@@ -94,13 +111,31 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 	return bs, nil
 }
 
-// For returns the precomputed recovery for a failure set, if covered.
-func (bs *BackupSet) For(down []topo.LinkID) (*RecoveryResult, bool) {
-	if bs == nil || len(down) == 0 {
+// For returns the precomputed recovery for a failure set, if covered
+// and if the set was planned for in's book: every demand of in was
+// planned (the same *demand.Demand under its ID) and in drains the
+// same links. A withdrawn demand keeps the set valid; its rows are
+// simply off the book.
+func (bs *BackupSet) For(in *alloc.Input, down []topo.LinkID) (*RecoveryResult, bool) {
+	if bs == nil || len(down) == 0 || !bs.plannedFor(in) {
 		return nil, false
 	}
 	r, ok := bs.byKey[comboKey(down)]
 	return r, ok
+}
+
+// plannedFor reports whether in's book and drain set are the ones the
+// set was planned for, up to withdrawals.
+func (bs *BackupSet) plannedFor(in *alloc.Input) bool {
+	if comboKey(in.Drained) != bs.drained {
+		return false
+	}
+	for _, d := range in.Demands {
+		if bs.planned[d.ID] != d {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of precomputed combinations.

@@ -48,13 +48,6 @@ type BatchOptions struct {
 	// MaxFail is the scenario-pruning depth (defaults to 2, like
 	// ScheduleOptions).
 	MaxFail int
-	// StopAfterConjecture stops committing right after a conjecture
-	// admit, returning the undecided remainder in Deferred. A
-	// conjecture admit carries only a temporary partial allocation
-	// (§3.2 footnote 5), so callers that reschedule immediately — the
-	// time simulator does — must re-batch the rest against the
-	// post-reschedule state.
-	StopAfterConjecture bool
 }
 
 // BatchDecision pairs one batch demand with its admission outcome.
@@ -71,8 +64,11 @@ type BatchDecision struct {
 type BatchResult struct {
 	// Decisions holds one entry per decided demand, in input order.
 	Decisions []BatchDecision
-	// Deferred is the undecided tail when StopAfterConjecture cut the
-	// batch short; empty otherwise.
+	// Deferred is the undecided tail after a conjecture admit; empty
+	// otherwise. A conjecture admit carries only a temporary, possibly
+	// partial allocation (§3.2 footnote 5) and calls for a scheduling
+	// round right away, so the batch stops there: the caller runs the
+	// round and re-batches Deferred against the rescheduled state.
 	Deferred []*demand.Demand
 	// Allocations maps each admitted demand's ID to its new allocation
 	// (identical to the corresponding Result.NewAlloc).
@@ -82,10 +78,19 @@ type BatchResult struct {
 	SerialFallbacks int
 }
 
+// EndsInConjecture reports whether the decided prefix ends with a
+// conjecture admit: the caller owes a scheduling round before it
+// re-batches Deferred.
+func (r *BatchResult) EndsInConjecture() bool {
+	n := len(r.Decisions)
+	return n > 0 && r.Decisions[n-1].Result.Method == MethodConjecture
+}
+
 // AdmitBatch runs the full admission strategy over a batch of
 // arrivals. in.Demands and admitted must list the currently active
 // demands (the same contract as Admit); current is their allocation.
-// Neither is mutated.
+// Neither is mutated. The batch stops after its first conjecture admit
+// and returns the rest in Deferred.
 func AdmitBatch(in *alloc.Input, current alloc.Allocation, admitted []*demand.Demand, batch []*demand.Demand, opts BatchOptions) (*BatchResult, error) {
 	if opts.MaxFail <= 0 {
 		opts.MaxFail = 2
@@ -169,7 +174,7 @@ func AdmitBatch(in *alloc.Input, current alloc.Allocation, admitted []*demand.De
 		adm = append(adm, d)
 		batchAdmits++
 		markFootprint(in, d, touched)
-		if opts.StopAfterConjecture && decision.Method == MethodConjecture {
+		if decision.Method == MethodConjecture {
 			res.Deferred = append(res.Deferred, batch[i+1:]...)
 			break
 		}

@@ -88,16 +88,34 @@ func TestAdmitBatchMatchesSerial(t *testing.T) {
 			nextID += len(batch)
 			want := serialAdmitReference(t, in, current, admitted, batch, 2)
 
-			liveIn := *in
-			liveIn.Demands = admitted
-			got, err := AdmitBatch(&liveIn, current, admitted, batch, BatchOptions{MaxFail: 2})
-			if err != nil {
-				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			// A conjecture admit ends a batch; re-batch the deferred
+			// tail against the advanced state, as a caller with no
+			// round to run in between would.
+			var decisions []BatchDecision
+			for rest := batch; len(rest) > 0; {
+				liveIn := *in
+				liveIn.Demands = admitted
+				got, err := AdmitBatch(&liveIn, current, admitted, rest, BatchOptions{MaxFail: 2})
+				if err != nil {
+					t.Fatalf("trial %d round %d: %v", trial, round, err)
+				}
+				if len(got.Decisions)+len(got.Deferred) != len(rest) {
+					t.Fatalf("decided %d + deferred %d of %d", len(got.Decisions), len(got.Deferred), len(rest))
+				}
+				if n := len(got.Deferred); n > 0 && got.Decisions[len(got.Decisions)-1].Result.Method != MethodConjecture {
+					t.Fatalf("trial %d round %d: %d deferred without a conjecture admit", trial, round, n)
+				}
+				// Advance state exactly as a caller would.
+				for _, dec := range got.Decisions {
+					if dec.Result.Admitted {
+						current[dec.Demand.ID] = dec.Result.NewAlloc
+						admitted = append(admitted, dec.Demand)
+					}
+				}
+				decisions = append(decisions, got.Decisions...)
+				rest = got.Deferred
 			}
-			if len(got.Decisions) != len(batch) {
-				t.Fatalf("decided %d of %d", len(got.Decisions), len(batch))
-			}
-			for i, dec := range got.Decisions {
+			for i, dec := range decisions {
 				w := want[i]
 				if dec.Result.Admitted != w.Admitted || dec.Result.Method != w.Method {
 					t.Fatalf("trial %d round %d demand %d: got (%v,%s) want (%v,%s) spec=%v",
@@ -115,13 +133,6 @@ func TestAdmitBatchMatchesSerial(t *testing.T) {
 							}
 						}
 					}
-				}
-			}
-			// Advance state exactly as a caller would.
-			for _, dec := range got.Decisions {
-				if dec.Result.Admitted {
-					current[dec.Demand.ID] = dec.Result.NewAlloc
-					admitted = append(admitted, dec.Demand)
 				}
 			}
 		}
@@ -145,9 +156,9 @@ func allocRowsEqual(a, b [][]float64) bool {
 	return true
 }
 
-// TestAdmitBatchStopAfterConjecture forces a conjecture admit and
+// TestAdmitBatchDefersAfterConjecture forces a conjecture admit and
 // checks the batch stops there, deferring the undecided tail.
-func TestAdmitBatchStopAfterConjecture(t *testing.T) {
+func TestAdmitBatchDefersAfterConjecture(t *testing.T) {
 	forcePool(t, 4)
 	// Occupy the network with a deliberately wasteful fixed allocation
 	// (the TestAdmitConjectureStep setup) so the batch's first demand
@@ -167,7 +178,7 @@ func TestAdmitBatchStopAfterConjecture(t *testing.T) {
 		testbedDemand(t, in, 3, "DC5", "DC6", 100, 0.9),
 	}
 	liveIn := &alloc.Input{Net: in.Net, Tunnels: in.Tunnels, Demands: admitted}
-	got, err := AdmitBatch(liveIn, current, admitted, batch, BatchOptions{MaxFail: 2, StopAfterConjecture: true})
+	got, err := AdmitBatch(liveIn, current, admitted, batch, BatchOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

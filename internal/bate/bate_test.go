@@ -462,7 +462,7 @@ func TestBackups(t *testing.T) {
 	}
 	for _, l := range in.Net.Links() {
 		e := l.ID
-		r, ok := backups.For([]topo.LinkID{e})
+		r, ok := backups.For(in, []topo.LinkID{e})
 		if !ok {
 			t.Fatalf("no backup for link %d", e)
 		}
@@ -710,6 +710,53 @@ func TestLinkPrices(t *testing.T) {
 	}
 }
 
+// A backup set serves only the book it was planned for: a withdraw
+// keeps it, while an admit, a demand reusing a planned ID or a changed
+// drain set makes every lookup a miss.
+func TestBackupSetKnowsItsBook(t *testing.T) {
+	in := testbedInput(t, nil)
+	d0 := testbedDemand(t, in, 0, "DC1", "DC3", 400, 0.99)
+	d1 := testbedDemand(t, in, 1, "DC2", "DC6", 300, 0.95)
+	in.Demands = []*demand.Demand{d0, d1}
+	bs, err := PrecomputeBackups(in, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := []topo.LinkID{in.Net.Links()[0].ID}
+	reused := *d1
+	for _, tc := range []struct {
+		name    string
+		demands []*demand.Demand
+		drained []topo.LinkID
+		hit     bool
+	}{
+		{"planned book", []*demand.Demand{d0, d1}, nil, true},
+		{"withdraw", []*demand.Demand{d1}, nil, true},
+		{"admit", []*demand.Demand{d0, d1, testbedDemand(t, in, 2, "DC1", "DC4", 100, 0.9)}, nil, false},
+		{"reused id", []*demand.Demand{d0, &reused}, nil, false},
+		{"drain", []*demand.Demand{d0, d1}, []topo.LinkID{3}, false},
+	} {
+		now := in.WithDemands(tc.demands)
+		now.Drained = tc.drained
+		if _, ok := bs.For(now, down); ok != tc.hit {
+			t.Errorf("%s: hit = %v, want %v", tc.name, ok, tc.hit)
+		}
+	}
+	drained := in.WithDemands(in.Demands)
+	drained.Drained = []topo.LinkID{5, 3}
+	ds, err := PrecomputeBackups(drained, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained.Drained = []topo.LinkID{3, 5}
+	if _, ok := ds.For(drained, down); !ok {
+		t.Error("drain set compared by order, not as a set")
+	}
+	if _, ok := ds.For(in, down); ok {
+		t.Error("undrain kept a set planned under the drain")
+	}
+}
+
 func TestPrecomputeBackupsDepth2(t *testing.T) {
 	in := testbedInput(t, nil)
 	in.Demands = []*demand.Demand{
@@ -726,11 +773,11 @@ func TestPrecomputeBackupsDepth2(t *testing.T) {
 	}
 	// Lookup order must not matter, and allocations avoid the down links.
 	down := []topo.LinkID{7, 3}
-	r, ok := bs.For(down)
+	r, ok := bs.For(in, down)
 	if !ok {
 		t.Fatal("pair combo missing")
 	}
-	r2, ok2 := bs.For([]topo.LinkID{3, 7})
+	r2, ok2 := bs.For(in, []topo.LinkID{3, 7})
 	if !ok2 || r2 != r {
 		t.Fatal("lookup not order-invariant")
 	}
@@ -740,10 +787,10 @@ func TestPrecomputeBackupsDepth2(t *testing.T) {
 			t.Fatalf("backup routes over failed link %d", e)
 		}
 	}
-	if _, ok := bs.For([]topo.LinkID{1, 2, 3}); ok {
+	if _, ok := bs.For(in, []topo.LinkID{1, 2, 3}); ok {
 		t.Fatal("depth-3 combo should be absent")
 	}
-	if _, ok := bs.For(nil); ok {
+	if _, ok := bs.For(in, nil); ok {
 		t.Fatal("empty failure set should not resolve")
 	}
 }
@@ -763,11 +810,11 @@ func TestPrecomputeBackupsBudget(t *testing.T) {
 	}
 	// The most probable failure — L4 (links 6/7 at 1%) — must be
 	// within any sane budget.
-	if _, ok := bs.For([]topo.LinkID{6}); !ok {
+	if _, ok := bs.For(in, []topo.LinkID{6}); !ok {
 		t.Fatal("budget dropped the most probable failure")
 	}
 	// Both L4 directions together are the most probable pair.
-	if _, ok := bs.For([]topo.LinkID{6, 7}); !ok {
+	if _, ok := bs.For(in, []topo.LinkID{6, 7}); !ok {
 		t.Fatal("budget dropped the most probable pair")
 	}
 }
@@ -880,87 +927,6 @@ func TestConjectureMultiPair(t *testing.T) {
 	md.Pairs[0].Bandwidth = 50000
 	if Conjecture(in, []*demand.Demand{md}) {
 		t.Fatal("oversized multi-pair demand admitted")
-	}
-}
-
-func TestAdmitTimeline(t *testing.T) {
-	in := testbedInput(t, nil)
-	mk := func(id int, bw, start, end float64) *demand.Demand {
-		d := testbedDemand(t, in, id, "DC1", "DC3", bw, 0.95)
-		d.Start, d.End = start, end
-		return d
-	}
-	// Two bookings saturating DC1->DC3-ish capacity in [100, 200).
-	booked := []*demand.Demand{
-		mk(0, 900, 100, 200),
-		mk(1, 900, 150, 250),
-	}
-	// A demand entirely before the congestion is admitted.
-	early := mk(2, 900, 0, 90)
-	dec, err := AdmitTimeline(in, booked, early)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Admitted || len(dec.Intervals) != 1 {
-		t.Fatalf("early: %+v", dec)
-	}
-	// A big demand overlapping the doubly-booked window is refused,
-	// and the blocking interval is the overlap [150, 200).
-	clash := mk(3, 1200, 120, 260)
-	dec, err = AdmitTimeline(in, booked, clash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Admitted {
-		t.Fatal("clash admitted despite saturated window")
-	}
-	if dec.BlockingInterval[0] < 120 || dec.BlockingInterval[1] > 260 {
-		t.Fatalf("blocking interval %v outside demand window", dec.BlockingInterval)
-	}
-	// The same demand booked after everyone departs is fine.
-	later := mk(4, 1200, 300, 400)
-	dec, err = AdmitTimeline(in, booked, later)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Admitted {
-		t.Fatal("later demand refused despite empty window")
-	}
-	// Empty lifetime is rejected.
-	if _, err := AdmitTimeline(in, booked, mk(5, 10, 50, 50)); err == nil {
-		t.Fatal("expected lifetime validation error")
-	}
-}
-
-// Window-aware admission partitions correctly: interval boundaries
-// cover the demand's lifetime exactly.
-func TestAdmitTimelineIntervals(t *testing.T) {
-	in := testbedInput(t, nil)
-	mk := func(id int, bw, start, end float64) *demand.Demand {
-		d := testbedDemand(t, in, id, "DC2", "DC5", bw, 0.9)
-		d.Start, d.End = start, end
-		return d
-	}
-	booked := []*demand.Demand{mk(0, 50, 10, 30), mk(1, 50, 20, 40)}
-	d := mk(2, 50, 0, 50)
-	dec, err := AdmitTimeline(in, booked, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Admitted {
-		t.Fatal("light demand refused")
-	}
-	// Cuts at 10, 20, 30, 40 → 5 intervals spanning [0, 50).
-	if len(dec.Intervals) != 5 {
-		t.Fatalf("got %d intervals: %v", len(dec.Intervals), dec.Intervals)
-	}
-	if dec.Intervals[0][0] != 0 || dec.Intervals[len(dec.Intervals)-1][1] != 50 {
-		t.Fatalf("intervals do not span the lifetime: %v", dec.Intervals)
-	}
-	for i := 1; i < len(dec.Intervals); i++ {
-		if dec.Intervals[i][0] != dec.Intervals[i-1][1] {
-			t.Fatalf("interval gap: %v", dec.Intervals)
-		}
 	}
 }
 

@@ -56,7 +56,8 @@ func (s RecoveryStage) String() string {
 // RecoverOptions tunes the deadline-bounded recovery pipeline.
 type RecoverOptions struct {
 	// Backups are the precomputed §3.4 plans; a covered failure set is
-	// served from here instantly.
+	// served from here instantly, if the set was planned for Recover's
+	// book (see BackupSet.For).
 	Backups *BackupSet
 	// Deadline bounds the whole Recover call. The optimal stage gets
 	// most of it; the greedy floor keeps a reserve. <= 0 means 2s.
@@ -104,7 +105,7 @@ func Recover(in *alloc.Input, down []topo.LinkID, opts RecoverOptions) (*Recover
 	start := time.Now()
 	defer func() { recMaxMs.Observe(time.Since(start).Milliseconds()) }()
 
-	if r, ok := opts.Backups.For(down); ok {
+	if r, ok := opts.Backups.For(in, down); ok {
 		recBackupHits.Inc()
 		return r, StageBackup, nil
 	}

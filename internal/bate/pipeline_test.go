@@ -32,7 +32,7 @@ func TestRecoverBackupHit(t *testing.T) {
 	if stage != StageBackup {
 		t.Fatalf("stage = %v, want backup (failure set is covered)", stage)
 	}
-	want, _ := bs.For(down)
+	want, _ := bs.For(in, down)
 	if r != want {
 		t.Fatal("backup hit did not return the precomputed result")
 	}

@@ -42,7 +42,7 @@ type Config struct {
 	BackupBudget int
 	// SchedulePeriod is the online scheduler's cadence (§3.3 suggests
 	// ~10 minutes in production; examples use seconds). Zero disables
-	// the periodic loop (scheduling still runs after each admission).
+	// the periodic loop (a conjecture admit still triggers a round).
 	SchedulePeriod time.Duration
 	// Store, when non-nil, makes the controller durable: New resumes
 	// from the state it replayed (demand book, allocation, link-down
@@ -292,7 +292,7 @@ func (c *Controller) Serve(ctx context.Context, ln net.Listener) error {
 		// Re-prime the scheduler over the restored demand book so backups
 		// exist and the warm-start basis is seeded before traffic arrives.
 		go func() {
-			if err := c.reschedule(); err != nil {
+			if err := c.Reschedule(); err != nil {
 				c.logf("controller: post-restore reschedule: %v", err)
 			}
 		}()
@@ -372,7 +372,7 @@ func (c *Controller) scheduleLoop(ctx context.Context) {
 				c.logf("controller: reschedule deferred under overload")
 				continue
 			}
-			if err := c.reschedule(); err != nil {
+			if err := c.Reschedule(); err != nil {
 				c.logf("controller: reschedule: %v", err)
 			}
 		}
@@ -447,7 +447,8 @@ func (c *Controller) serveBroker(conn *wire.Conn, dc string) {
 	c.mu.Lock()
 	c.brokers[dc] = conn
 	// Late joiner gets the current allocation immediately.
-	msg := c.allocMessageLocked(dc, c.st.Current, false)
+	in, _ := c.inputLocked()
+	msg := c.allocMessageLocked(in, dc, c.st.Current, false)
 	c.mu.Unlock()
 	conn.Send(msg)
 	defer func() {
@@ -685,7 +686,8 @@ func demandMatches(d *demand.Demand, src, dst topo.NodeID, s *wire.Submit) bool 
 // decisions identical to submitting them one at a time in order (see
 // bate.AdmitBatch). Results are index-aligned with the request. Each
 // admit is durable before it is applied; allocations are pushed to
-// brokers once, after the batch, if anything was admitted.
+// brokers once, after the batch, if anything was admitted, and after
+// every conjecture admit, which a scheduling round follows.
 func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	out := make([]wire.AdmitResult, len(subs))
 	if len(subs) == 0 {
@@ -733,46 +735,58 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 		})
 		slot = append(slot, i)
 	}
-	if len(batch) == 0 {
-		return out
+	// Commit each decided prefix. A conjecture admit ends a batch: its
+	// temporary allocation may be below b_d (§3.2 footnote 5), so it is
+	// pushed and a round runs before the rest is re-batched against the
+	// rescheduled state.
+	size := len(batch)
+	admitted, spec, serial, unpushed := 0, 0, 0, false
+	for len(batch) > 0 {
+		br, err := c.admitLocked(batch)
+		if err != nil {
+			c.logf("controller: admit: %v", err)
+			for _, i := range slot {
+				out[i] = wire.AdmitResult{Admitted: false, Method: "error"}
+			}
+			break
+		}
+		for bi, dec := range br.Decisions {
+			i := slot[bi]
+			out[i] = wire.AdmitResult{
+				Admitted: dec.Result.Admitted,
+				Method:   string(dec.Result.Method),
+				DelayMs:  float64(dec.Result.Elapsed.Microseconds()) / 1000,
+			}
+			if !dec.Result.Admitted {
+				continue
+			}
+			// Durability before the ack, fail closed: an admit that cannot be
+			// made durable is refused, never acked on hope.
+			if err := c.commit(store.Admit{Demand: dec.Demand, Rows: dec.Result.NewAlloc}); err != nil {
+				out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
+				continue
+			}
+			out[i].DemandID = dec.Demand.ID
+			admitted++
+			unpushed = true
+		}
+		spec += br.SpecReused
+		serial += br.SerialFallbacks
+		if br.EndsInConjecture() {
+			c.pushAllLocked(false)
+			unpushed = false
+			if err := c.rescheduleLocked(); err != nil {
+				c.logf("controller: conjecture reschedule (allocation kept): %v", err)
+			}
+		}
+		slot = slot[len(br.Decisions):]
+		batch = br.Deferred
 	}
-	br, err := c.admitLocked(batch)
-	if err != nil {
-		c.logf("controller: admit: %v", err)
-		for _, i := range slot {
-			out[i] = wire.AdmitResult{Admitted: false, Method: "error"}
-		}
-		return out
-	}
-	admitted := 0
-	for bi, dec := range br.Decisions {
-		i := slot[bi]
-		out[i] = wire.AdmitResult{
-			Admitted: dec.Result.Admitted,
-			Method:   string(dec.Result.Method),
-			DelayMs:  float64(dec.Result.Elapsed.Microseconds()) / 1000,
-		}
-		if !dec.Result.Admitted {
-			continue
-		}
-		// Durability before the ack, fail closed: an admit that cannot be
-		// made durable is refused, never acked on hope.
-		if err := c.commit(store.Admit{Demand: dec.Demand, Rows: dec.Result.NewAlloc}); err != nil {
-			out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
-			continue
-		}
-		out[i].DemandID = dec.Demand.ID
-		admitted++
-	}
-	if len(batch) > 1 {
+	if size > 1 {
 		c.logf("controller: batch of %d: %d admitted, %d speculative, %d serial fallback",
-			len(batch), admitted, br.SpecReused, br.SerialFallbacks)
+			size, admitted, spec, serial)
 	}
-	if admitted > 0 {
-		// The round's backups were built for a book without these
-		// demands: a hit would push plans that give them nothing. Until
-		// the next round, recovery starts at the budgeted-optimal rung.
-		c.backups = nil
+	if unpushed {
 		c.pushAllLocked(false)
 	}
 	return out
@@ -885,7 +899,7 @@ func (c *Controller) DrainLink(srcDC, dstDC string) error {
 	c.mu.Unlock()
 	mDrains.Inc()
 	c.logf("controller: maintenance drain %s-%s: rescheduling traffic off the link", srcDC, dstDC)
-	if err := c.reschedule(); err != nil {
+	if err := c.Reschedule(); err != nil {
 		c.logf("controller: drain reschedule (allocation kept): %v", err)
 	}
 	return nil
@@ -908,7 +922,7 @@ func (c *Controller) UndrainLink(srcDC, dstDC string) error {
 	c.mu.Unlock()
 	mUndrains.Inc()
 	c.logf("controller: maintenance complete %s-%s: link back in service", srcDC, dstDC)
-	if err := c.reschedule(); err != nil {
+	if err := c.Reschedule(); err != nil {
 		c.logf("controller: undrain reschedule (allocation kept): %v", err)
 	}
 	return nil
@@ -979,16 +993,18 @@ func (c *Controller) maintenanceLoop(ctx context.Context) {
 
 // Reschedule runs the periodic optimization (§3.3): the scheduling LP
 // plus backup precomputation, then pushes to brokers.
-func (c *Controller) Reschedule() error { return c.reschedule() }
-
-func (c *Controller) reschedule() error {
+func (c *Controller) Reschedule() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.rescheduleLocked()
+}
+
+// rescheduleLocked is Reschedule's round, run under c.mu.
+func (c *Controller) rescheduleLocked() error {
 	in, _ := c.inputLocked()
 	if len(in.Demands) == 0 {
 		// Nothing to schedule, and no allocation to replace: a withdraw
 		// takes a demand's rows with it.
-		c.backups = nil
 		c.pushAllLocked(false)
 		return nil
 	}
@@ -1044,13 +1060,11 @@ func (c *Controller) reschedule() error {
 		budget = in.Net.NumLinks() * 4
 	}
 	backupStart := time.Now()
-	c.backups, err = bate.PrecomputeBackups(in, c.cfg.BackupDepth, budget)
+	bs, err := bate.PrecomputeBackups(in, c.cfg.BackupDepth, budget)
 	if err != nil {
-		// Not the old book's plans: the ladder answers from its
-		// budgeted-optimal rung until the next round.
-		c.backups = nil
 		return err
 	}
+	c.backups = bs
 	round += fmt.Sprintf("; backups: %d combos, %d fits solved, %d reused, %v",
 		c.backups.Len(), c.backups.FitsSolved, c.backups.FitsReused, time.Since(backupStart).Round(time.Millisecond))
 	return nil
@@ -1112,8 +1126,9 @@ func (c *Controller) pushAllLocked(backup bool) {
 
 func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
 	_ = c.commit(store.Epoch{Epoch: c.st.Epoch + 1}) // best-effort: never refused
+	in, _ := c.inputLocked()
 	for dc, conn := range c.brokers {
-		msg := c.allocMessageLocked(dc, a, backup)
+		msg := c.allocMessageLocked(in, dc, a, backup)
 		if err := conn.Send(msg); err != nil {
 			c.logf("controller: push to %s: %v", dc, err)
 			// Slow-peer isolation: a broker whose bounded send queue
@@ -1132,10 +1147,9 @@ func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
 }
 
 // allocMessageLocked builds the AllocUpdate for one broker: every
-// tunnel allocation whose path traverses that DC.
-func (c *Controller) allocMessageLocked(dc string, a alloc.Allocation, backup bool) *wire.Message {
+// tunnel allocation of in's book whose path traverses that DC.
+func (c *Controller) allocMessageLocked(in *alloc.Input, dc string, a alloc.Allocation, backup bool) *wire.Message {
 	update := &wire.AllocUpdate{Epoch: c.st.Epoch, Backup: backup}
-	in, _ := c.inputLocked()
 	for _, d := range in.Demands {
 		rows, ok := a[d.ID]
 		if !ok {

@@ -257,8 +257,8 @@ func TestBackupPushesLeaveBackupsIntact(t *testing.T) {
 		t.Fatalf("controller holds %d backups, fresh precompute %d", got.Len(), want.Len())
 	}
 	for _, l := range in.Net.Links() {
-		g, _ := got.For([]topo.LinkID{l.ID})
-		w, _ := want.For([]topo.LinkID{l.ID})
+		g, _ := got.For(in, []topo.LinkID{l.ID})
+		w, _ := want.For(in, []topo.LinkID{l.ID})
 		if !reflect.DeepEqual(g.Alloc, w.Alloc) || !reflect.DeepEqual(g.FullProfit, w.FullProfit) || g.Profit != w.Profit {
 			t.Fatalf("backup for link %d changed after being served", l.ID)
 		}

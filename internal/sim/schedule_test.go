@@ -79,9 +79,9 @@ func TestScheduleTraceBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := ParseTrace(strings.NewReader("DC1 DC4 120 180\nDC2 DC3 10 20\n"), net)
-	if err != nil {
-		t.Fatal(err)
+	trace := []FailureEvent{
+		{Link: mustLink(t, net, "DC2", "DC3"), DownAt: 10, UpAt: 20},
+		{Link: mustLink(t, net, "DC1", "DC4"), DownAt: 120, UpAt: 180},
 	}
 	if !reflect.DeepEqual(s.Events, trace) {
 		t.Fatalf("schedule events %+v != trace %+v", s.Events, trace)

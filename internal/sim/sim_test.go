@@ -512,7 +512,9 @@ func TestTimeSimFFCKeepsAllocation(t *testing.T) {
 	}
 }
 
-func TestParseTraceAndReplay(t *testing.T) {
+// A bare-line trace parses as a schedule of Events only, and the
+// injector replays it.
+func TestParseScheduleTraceReplay(t *testing.T) {
 	base := topo.Testbed()
 	probs := make([]float64, base.NumLinks())
 	n, err := base.WithFailProbs(probs) // pure replay: no random failures
@@ -524,10 +526,11 @@ func TestParseTraceAndReplay(t *testing.T) {
 DC1 DC4 10 20
 DC1 DC2 15 16
 `
-	events, err := ParseTrace(strings.NewReader(trace), n)
+	s, err := ParseSchedule(strings.NewReader(trace), n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := s.Events
 	if len(events) != 2 || events[0].DownAt != 10 {
 		t.Fatalf("events %+v", events)
 	}
@@ -548,7 +551,7 @@ DC1 DC2 15 16
 	}
 }
 
-func TestParseTraceErrors(t *testing.T) {
+func TestParseScheduleTraceErrors(t *testing.T) {
 	n := topo.Testbed()
 	cases := []string{
 		"DC1 DC4 10",     // wrong arity
@@ -558,10 +561,11 @@ func TestParseTraceErrors(t *testing.T) {
 		"DC1 DC4 x 20",   // bad down
 		"DC1 DC4 10 y",   // bad up
 		"DC1 DC4 20 10",  // repair before failure
+		"DC1 DC4 -5 10",  // negative time
 	}
 	for _, src := range cases {
-		if _, err := ParseTrace(strings.NewReader(src), n); err == nil {
-			t.Errorf("ParseTrace(%q): expected error", src)
+		if _, err := ParseSchedule(strings.NewReader(src), n); err == nil {
+			t.Errorf("ParseSchedule(%q): expected error", src)
 		}
 	}
 }
@@ -578,7 +582,7 @@ func TestTimeSimWithTrace(t *testing.T) {
 	}
 	ts := routing.Compute(n, routing.KShortest, 4)
 	d := mkDemand(t, n, 0, "DC1", "DC4", 400, 0.99, 0, 100)
-	trace, err := ParseTrace(strings.NewReader("DC1 DC4 50 60"), n)
+	cut, err := ParseSchedule(strings.NewReader("DC1 DC4 50 60"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +590,7 @@ func TestTimeSimWithTrace(t *testing.T) {
 		Net: n, Tunnels: ts, Workload: []*demand.Demand{d},
 		HorizonSec: 100, ScheduleEverySec: 100,
 		TE: TEConfig{Kind: KindBATE}, Admission: AdmitNone,
-		Trace: trace, Seed: 1,
+		Trace: cut.Events, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

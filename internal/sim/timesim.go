@@ -269,7 +269,7 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 		return true
 	}
 	current := alloc.Allocation{} // scheduled allocation
-	var backups map[topo.LinkID]*bate.RecoveryResult
+	var backups *bate.BackupSet
 	rates := sendRates{}
 	nextArrival := 0
 	var offeredTotal, lostTotal float64
@@ -282,11 +282,12 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 		}
 		current = a
 		if cfg.TE.Kind == KindBATE && !cfg.DisableRecovery {
-			// Backups are precomputed lazily: the first failure of a
-			// link in this epoch computes and caches its backup
-			// (equivalent to the §3.4 precomputation for the links
-			// that matter, without paying for the rest).
-			backups = make(map[topo.LinkID]*bate.RecoveryResult)
+			// The controller's §3.4 policy: single-link backups for the
+			// book just scheduled. A failure after an admit or a drain
+			// misses them and recovers from scratch.
+			if backups, err = bate.PrecomputeBackups(in, 1, 0); err != nil {
+				return fmt.Errorf("sim: backups: %w", err)
+			}
 		}
 		rates = ratesFromAlloc(in, current, func(t routing.Tunnel) bool { return injector.TunnelUp(t) })
 		// Fig. 8 samples.
@@ -315,18 +316,9 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 		case len(down) == 0:
 			rates = ratesFromAlloc(in, current, up)
 		case cfg.TE.Kind == KindBATE && !cfg.DisableRecovery:
-			if len(down) == 1 && backups != nil {
-				if backups[down[0]] == nil {
-					if rec, err := bate.RecoverGreedy(in, down); err == nil {
-						backups[down[0]] = rec
-					}
-				}
-				if b := backups[down[0]]; b != nil {
-					rates = ratesFromAlloc(in, b.Alloc, up)
-					break
-				}
-			}
-			if rec, err := bate.RecoverGreedy(in, down); err == nil {
+			if b, ok := backups.For(in, down); ok {
+				rates = ratesFromAlloc(in, b.Alloc, up)
+			} else if rec, err := bate.RecoverGreedy(in, down); err == nil {
 				rates = ratesFromAlloc(in, rec.Alloc, up)
 			} else {
 				rates = ratesFromAlloc(in, current, up)
@@ -365,7 +357,7 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 		active = kept
 
 		// Arrivals. The bookkeeping for one decision is shared between
-		// the serial and batched paths.
+		// the batched and per-demand paths.
 		applyDecision := func(d *demand.Demand, adRes *bate.AdmissionResult) {
 			res.Arrived++
 			out := &DemandOutcome{ID: d.ID, Target: d.Target, Charge: d.Charge, RefundFrac: d.RefundFrac}
@@ -387,9 +379,6 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 				current[d.ID] = adRes.NewAlloc
 				rates[d.ID] = adRes.NewAlloc
 			}
-			// Cached backups leave the new demand out; recompute them
-			// against the grown book on the next failure.
-			clear(backups)
 		}
 		var arrivals []*demand.Demand
 		for nextArrival < len(workload) && workload[nextArrival].Start <= now {
@@ -408,26 +397,21 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 			}
 			arrivals = append(arrivals, d)
 		}
-		if cfg.Admission == AdmitBATE && len(arrivals) > 1 {
-			// Same-second arrivals are admitted as one batch: candidates
-			// are speculated in parallel and committed with the exact
-			// decisions of the one-at-a-time loop. A conjecture admit
-			// stops the batch (its temporary allocation demands an
-			// immediate reschedule, §3.2 footnote 5); the remainder is
-			// re-batched against the rescheduled state, exactly as the
-			// serial loop would see it.
+		if cfg.Admission == AdmitBATE {
+			// The controller's submit loop: same-second arrivals are
+			// one batch, decided exactly as one at a time. A conjecture
+			// admit ends the batch and triggers a round (its temporary
+			// allocation may be below b_d, §3.2 footnote 5); the rest
+			// is re-batched against the rescheduled state.
 			for len(arrivals) > 0 {
-				br, err := bate.AdmitBatch(input(), current, active, arrivals,
-					bate.BatchOptions{MaxFail: cfg.MaxFail, StopAfterConjecture: true})
+				br, err := bate.AdmitBatch(input(), current, active, arrivals, bate.BatchOptions{MaxFail: cfg.MaxFail})
 				if err != nil {
 					return nil, err
 				}
-				conjectured := false
 				for _, dec := range br.Decisions {
 					applyDecision(dec.Demand, dec.Result)
-					conjectured = conjectured || dec.Result.Method == bate.MethodConjecture
 				}
-				if conjectured {
+				if br.EndsInConjecture() {
 					if err := reschedule(); err != nil {
 						return nil, err
 					}
@@ -442,16 +426,6 @@ func RunTimeSim(cfg TimeSimConfig) (*TimeSimResult, error) {
 					return nil, err
 				}
 				applyDecision(d, adRes)
-				// A conjecture admit may carry only a partial temporary
-				// allocation (§3.2 footnote 5); reschedule right away so
-				// the demand is not left under-served until the next
-				// periodic epoch.
-				if adRes.Method == bate.MethodConjecture {
-					if err := reschedule(); err != nil {
-						return nil, err
-					}
-					lastSchedule = now
-				}
 			}
 		}
 

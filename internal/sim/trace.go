@@ -1,19 +1,15 @@
 package sim
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"bate/internal/topo"
 )
 
 // Failure traces replay measured outages (the paper's Fig. 1(a)
 // commercial-WAN measurements) instead of drawing Bernoulli failures.
-// The text format is one event per line:
+// A trace file is a schedule (ParseSchedule) of bare lines, one event
+// per line:
 //
 //	# comment
 //	SRC DST DOWN_AT_SEC UP_AT_SEC
@@ -25,57 +21,6 @@ type FailureEvent struct {
 	Link   topo.LinkID
 	DownAt float64
 	UpAt   float64
-}
-
-// ParseTrace reads a failure trace, resolving DC names against net.
-// Events are returned sorted by DownAt.
-func ParseTrace(r io.Reader, net *topo.Network) ([]FailureEvent, error) {
-	var out []FailureEvent
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("sim: trace line %d: want SRC DST DOWN UP", lineNo)
-		}
-		src, ok := net.NodeByName(fields[0])
-		if !ok {
-			return nil, fmt.Errorf("sim: trace line %d: unknown DC %q", lineNo, fields[0])
-		}
-		dst, ok := net.NodeByName(fields[1])
-		if !ok {
-			return nil, fmt.Errorf("sim: trace line %d: unknown DC %q", lineNo, fields[1])
-		}
-		link, ok := net.LinkBetween(src, dst)
-		if !ok {
-			return nil, fmt.Errorf("sim: trace line %d: no link %s->%s", lineNo, fields[0], fields[1])
-		}
-		down, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("sim: trace line %d: bad down time: %v", lineNo, err)
-		}
-		up, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("sim: trace line %d: bad up time: %v", lineNo, err)
-		}
-		if up <= down {
-			return nil, fmt.Errorf("sim: trace line %d: repair %v before failure %v", lineNo, up, down)
-		}
-		out = append(out, FailureEvent{Link: link.ID, DownAt: down, UpAt: up})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DownAt < out[j].DownAt })
-	return out, nil
 }
 
 // ApplyTrace pre-loads the injector with scripted outages. Scripted
