@@ -13,6 +13,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -204,6 +205,9 @@ type Controller struct {
 	// durable (see MaintenanceWindow), so it lives beside st, not in it.
 	drained  map[topo.LinkID]bool
 	restored bool // state came from the store; reschedule once on Serve
+	// routes holds each pair's tunnels as the brokers see them, built on
+	// first use (see routesLocked).
+	routes map[[2]topo.NodeID][]route
 
 	// stubWork is a test seam. When non-nil, admission skips the solver
 	// and admits every valid demand without allocation rows (method
@@ -221,6 +225,11 @@ type Controller struct {
 
 	statusMu    sync.Mutex
 	statusCache *wire.StatusReply
+
+	// availMu guards avail, the status reply's per-demand achieved
+	// availability (see achieved).
+	availMu sync.Mutex
+	avail   map[*demand.Demand]availMemo
 
 	// Session accounting: every handleConn goroutine is registered so
 	// Serve teardown can close live sessions and drain in-flight
@@ -262,6 +271,8 @@ func New(cfg Config) (*Controller, error) {
 		st:        store.NewState(),
 		brokers:   make(map[string]*wire.Conn),
 		drained:   make(map[topo.LinkID]bool),
+		routes:    make(map[[2]topo.NodeID][]route),
+		avail:     make(map[*demand.Demand]availMemo),
 		conns:     make(map[*wire.Conn]struct{}),
 	}
 	if cfg.Overload != nil {
@@ -447,8 +458,7 @@ func (c *Controller) serveBroker(conn *wire.Conn, dc string) {
 	c.mu.Lock()
 	c.brokers[dc] = conn
 	// Late joiner gets the current allocation immediately.
-	in, _ := c.inputLocked()
-	msg := c.allocMessageLocked(in, dc, c.st.Current, false)
+	msg := c.allocMessagesLocked(c.st.Current, false, []string{dc})[0]
 	c.mu.Unlock()
 	conn.Send(msg)
 	defer func() {
@@ -685,9 +695,10 @@ func demandMatches(d *demand.Demand, src, dst topo.NodeID, s *wire.Submit) bool 
 // batch: candidates are speculated in parallel and committed with
 // decisions identical to submitting them one at a time in order (see
 // bate.AdmitBatch). Results are index-aligned with the request. Each
-// admit is durable before it is applied; allocations are pushed to
-// brokers once, after the batch, if anything was admitted, and after
-// every conjecture admit, which a scheduling round follows.
+// pass of decided admits is one durable group with its push's epoch;
+// the allocation is pushed to brokers after every pass that admitted
+// anything. A pass ends early at a conjecture admit, which a
+// scheduling round follows.
 func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	out := make([]wire.AdmitResult, len(subs))
 	if len(subs) == 0 {
@@ -740,7 +751,7 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	// pushed and a round runs before the rest is re-batched against the
 	// rescheduled state.
 	size := len(batch)
-	admitted, spec, serial, unpushed := 0, 0, 0, false
+	admitted, spec, serial := 0, 0, 0
 	for len(batch) > 0 {
 		br, err := c.admitLocked(batch)
 		if err != nil {
@@ -750,6 +761,8 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 			}
 			break
 		}
+		var group []store.Record
+		var acked []int // reply indexes of the admits in group
 		for bi, dec := range br.Decisions {
 			i := slot[bi]
 			out[i] = wire.AdmitResult{
@@ -757,26 +770,30 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 				Method:   string(dec.Result.Method),
 				DelayMs:  float64(dec.Result.Elapsed.Microseconds()) / 1000,
 			}
-			if !dec.Result.Admitted {
-				continue
+			if dec.Result.Admitted {
+				out[i].DemandID = dec.Demand.ID
+				group = append(group, store.Admit{Demand: dec.Demand, Rows: dec.Result.NewAlloc})
+				acked = append(acked, i)
 			}
-			// Durability before the ack, fail closed: an admit that cannot be
-			// made durable is refused, never acked on hope.
-			if err := c.commit(store.Admit{Demand: dec.Demand, Rows: dec.Result.NewAlloc}); err != nil {
-				out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
-				continue
-			}
-			out[i].DemandID = dec.Demand.ID
-			admitted++
-			unpushed = true
 		}
 		spec += br.SpecReused
 		serial += br.SerialFallbacks
-		if br.EndsInConjecture() {
-			c.pushAllLocked(false)
-			unpushed = false
-			if err := c.rescheduleLocked(); err != nil {
-				c.logf("controller: conjecture reschedule (allocation kept): %v", err)
+		// Durability before the ack, fail closed: the pass's admits and
+		// its push's epoch are one group, and admits that cannot be made
+		// durable are refused, never acked on hope.
+		if len(group) > 0 {
+			if err := c.commit(append(group, c.nextEpoch())...); err != nil {
+				for _, i := range acked {
+					out[i] = wire.AdmitResult{Admitted: false, Method: "store-error"}
+				}
+			} else {
+				admitted += len(acked)
+				c.pushAllLocked(false)
+				if br.EndsInConjecture() {
+					if err := c.rescheduleLocked(); err != nil {
+						c.logf("controller: conjecture reschedule (allocation kept): %v", err)
+					}
+				}
 			}
 		}
 		slot = slot[len(br.Decisions):]
@@ -785,9 +802,6 @@ func (c *Controller) submitBatch(subs []wire.Submit) []wire.AdmitResult {
 	if size > 1 {
 		c.logf("controller: batch of %d: %d admitted, %d speculative, %d serial fallback",
 			size, admitted, spec, serial)
-	}
-	if unpushed {
-		c.pushAllLocked(false)
 	}
 	return out
 }
@@ -814,32 +828,43 @@ func (c *Controller) withdraw(id int) error {
 	if _, ok := c.st.Demands[id]; !ok {
 		return nil // unknown id: idempotent no-op
 	}
-	if err := c.commit(store.Withdraw{ID: id}); err != nil {
+	if err := c.commit(store.Withdraw{ID: id}, c.nextEpoch()); err != nil {
 		return fmt.Errorf("withdraw not durable: %v", err)
 	}
 	c.pushAllLocked(false)
 	return nil
 }
 
-// commit is the one way the controller changes st: it appends r to the
-// store's WAL (with the appendDurable retries) and then applies it.
-// Admit, withdraw and schedule records fail closed: if the append
-// fails, nothing is applied and the error is returned. Link and epoch
-// records are best-effort: they are reconstructible from broker
-// reconnects and are not client-visible promises, so a failed append
-// is logged and the record applied anyway.
-func (c *Controller) commit(r store.Record) error {
+// commit is the one way the controller changes st: it appends rs to
+// the store's WAL as one group, one write and one fsync (with the
+// appendDurable retries), and then applies them in order. A group
+// holding an admit, withdraw or schedule record fails closed: if the
+// append fails, nothing is applied and the error is returned. A group
+// of only link and epoch records is best-effort: those are
+// reconstructible from broker reconnects and are not client-visible
+// promises, so a failed append is logged and the group applied anyway.
+func (c *Controller) commit(rs ...store.Record) error {
 	if c.cfg.Store != nil {
-		what := r.Type().String()
-		if err := c.appendDurable(what, func() error { return c.cfg.Store.Append(r) }); err != nil {
+		what := rs[0].Type().String()
+		if err := c.appendDurable(what, func() error { return c.cfg.Store.Append(rs...) }); err != nil {
 			c.logf("controller: store %s: %v", what, err)
-			if t := r.Type(); t != store.RecLink && t != store.RecEpoch {
-				return err
+			for _, r := range rs {
+				if t := r.Type(); t != store.RecLink && t != store.RecEpoch {
+					return err
+				}
 			}
 		}
 	}
-	c.st.Apply(r)
+	for _, r := range rs {
+		c.st.Apply(r)
+	}
 	return nil
+}
+
+// nextEpoch is the Epoch record of the next broker push. Callers commit
+// it in the same group as the transition the push announces.
+func (c *Controller) nextEpoch() store.Epoch {
+	return store.Epoch{Epoch: c.st.Epoch + 1}
 }
 
 // inputLocked builds the alloc.Input over the admitted demands in a
@@ -1005,6 +1030,7 @@ func (c *Controller) rescheduleLocked() error {
 	if len(in.Demands) == 0 {
 		// Nothing to schedule, and no allocation to replace: a withdraw
 		// takes a demand's rows with it.
+		_ = c.commit(c.nextEpoch()) // best-effort: never refused
 		c.pushAllLocked(false)
 		return nil
 	}
@@ -1048,7 +1074,7 @@ func (c *Controller) rescheduleLocked() error {
 		mHardenFailures.Inc()
 		round += fmt.Sprintf("; harden failed: %v, relaxed allocation pushed", herr)
 	}
-	if err := c.commit(store.Schedule{Alloc: a}); err != nil {
+	if err := c.commit(store.Schedule{Alloc: a}, c.nextEpoch()); err != nil {
 		return fmt.Errorf("schedule not durable: %w", err)
 	}
 	// Push before backing up: brokers enforce the certified allocation
@@ -1089,34 +1115,42 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 	takenUp := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_ = c.commit(store.Link{ID: link.ID, Up: ev.Up}) // best-effort: never refused
+	// Link records are best-effort: never refused. The link record and
+	// the push's epoch are one group, so a failure's recovery runs
+	// before either is written.
+	rec := store.Link{ID: link.ID, Up: ev.Up}
 	if ev.Up {
+		_ = c.commit(rec, c.nextEpoch())
 		c.pushAllLocked(false)
 		return
 	}
-	var down []topo.LinkID
+	down := []topo.LinkID{link.ID}
 	for id := range c.st.LinkDown {
-		down = append(down, id)
+		if id != link.ID {
+			down = append(down, id)
+		}
 	}
 	// Deadline-bounded recovery ladder: precomputed backup → budgeted
 	// optimal → greedy floor. A recovery always lands within the
 	// deadline; only its quality degrades.
 	in, _ := c.inputLocked()
-	rec, stage, err := bate.Recover(in, down, bate.RecoverOptions{
+	res, stage, err := bate.Recover(in, down, bate.RecoverOptions{
 		Backups:  c.backups,
 		Deadline: c.cfg.RecoveryDeadline,
 		Gate:     c.cfg.SolverGate,
 		Logf:     c.logf,
 	})
 	if err != nil {
+		_ = c.commit(rec)
 		c.logf("controller: recovery: %v", err)
 		return
 	}
-	// Not rec.Elapsed: on a backup hit that is what the plan's
+	_ = c.commit(rec, c.nextEpoch())
+	// Not res.Elapsed: on a backup hit that is what the plan's
 	// precomputation took at the last round.
 	c.logf("controller: recovered %d-link failure via %s stage in %v (profit %.1f)",
-		len(down), stage, time.Since(takenUp), rec.Profit)
-	c.pushAllocationLocked(rec.Alloc, true)
+		len(down), stage, time.Since(takenUp), res.Profit)
+	c.pushAllocationLocked(res.Alloc, true)
 }
 
 // pushAllLocked pushes the scheduled allocation to every broker.
@@ -1124,11 +1158,17 @@ func (c *Controller) pushAllLocked(backup bool) {
 	c.pushAllocationLocked(c.st.Current, backup)
 }
 
+// pushAllocationLocked sends a to every connected broker under the
+// current epoch. It writes nothing: the caller has committed the push's
+// Epoch record (nextEpoch) in the group of the transition that caused
+// it.
 func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
-	_ = c.commit(store.Epoch{Epoch: c.st.Epoch + 1}) // best-effort: never refused
-	in, _ := c.inputLocked()
-	for dc, conn := range c.brokers {
-		msg := c.allocMessageLocked(in, dc, a, backup)
+	dcs := make([]string, 0, len(c.brokers))
+	for dc := range c.brokers {
+		dcs = append(dcs, dc)
+	}
+	for i, msg := range c.allocMessagesLocked(a, backup, dcs) {
+		dc, conn := dcs[i], c.brokers[dcs[i]]
 		if err := conn.Send(msg); err != nil {
 			c.logf("controller: push to %s: %v", dc, err)
 			// Slow-peer isolation: a broker whose bounded send queue
@@ -1146,20 +1186,66 @@ func (c *Controller) pushAllocationLocked(a alloc.Allocation, backup bool) {
 	}
 }
 
-// allocMessageLocked builds the AllocUpdate for one broker: every
-// tunnel allocation of in's book whose path traverses that DC.
-func (c *Controller) allocMessageLocked(in *alloc.Input, dc string, a alloc.Allocation, backup bool) *wire.Message {
-	update := &wire.AllocUpdate{Epoch: c.st.Epoch, Backup: backup}
-	for _, d := range in.Demands {
+// route is one tunnel as the brokers see it.
+type route struct {
+	// hops names the tunnel's DCs, source first. Every update that
+	// carries the tunnel shares this slice, so it is read-only.
+	hops []string
+	// transit lists the DCs that forward the tunnel: the distinct
+	// nodes of every hop but the last.
+	transit []topo.NodeID
+}
+
+// routesLocked returns the routes of the pair's tunnels, in tunnel
+// order, building them on the pair's first use.
+func (c *Controller) routesLocked(src, dst topo.NodeID) []route {
+	key := [2]topo.NodeID{src, dst}
+	if rs, ok := c.routes[key]; ok {
+		return rs
+	}
+	n := c.cfg.Net
+	tunnels := c.cfg.Tunnels.For(src, dst)
+	rs := make([]route, len(tunnels))
+	for ti, t := range tunnels {
+		nodes := t.Nodes(n)
+		r := route{hops: make([]string, len(nodes))}
+		for i, v := range nodes {
+			r.hops[i] = n.NodeName(v)
+			if i < len(nodes)-1 && !slices.Contains(r.transit, v) {
+				r.transit = append(r.transit, v)
+			}
+		}
+		rs[ti] = r
+	}
+	c.routes[key] = rs
+	return rs
+}
+
+// allocMessagesLocked builds the AllocUpdate of each DC in dcs, index
+// aligned, in one walk over the book: every positive-rate tunnel
+// allocation goes to the update of each DC that forwards it, in book →
+// pair → tunnel order.
+func (c *Controller) allocMessagesLocked(a alloc.Allocation, backup bool, dcs []string) []*wire.Message {
+	msgs := make([]*wire.Message, len(dcs))
+	byNode := make([]*wire.AllocUpdate, c.cfg.Net.NumNodes())
+	for i, dc := range dcs {
+		u := &wire.AllocUpdate{Epoch: c.st.Epoch, Backup: backup}
+		if v, ok := c.cfg.Net.NodeByName(dc); ok {
+			byNode[v] = u
+		}
+		msgs[i] = &wire.Message{Type: wire.TypeAllocUpdate, Alloc: u}
+	}
+	_, active := c.inputLocked()
+	for _, d := range active {
 		rows, ok := a[d.ID]
 		if !ok {
 			continue
 		}
-		for pi := range d.Pairs {
+		for pi, p := range d.Pairs {
 			if pi >= len(rows) {
 				continue
 			}
-			tunnels := in.TunnelsFor(d, pi)
+			routes := c.routesLocked(p.Src, p.Dst)
 			for ti, rate := range rows[pi] {
 				if rate <= 0 {
 					continue
@@ -1168,35 +1254,17 @@ func (c *Controller) allocMessageLocked(in *alloc.Input, dc string, a alloc.Allo
 				if err != nil {
 					continue
 				}
-				hops := hopNames(c.cfg.Net, tunnels[ti])
-				if !contains(hops[:len(hops)-1], dc) {
-					continue // this DC never forwards the tunnel
+				r := routes[ti]
+				ta := wire.TunnelAlloc{Label: label, Hops: r.hops, Rate: rate}
+				for _, v := range r.transit {
+					if u := byNode[v]; u != nil {
+						u.Tunnels = append(u.Tunnels, ta)
+					}
 				}
-				update.Tunnels = append(update.Tunnels, wire.TunnelAlloc{
-					Label: label, Hops: hops, Rate: rate,
-				})
 			}
 		}
 	}
-	return &wire.Message{Type: wire.TypeAllocUpdate, Alloc: update}
-}
-
-func hopNames(n *topo.Network, t routing.Tunnel) []string {
-	nodes := t.Nodes(n)
-	out := make([]string, len(nodes))
-	for i, v := range nodes {
-		out[i] = n.NodeName(v)
-	}
-	return out
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return msgs
 }
 
 // Snapshot returns the controller's admitted demand count and epoch,
@@ -1229,6 +1297,13 @@ func (c *Controller) status() *wire.StatusReply {
 		current[id] = rows
 	}
 	epoch := c.st.Epoch
+	c.availMu.Lock()
+	for d := range c.avail {
+		if c.st.Demands[d.ID] != d {
+			delete(c.avail, d) // bounds the memo to the book
+		}
+	}
+	c.availMu.Unlock()
 	c.mu.Unlock()
 	reply := &wire.StatusReply{Epoch: epoch, Counters: metrics.Snapshot()}
 	for _, d := range active {
@@ -1241,11 +1316,7 @@ func (c *Controller) status() *wire.StatusReply {
 		// pay for (status polls are hot under wire load).
 		achieved := 0.0
 		if allocated > 0 {
-			var err error
-			achieved, err = alloc.AchievedAvailability(in, current, d, c.cfg.MaxFail)
-			if err != nil {
-				achieved = 0
-			}
+			achieved = c.achieved(in, current, d)
 		}
 		reply.Demands = append(reply.Demands, wire.DemandStatus{
 			DemandID:  d.ID,
@@ -1258,4 +1329,36 @@ func (c *Controller) status() *wire.StatusReply {
 		})
 	}
 	return reply
+}
+
+// availMemo is one demand's achieved availability and the rows it was
+// computed for. The value depends only on the demand, its rows and the
+// controller's fixed network, tunnels and MaxFail, not on link or drain
+// state; rows are replaced, never mutated in place, so the same rows
+// slice means the same value. Holding the slice keeps its array alive,
+// so no other rows can reuse its address while the memo holds it.
+type availMemo struct {
+	rows     [][]float64
+	achieved float64
+}
+
+// achieved returns d's achieved availability under a, from the memo
+// when d's rows in a are the ones it was computed for. a must hold rows
+// for d.
+func (c *Controller) achieved(in *alloc.Input, a alloc.Allocation, d *demand.Demand) float64 {
+	rows := a[d.ID]
+	c.availMu.Lock()
+	m, ok := c.avail[d]
+	c.availMu.Unlock()
+	if ok && len(m.rows) == len(rows) && &m.rows[0] == &rows[0] {
+		return m.achieved
+	}
+	achieved, err := alloc.AchievedAvailability(in, a, d, c.cfg.MaxFail)
+	if err != nil {
+		achieved = 0
+	}
+	c.availMu.Lock()
+	c.avail[d] = availMemo{rows: rows, achieved: achieved}
+	c.availMu.Unlock()
+	return achieved
 }

@@ -218,26 +218,18 @@ func (s *Store) WALRecords() int {
 	return s.walRecords
 }
 
-// append frames, writes and (unless NoSync) fsyncs one record. It
-// returns only after the record is durable, which is what lets the
-// controller ack the client afterwards.
+// write appends one group of n framed records with one Write and
+// (unless NoSync) one fsync. It returns only after the whole group is
+// durable, which is what lets the controller ack the client afterwards.
 //
 // On a failed or short write — or a failed fsync, whose bytes cannot
 // be trusted durable — the WAL is truncated back to the last known
-// durable tail before the error is returned. Without that repair a
-// retried append would land after a partial frame, turning a
-// recoverable torn tail into interior corruption that replay rejects.
-// If the repair itself fails the store wedges: every later append
-// fails fast rather than risk compounding the damage.
-func (s *Store) append(t RecordType, body interface{}) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("store: marshal %s: %w", t, err)
-	}
-	frame, err := encodeRecord(t, data)
-	if err != nil {
-		return err
-	}
+// durable tail, where the group began, before the error is returned.
+// Without that repair a retried append would land after a partial
+// frame, turning a recoverable torn tail into interior corruption that
+// replay rejects. If the repair itself fails the store wedges: every
+// later append fails fast rather than risk compounding the damage.
+func (s *Store) write(group []byte, n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -246,9 +238,9 @@ func (s *Store) append(t RecordType, body interface{}) error {
 	if s.wedged {
 		return fmt.Errorf("store: wedged after failed tail repair")
 	}
-	if _, err := s.wal.Write(frame); err != nil {
+	if _, err := s.wal.Write(group); err != nil {
 		s.repairTailLocked()
-		return fmt.Errorf("store: append %s: %w", t, err)
+		return fmt.Errorf("store: append %d records: %w", n, err)
 	}
 	if !s.opts.NoSync {
 		if err := s.wal.Sync(); err != nil {
@@ -257,9 +249,9 @@ func (s *Store) append(t RecordType, body interface{}) error {
 		}
 		mFsyncs.Inc()
 	}
-	s.tail += int64(len(frame))
-	s.walRecords++
-	mAppends.Inc()
+	s.tail += int64(len(group))
+	s.walRecords += n
+	mAppends.Add(int64(n))
 	return nil
 }
 
@@ -288,54 +280,88 @@ func (s *Store) Wedged() bool {
 	return s.wedged
 }
 
-// Append logs one state transition. It is the record-typed form of the
-// per-type appends below.
-func (s *Store) Append(r Record) error {
+// Append logs a group of state transitions, in order, with one write
+// and one fsync: a transition and the broker push it causes cost one
+// disk round trip. Each record keeps its own frame, so the WAL holds
+// exactly what appending them one by one would, and a crash inside the
+// group leaves a torn tail that Open truncates to the last whole
+// record.
+func (s *Store) Append(rs ...Record) error {
+	if len(rs) == 0 {
+		return nil
+	}
+	var group []byte
+	for _, r := range rs {
+		frame, err := s.frame(r)
+		if err != nil {
+			return err
+		}
+		group = append(group, frame...)
+	}
+	return s.write(group, len(rs))
+}
+
+// frame encodes one transition as its WAL record.
+func (s *Store) frame(r Record) ([]byte, error) {
 	switch r := r.(type) {
 	case Admit:
-		return s.AppendAdmit(r.Demand, r.Rows)
+		var db bytes.Buffer
+		if err := demand.Save(&db, s.net, []*demand.Demand{r.Demand}); err != nil {
+			return nil, fmt.Errorf("store: encode demand %d: %w", r.Demand.ID, err)
+		}
+		return encodeBody(RecAdmit, &admitBody{Demand: db.Bytes(), Alloc: r.Rows})
 	case Withdraw:
-		return s.AppendWithdraw(r.ID)
+		return encodeBody(RecWithdraw, &withdrawBody{ID: r.ID})
 	case Link:
 		l := s.net.Link(r.ID)
-		return s.AppendLink(s.net.NodeName(l.Src), s.net.NodeName(l.Dst), r.Up)
+		return encodeBody(RecLink, &linkBody{Src: s.net.NodeName(l.Src), Dst: s.net.NodeName(l.Dst), Up: r.Up})
 	case Epoch:
-		return s.AppendEpoch(r.Epoch)
+		return encodeBody(RecEpoch, &epochBody{Epoch: r.Epoch})
 	case Schedule:
-		return s.AppendSchedule(r.Alloc)
+		return encodeBody(RecSchedule, &scheduleBody{Alloc: allocToJSON(r.Alloc)})
 	}
-	return fmt.Errorf("store: unknown record %T", r)
+	return nil, fmt.Errorf("store: unknown record %T", r)
+}
+
+// encodeBody marshals a record body and frames it.
+func encodeBody(t RecordType, body interface{}) ([]byte, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, fmt.Errorf("store: marshal %s: %w", t, err)
+	}
+	return encodeRecord(t, data)
 }
 
 // AppendAdmit logs an admitted demand and its admission-time
 // allocation rows (nil when the admission method produced none).
 func (s *Store) AppendAdmit(d *demand.Demand, rows [][]float64) error {
-	var db bytes.Buffer
-	if err := demand.Save(&db, s.net, []*demand.Demand{d}); err != nil {
-		return fmt.Errorf("store: encode demand %d: %w", d.ID, err)
-	}
-	return s.append(RecAdmit, &admitBody{Demand: db.Bytes(), Alloc: rows})
+	return s.Append(Admit{Demand: d, Rows: rows})
 }
 
 // AppendWithdraw logs a demand withdrawal.
 func (s *Store) AppendWithdraw(id int) error {
-	return s.append(RecWithdraw, &withdrawBody{ID: id})
+	return s.Append(Withdraw{ID: id})
 }
 
-// AppendLink logs an observed link state change.
+// AppendLink logs an observed link state change by DC names, which
+// need not name a link of the store's network.
 func (s *Store) AppendLink(src, dst string, up bool) error {
-	return s.append(RecLink, &linkBody{Src: src, Dst: dst, Up: up})
+	frame, err := encodeBody(RecLink, &linkBody{Src: src, Dst: dst, Up: up})
+	if err != nil {
+		return err
+	}
+	return s.write(frame, 1)
 }
 
 // AppendEpoch logs an allocation epoch bump.
 func (s *Store) AppendEpoch(epoch uint64) error {
-	return s.append(RecEpoch, &epochBody{Epoch: epoch})
+	return s.Append(Epoch{Epoch: epoch})
 }
 
 // AppendSchedule logs a committed reschedule: the full allocation
 // replaces whatever replay built up so far.
 func (s *Store) AppendSchedule(a alloc.Allocation) error {
-	return s.append(RecSchedule, &scheduleBody{Alloc: allocToJSON(a)})
+	return s.Append(Schedule{Alloc: a})
 }
 
 // Compact atomically replaces the snapshot with st and trims the WAL:
