@@ -50,6 +50,7 @@ func FuzzWALRecord(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		tornGroup(data) // the replay's torn-group scan must never panic either
 		size := int64(len(data))
 		r := bufio.NewReader(bytes.NewReader(data))
 		offset := int64(0)

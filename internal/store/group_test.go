@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,6 +134,110 @@ func TestTornTailInsideGroup(t *testing.T) {
 			}
 			if got, _ := os.ReadFile(walPath); len(got) != wantBytes || !bytes.Equal(got, full[:wantBytes]) {
 				t.Fatalf("torn group truncated to %d bytes, want the %d-byte whole-record prefix", len(got), wantBytes)
+			}
+		})
+	}
+}
+
+// TestTornTailLostPageInsideGroup: a group reaches the disk with one
+// fsync, so a crash can keep a later page of it and lose an earlier
+// one. A damaged frame inside the final group, with whole frames after
+// it, is a torn tail: Open truncates at the damaged frame. Damage with
+// a whole Epoch frame after it (the group it lies in was followed by
+// another), or with a whole non-epoch frame ending the log, is still
+// corruption.
+func TestTornTailLostPageInsideGroup(t *testing.T) {
+	n := topo.Testbed()
+	groups := [][]Record{
+		{Admit{Demand: mkDemand(t, n, 1, "DC1", "DC3", 400, 0.99)}, Epoch{Epoch: 1}},
+		{Admit{Demand: mkDemand(t, n, 2, "DC2", "DC6", 300, 0.95)},
+			Admit{Demand: mkDemand(t, n, 3, "DC1", "DC4", 200, 0.9)}, Epoch{Epoch: 2}},
+	}
+	// Frames, in log order: 0 admit 1, 1 epoch 1, 2 admit 2, 3 admit 3,
+	// 4 epoch 2.
+	zero := func(b []byte) {
+		for i := range b {
+			b[i] = 0
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(wal []byte, frames [][]byte) []byte
+		torn    int // frame the log is truncated at; -1: corrupt
+		demands int
+	}{
+		{"admit zeroed", func(w []byte, f [][]byte) []byte { zero(f[2]); return w }, 2, 1},
+		{"admit header zeroed", func(w []byte, f [][]byte) []byte { zero(f[2][:8]); return w }, 2, 1},
+		{"admit checksum", func(w []byte, f [][]byte) []byte { f[2][12] ^= 0xff; return w }, 2, 1},
+		{"second admit zeroed", func(w []byte, f [][]byte) []byte { zero(f[3]); return w }, 3, 2},
+		{"admits zeroed", func(w []byte, f [][]byte) []byte { zero(f[2]); zero(f[3]); return w }, 2, 1},
+		{"admit and epoch zeroed", func(w []byte, f [][]byte) []byte { zero(f[2]); zero(f[4]); return w }, 2, 1},
+		{"earlier group damaged", func(w []byte, f [][]byte) []byte { f[0][12] ^= 0xff; return w }, -1, 0},
+		{"log ends in a whole admit", func(w []byte, f [][]byte) []byte {
+			f[2][12] ^= 0xff
+			return w[:len(w)-len(f[4])]
+		}, -1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, n, testOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sizes []int
+			for _, g := range groups {
+				if err := s.Append(g...); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range g {
+					f, err := s.frame(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sizes = append(sizes, len(f))
+				}
+			}
+			s.Close()
+			walPath := filepath.Join(dir, walName)
+			wal, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean := append([]byte(nil), wal...)
+			var frames [][]byte
+			var starts []int
+			off := 0
+			for _, size := range sizes {
+				frames = append(frames, wal[off:off+size])
+				starts = append(starts, off)
+				off += size
+			}
+			if err := os.WriteFile(walPath, tc.damage(wal, frames), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := Open(dir, n, testOpts())
+			if tc.torn < 0 {
+				var ce *CorruptError
+				if !errors.As(err, &ce) {
+					t.Fatalf("open = %v, want *CorruptError", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("open with a lost page inside the final group: %v", err)
+			}
+			defer s2.Close()
+			st := s2.Restored()
+			if len(st.Demands) != tc.demands || st.Epoch != 1 {
+				t.Fatalf("replayed %d demands at epoch %d, want %d at epoch 1", len(st.Demands), st.Epoch, tc.demands)
+			}
+			if s2.WALRecords() != tc.torn {
+				t.Fatalf("WAL holds %d records, want %d", s2.WALRecords(), tc.torn)
+			}
+			want := clean[:starts[tc.torn]]
+			if got, _ := os.ReadFile(walPath); !bytes.Equal(got, want) {
+				t.Fatalf("truncated to %d bytes, want the %d bytes before the damaged frame", len(got), len(want))
 			}
 		})
 	}

@@ -72,6 +72,11 @@ func (t RecordType) String() string {
 type CorruptError struct {
 	Offset int64  // byte offset of the bad record's header
 	Reason string // what failed (checksum, version, type, length)
+
+	// damaged marks a frame whose length or checksum fails, which is
+	// what a page lost in a crash leaves; load then asks tornGroup
+	// whether the frame lies in the group the crash interrupted.
+	damaged bool
 }
 
 func (e *CorruptError) Error() string {
@@ -214,7 +219,7 @@ func readRecord(r *bufio.Reader, offset, size int64) (t RecordType, body []byte,
 			// length prefix.
 			return 0, nil, errTorn
 		}
-		return 0, nil, &CorruptError{Offset: offset, Reason: fmt.Sprintf("bad length %d", n)}
+		return 0, nil, &CorruptError{Offset: offset, Reason: fmt.Sprintf("bad length %d", n), damaged: true}
 	}
 	if offset+8+n > size {
 		return 0, nil, errTorn
@@ -229,7 +234,7 @@ func readRecord(r *bufio.Reader, offset, size int64) (t RecordType, body []byte,
 			// page from the fatal crash, not interior rot.
 			return 0, nil, errTorn
 		}
-		return 0, nil, &CorruptError{Offset: offset, Reason: "checksum mismatch"}
+		return 0, nil, &CorruptError{Offset: offset, Reason: "checksum mismatch", damaged: true}
 	}
 	if payload[0] != recordVersion {
 		return 0, nil, &CorruptError{Offset: offset, Reason: fmt.Sprintf("unknown record version %d", payload[0])}
@@ -239,4 +244,56 @@ func readRecord(r *bufio.Reader, offset, size int64) (t RecordType, body []byte,
 		return 0, nil, &CorruptError{Offset: offset, Reason: fmt.Sprintf("unknown record type %d", uint8(t))}
 	}
 	return t, payload[2:], nil
+}
+
+// tornGroup reports whether rest — the log from a damaged frame to EOF
+// — is the tail of a group whose write a crash interrupted. The group's
+// frames reach the disk with one fsync, so the crash may have kept any
+// subset of its pages, not just a prefix: an admit frame can fail its
+// checksum while the epoch frame written after it is whole. The
+// controller ends every multi-record group with its push's Epoch record,
+// so a damaged frame lies in the interrupted group when no whole Epoch
+// frame follows it except one that ends the log. A whole non-epoch
+// frame ending the log means the damage is not a crash inside a group.
+//
+// The trade: damage inside the final group, or in the Epoch frame that
+// closes the group before it, reads as a torn tail and is truncated,
+// not reported as corruption. Anywhere earlier, a whole Epoch frame
+// follows the damage and Open still fails with a *CorruptError.
+//
+// The scan resynchronises byte by byte past damaged bytes: a frame
+// header cannot occur inside a JSON body (it starts with a zero byte),
+// and the CRC rejects stray matches in garbage.
+func tornGroup(rest []byte) bool {
+	for off := 1; off < len(rest); {
+		n, t, ok := wholeFrame(rest[off:])
+		if !ok {
+			off++
+			continue
+		}
+		off += n
+		if t == RecEpoch || off == len(rest) {
+			return t == RecEpoch && off == len(rest)
+		}
+	}
+	return true
+}
+
+// wholeFrame reports the size and type of the valid frame at the start
+// of b, if there is one.
+func wholeFrame(b []byte) (size int, t RecordType, ok bool) {
+	if len(b) < 10 {
+		return 0, 0, false
+	}
+	n := int(binary.BigEndian.Uint32(b[0:4]))
+	if n < 2 || n > MaxRecord || 8+n > len(b) {
+		return 0, 0, false
+	}
+	payload := b[8 : 8+n]
+	t = RecordType(payload[1])
+	if payload[0] != recordVersion || t < RecAdmit || t > RecSchedule ||
+		crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4:8]) {
+		return 0, 0, false
+	}
+	return 8 + n, t, true
 }

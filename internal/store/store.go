@@ -79,9 +79,10 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store in dir, replaying
-// snapshot + WAL into the restored state. A torn final WAL record —
-// the signature of a crash mid-append — is truncated away; corrupt
-// interior records abort with a *CorruptError. Node references are
+// snapshot + WAL into the restored state. A torn tail — a crash
+// mid-append, which may have lost any page of the group being written
+// (see tornGroup) — is truncated away; corrupt interior records abort
+// with a *CorruptError. Node references are
 // resolved against net, which must match the topology the records
 // were written under.
 func Open(dir string, net *topo.Network, opts Options) (*Store, error) {
@@ -130,9 +131,9 @@ func Open(dir string, net *topo.Network, opts Options) (*Store, error) {
 
 // load is the one replay loop, shared by Open and Inspect: it decodes
 // the snapshot in dir, if any, and applies every complete record of wal
-// (nil when there is none) on top. It stops at a torn final record,
-// whose offset it returns as tail, and fails with a *CorruptError on a
-// corrupt interior one.
+// (nil when there is none) on top. It stops at a torn tail, whose
+// offset it returns as tail, and fails with a *CorruptError on a
+// corrupt interior record.
 func load(dir string, net *topo.Network, wal File) (st *State, sum *Summary, tail int64, err error) {
 	st = NewState()
 	sum = &Summary{Dir: dir, SnapshotBytes: -1, RecordsByType: make(map[RecordType]int)}
@@ -169,6 +170,16 @@ func load(dir string, net *topo.Network, wal File) (st *State, sum *Summary, tai
 				sum.TornTail = true
 				break
 			}
+			if ce, ok := err.(*CorruptError); ok && ce.damaged {
+				rest, rerr := readFrom(wal, tail)
+				if rerr != nil {
+					return nil, nil, 0, rerr
+				}
+				if tornGroup(rest) {
+					sum.TornTail = true
+					break
+				}
+			}
 			if err != nil {
 				return nil, nil, 0, err
 			}
@@ -197,6 +208,18 @@ func load(dir string, net *topo.Network, wal File) (st *State, sum *Summary, tai
 		}
 	}
 	return st, sum, tail, nil
+}
+
+// readFrom returns the bytes of wal from off to EOF.
+func readFrom(wal File, off int64) ([]byte, error) {
+	if _, err := wal.Seek(off, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	b, err := io.ReadAll(wal)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return b, nil
 }
 
 // Restored returns a deep copy of the state recovered by Open. The
@@ -283,9 +306,9 @@ func (s *Store) Wedged() bool {
 // Append logs a group of state transitions, in order, with one write
 // and one fsync: a transition and the broker push it causes cost one
 // disk round trip. Each record keeps its own frame, so the WAL holds
-// exactly what appending them one by one would, and a crash inside the
-// group leaves a torn tail that Open truncates to the last whole
-// record.
+// exactly what appending them one by one would. A crash inside the
+// write leaves a torn tail: Open truncates it at the group's first
+// damaged frame, wherever in the group the lost pages fell.
 func (s *Store) Append(rs ...Record) error {
 	if len(rs) == 0 {
 		return nil
