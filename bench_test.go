@@ -276,10 +276,12 @@ func benchB4RecoveryInput() *alloc.Input {
 }
 
 // BenchmarkMILPRecovery compares cold vs parent-basis warm-started
-// branch & bound on the Eq. 12 recovery MILP over B4 (ISSUE 2
-// acceptance: warm reports fewer total pivots). The node budget bounds
-// the tree; both variants explore the same 64 nodes, so the pivot
-// counts isolate the warm-start effect.
+// branch & bound on the Eq. 12 recovery MILP over B4: warm reports
+// fewer total pivots. The node budget bounds the tree; both variants
+// explore the same 64 nodes, so the pivot counts isolate the
+// warm-start effect. planned is the controller's optimal rung on a
+// double failure of the ledger's B4 book of 200, started from the root
+// its last round planned (BackupSet.PlanRoot).
 func BenchmarkMILPRecovery(b *testing.B) {
 	in := benchB4RecoveryInput()
 	failed := []topo.LinkID{6}
@@ -303,6 +305,31 @@ func BenchmarkMILPRecovery(b *testing.B) {
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 		})
 	}
+	b.Run("planned", func(b *testing.B) {
+		in := newChurnBook(200).in
+		bs, err := bate.PrecomputeBackups(in, 1, in.Net.NumLinks()*4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := bs.PlanRoot(in, nil); err != nil {
+			b.Fatal(err)
+		}
+		failed := []topo.LinkID{6, 13}
+		opts := lp.Options{Engine: lp.EngineRevised, Warm: bs.Root}
+		pivots := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := bate.RecoverOptimalOpts(in, failed, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.WarmRoot {
+				b.Fatal("the rung did not start from the planned root")
+			}
+			pivots += res.Iterations
+		}
+		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	})
 }
 
 // Admission-strategy ablation: decision latency of the three §3.2

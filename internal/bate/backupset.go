@@ -7,6 +7,7 @@ import (
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
+	"bate/internal/lp"
 	"bate/internal/topo"
 )
 
@@ -29,10 +30,15 @@ type BackupSet struct {
 	// One-demand LPs the pass solved (the no-failure run's included)
 	// and fits it took from the no-failure run instead.
 	FitsSolved, FitsReused int
-	byKey                  map[string]*RecoveryResult
-	skipped                int
-	planned                map[int]*demand.Demand
-	drained                string // comboKey of the input's drained links
+	// Root is the optimal basis of Eq. 12's LP relaxation with no link
+	// failed (PlanRoot), nil until planned. Recover's optimal rung
+	// starts from it: the failure set's zeroed links and any book
+	// change since the plan are a few dual pivots away.
+	Root    *lp.Basis
+	byKey   map[string]*RecoveryResult
+	skipped int
+	planned map[int]*demand.Demand
+	drained string // comboKey of the input's drained links
 }
 
 // comboKey canonicalizes a link set: a failure set, or a drain set.
@@ -109,6 +115,25 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 	backupFitsSolved.Add(int64(w.solved))
 	backupFitsReused.Add(int64(w.reused))
 	return bs, nil
+}
+
+// PlanRoot solves the LP relaxation of Eq. 12 over in with no link
+// failed, warm-started from prev's Root when there is one, and keeps
+// its optimal basis as bs.Root. It reports the solve's pivots and
+// whether it started warm. Unlike For, the root outlives book changes:
+// it is a hint that the optimal rung repairs, never a plan it serves.
+func (bs *BackupSet) PlanRoot(in *alloc.Input, prev *BackupSet) (pivots int, warm bool, err error) {
+	opts := lp.Options{Engine: lp.EngineRevised}
+	if prev != nil {
+		opts.Warm = prev.Root
+	}
+	p, _, _ := recoveryLP(in, nil, false)
+	sol, err := p.SolveOpts(opts)
+	if err != nil {
+		return sol.Iterations, sol.WarmStarted, fmt.Errorf("bate: recovery root: %w", err)
+	}
+	bs.Root = sol.Basis()
+	return sol.Iterations, sol.WarmStarted, nil
 }
 
 // For returns the precomputed recovery for a failure set, if covered

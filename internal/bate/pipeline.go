@@ -57,7 +57,8 @@ func (s RecoveryStage) String() string {
 type RecoverOptions struct {
 	// Backups are the precomputed §3.4 plans; a covered failure set is
 	// served from here instantly, if the set was planned for Recover's
-	// book (see BackupSet.For).
+	// book (see BackupSet.For). Their Root, when planned, seeds the
+	// optimal stage whatever book it was planned for.
 	Backups *BackupSet
 	// Deadline bounds the whole Recover call. The optimal stage gets
 	// most of it; the greedy floor keeps a reserve. <= 0 means 2s.
@@ -155,10 +156,17 @@ func recoverOptimalBudgeted(in *alloc.Input, down []topo.LinkID, opts *RecoverOp
 		err error
 	}
 	ch := make(chan outcome, 1)
+	// The root starts from the round's planned basis when there is one
+	// (BackupSet.Root); a warm start the solver cannot use falls back
+	// to a cold one inside the solve.
+	var root *lp.Basis
+	if opts.Backups != nil {
+		root = opts.Backups.Root
+	}
 	go func() {
 		// Named: only the revised engine polls Cancel and warm-starts a
 		// node from its parent; EngineAuto is the dense tableau here.
-		r, err := RecoverOptimalOpts(in, down, lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err})
+		r, err := RecoverOptimalOpts(in, down, lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err, Warm: root})
 		ch <- outcome{r, err}
 	}()
 	t := time.NewTimer(budget)

@@ -25,8 +25,10 @@ type RecoveryResult struct {
 	// Profit is Σ r_d under the §3.4 refund model.
 	Profit  float64
 	Elapsed time.Duration
-	// Nodes/Iterations record MILP effort (optimal only).
+	// Nodes/Iterations record MILP effort (optimal only), and WarmRoot
+	// whether its root relaxation started from a supplied basis.
 	Nodes, Iterations int
+	WarmRoot          bool
 }
 
 // profitOf computes Σ r_d given which demands are fully served.
@@ -73,43 +75,11 @@ func RecoverOptimal(in *alloc.Input, failed []topo.LinkID) (*RecoveryResult, err
 
 // RecoverOptimalOpts is RecoverOptimal with explicit solver options:
 // lp.EngineRevised makes every branch-and-bound node warm-start from
-// its parent's basis (ColdStart disables that, for ablation).
+// its parent's basis (ColdStart disables that, for ablation), and
+// opts.Warm seeds the root, e.g. with a BackupSet's planned Root.
 func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) (*RecoveryResult, error) {
 	start := time.Now()
-	down := downSet(failed)
-	usable := tunnelUsable(down)
-
-	p := lp.NewProblem()
-	p.SetMaximize()
-	caps := alloc.FullCapacities(in)
-	for _, e := range failed {
-		caps[e] = 0
-	}
-	fv := alloc.AddFlowVars(p, in, caps, usable)
-	yv := make(map[int]lp.VarID, len(in.Demands))
-	for _, d := range in.Demands {
-		// y_d = 1 ⇔ no violation; profit g((1-μ) + μ·y). The constant
-		// part is added after solving.
-		y := p.AddBinary(fmt.Sprintf("y[d%d]", d.ID), d.Charge*d.RefundFrac)
-		yv[d.ID] = y
-		for pi, pr := range d.Pairs {
-			if pr.Bandwidth <= 0 {
-				continue
-			}
-			tunnels := in.TunnelsFor(d, pi)
-			terms := make([]lp.Term, 0, len(tunnels)+1)
-			for ti, t := range tunnels {
-				if usable(t) {
-					terms = append(terms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
-				}
-			}
-			// R_dk ≥ y_d (Eq. 9, lower side; maximization never wants
-			// y=1 without full delivery, so the big-M upper side is
-			// unnecessary).
-			terms = append(terms, lp.Term{Var: y, Coef: -pr.Bandwidth})
-			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
-		}
-	}
+	p, fv, yv := recoveryLP(in, failed, true)
 	sol, err := p.SolveOpts(opts)
 	switch {
 	case err == nil:
@@ -126,6 +96,7 @@ func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) 
 		Elapsed:    time.Since(start),
 		Nodes:      sol.Nodes,
 		Iterations: sol.Iterations,
+		WarmRoot:   sol.WarmStarted,
 	}
 	for _, d := range in.Demands {
 		if sol.Value(yv[d.ID]) > 0.5 {
@@ -134,6 +105,53 @@ func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) 
 	}
 	res.Profit = profitOf(in.Demands, res.FullProfit)
 	return res, nil
+}
+
+// recoveryLP builds Eq. 12 under a failure set: flows over the
+// surviving tunnels under the failed-scenario capacities (Eq. 11) and
+// one y_d per demand, binary when integral and in [0, 1] otherwise
+// (the relaxation PlanRoot solves). Columns and rows carry names, so a
+// basis of one failure set's LP seeds another's.
+func recoveryLP(in *alloc.Input, failed []topo.LinkID, integral bool) (*lp.Problem, alloc.FlowVars, map[int]lp.VarID) {
+	down := downSet(failed)
+	usable := tunnelUsable(down)
+
+	p := lp.NewProblem()
+	p.SetMaximize()
+	caps := alloc.FullCapacities(in)
+	for _, e := range failed {
+		caps[e] = 0
+	}
+	fv := alloc.AddFlowVars(p, in, caps, usable)
+	yv := make(map[int]lp.VarID, len(in.Demands))
+	var name [32]byte
+	for _, d := range in.Demands {
+		// y_d = 1 ⇔ no violation; profit g((1-μ) + μ·y). The constant
+		// part is added after solving.
+		y := p.AddVariable(string(alloc.AppendName(name[:0], "y", "d", d.ID)), 0, 1, d.Charge*d.RefundFrac)
+		if integral {
+			p.SetIntegral(y)
+		}
+		yv[d.ID] = y
+		for pi, pr := range d.Pairs {
+			if pr.Bandwidth <= 0 {
+				continue
+			}
+			tunnels := in.TunnelsFor(d, pi)
+			terms := make([]lp.Term, 0, len(tunnels)+1)
+			for ti, t := range tunnels {
+				if usable(t) {
+					terms = append(terms, lp.Term{Var: fv[d.ID][pi][ti], Coef: 1})
+				}
+			}
+			// R_dk ≥ y_d (Eq. 9, lower side; maximization never wants
+			// y=1 without full delivery, so the big-M upper side is
+			// unnecessary).
+			terms = append(terms, lp.Term{Var: y, Coef: -pr.Bandwidth})
+			p.AddConstraint(lp.Constraint{Name: string(alloc.AppendName(name[:0], "R", "dp", d.ID, pi)), Terms: terms, Op: lp.GE, RHS: 0})
+		}
+	}
+	return p, fv, yv
 }
 
 // RecoverGreedy implements Algorithm 2, the 2-approximation greedy for

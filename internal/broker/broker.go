@@ -162,19 +162,26 @@ func (b *Broker) applyAlloc(u *wire.AllocUpdate) {
 	}
 	now := time.Now()
 	b.mu.Lock()
-	// Backup activations layer on top of the current epoch; scheduled
-	// pushes replace the table.
-	if !u.Backup {
-		b.entries = make(map[uint32]*ForwardingEntry, len(u.Tunnels))
-	}
+	// Every push replaces the table: the controller leaves zero-rate
+	// tunnels out, so a label missing from the update carries nothing
+	// (a demand recovery dropped must stop forwarding). A backup
+	// activation keeps the limiter, and with it the token bucket, of
+	// each label it carries on; a scheduled push starts fresh ones.
+	old := b.entries
+	b.entries = make(map[uint32]*ForwardingEntry, len(u.Tunnels))
 	for _, t := range u.Tunnels {
 		next := nextHopFor(b.dc, t.Hops)
 		if next == "" {
 			continue // tunnel does not traverse this DC
 		}
-		if e, ok := b.entries[t.Label]; ok {
+		e, ok := b.entries[t.Label]
+		if !ok && u.Backup {
+			e, ok = old[t.Label]
+		}
+		if ok {
 			e.NextHop = next
 			e.Limiter.SetRate(t.Rate, now)
+			b.entries[t.Label] = e
 			continue
 		}
 		b.entries[t.Label] = &ForwardingEntry{

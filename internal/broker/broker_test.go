@@ -153,6 +153,46 @@ func TestApplyAllocUpdatesExistingEntry(t *testing.T) {
 	}
 }
 
+// The controller leaves zero-rate tunnels out of a push, so a backup
+// activation that drops a demand carries none of its labels. The
+// demand must stop forwarding, not keep its pre-failure rate over the
+// links recovery re-planned; a label the backup carries on keeps its
+// limiter.
+func TestBackupDropsLabelsItDoesNotCarry(t *testing.T) {
+	b := New("DC1", "unused:0")
+	b.SetLogf(func(string, ...interface{}) {})
+	label1, _ := wire.Label(1, 0)
+	label2, _ := wire.Label(2, 0)
+	b.applyAlloc(&wire.AllocUpdate{
+		Epoch: 1,
+		Tunnels: []wire.TunnelAlloc{
+			{Label: label1, Hops: []string{"DC1", "DC2"}, Rate: 100},
+			{Label: label2, Hops: []string{"DC1", "DC3"}, Rate: 50},
+		},
+	})
+	before, _ := b.Lookup(label1)
+	b.applyAlloc(&wire.AllocUpdate{
+		Epoch: 2, Backup: true,
+		Tunnels: []wire.TunnelAlloc{{Label: label1, Hops: []string{"DC1", "DC4", "DC2"}, Rate: 80}},
+	})
+	if _, ok := b.Lookup(label2); ok {
+		t.Fatal("label 2, absent from the backup, still forwards")
+	}
+	if _, ok := b.Forward(label2, 100, time.Now()); ok {
+		t.Fatal("a packet of label 2 was forwarded")
+	}
+	e, ok := b.Lookup(label1)
+	if !ok || e.NextHop != "DC4" || e.Limiter.Rate() != 80 {
+		t.Fatalf("label 1 after the backup: %+v", e)
+	}
+	if e.Limiter != before.Limiter {
+		t.Fatal("the backup replaced label 1's limiter")
+	}
+	if b.NumEntries() != 1 {
+		t.Fatalf("entries = %d, want 1", b.NumEntries())
+	}
+}
+
 func TestReportWithoutConnection(t *testing.T) {
 	b := New("DC1", "unused:0")
 	if err := b.ReportLink("DC1", "DC2", false); err == nil {

@@ -1090,10 +1090,26 @@ func (c *Controller) rescheduleLocked() error {
 	if err != nil {
 		return err
 	}
-	c.backups = bs
 	round += fmt.Sprintf("; backups: %d combos, %d fits solved, %d reused, %v",
-		c.backups.Len(), c.backups.FitsSolved, c.backups.FitsReused, time.Since(backupStart).Round(time.Millisecond))
+		bs.Len(), bs.FitsSolved, bs.FitsReused, time.Since(backupStart).Round(time.Millisecond))
+	// The optimal rung's warm start, planned from the last one. Like the
+	// backup pass it is not gated; a failed plan leaves the rung cold.
+	planStart := time.Now()
+	if pivots, warm, err := bs.PlanRoot(in, c.backups); err != nil {
+		round += fmt.Sprintf("; recovery root: %v", err)
+	} else {
+		round += fmt.Sprintf("; recovery root: %d pivots (%s) in %v", pivots, warmth(warm), time.Since(planStart).Round(time.Microsecond))
+	}
+	c.backups = bs
 	return nil
+}
+
+// warmth names how a solve started.
+func warmth(warm bool) string {
+	if warm {
+		return "warm"
+	}
+	return "cold"
 }
 
 // onLinkEvent reacts to a broker's link report: a failure activates
@@ -1148,8 +1164,12 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 	_ = c.commit(rec, c.nextEpoch())
 	// Not res.Elapsed: on a backup hit that is what the plan's
 	// precomputation took at the last round.
-	c.logf("controller: recovered %d-link failure via %s stage in %v (profit %.1f)",
-		len(down), stage, time.Since(takenUp), res.Profit)
+	effort := ""
+	if stage == bate.StageOptimal {
+		effort = fmt.Sprintf(", %d pivots from a %s root", res.Iterations, warmth(res.WarmRoot))
+	}
+	c.logf("controller: recovered %d-link failure via %s stage in %v (profit %.1f%s)",
+		len(down), stage, time.Since(takenUp), res.Profit, effort)
 	c.pushAllocationLocked(res.Alloc, true)
 }
 

@@ -202,7 +202,7 @@ type Solution struct {
 	// Nodes counts branch-and-bound nodes explored (1 for pure LPs).
 	Nodes int
 	// WarmStarted reports whether the solve reused a supplied warm
-	// basis (revised engine only).
+	// basis (revised engine only; for a MILP, at the root relaxation).
 	WarmStarted bool
 	// WarmFallback names why a supplied warm basis was abandoned for a
 	// cold solve: "pivot-cap" (the repair ran past its pivot cap),

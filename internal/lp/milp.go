@@ -54,6 +54,10 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 		pivots       int
 		anyFeasible  bool
 		hitLimit     bool
+		// The root relaxation's use of opts.Warm, reported as the
+		// MILP's WarmStarted/WarmFallback.
+		rootWarm     bool
+		rootFallback string
 	)
 	eng := opts.Engine.resolve(opts.Warm)
 	nodeOpts := Options{Pivot: opts.Pivot, Engine: eng, Cancel: opts.Cancel}
@@ -70,6 +74,9 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 		nodeOpts.Warm = nd.warm
 		relax, err := p.solveLPWith(nd.lo, nd.hi, nodeOpts)
 		pivots += relax.Iterations
+		if nodes == 1 {
+			rootWarm, rootFallback = relax.WarmStarted, relax.WarmFallback
+		}
 		if err != nil {
 			if relax.Status == Unbounded {
 				// An unbounded relaxation at the root means the MILP is
@@ -160,6 +167,7 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 	_ = anyFeasible
 	incumbent.Nodes = nodes
 	incumbent.Iterations = pivots
+	incumbent.WarmStarted, incumbent.WarmFallback = rootWarm, rootFallback
 	if hitLimit {
 		// Best-effort incumbent: report it but flag the limit.
 		incumbent.Status = IterLimit
