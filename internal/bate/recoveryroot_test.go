@@ -84,16 +84,6 @@ func rootCases() []rootCase {
 	}
 }
 
-// planRoot plans the recovery root of in, as a round does.
-func planRoot(t *testing.T, in *alloc.Input) *lp.Basis {
-	t.Helper()
-	bs := &BackupSet{}
-	if _, _, err := bs.PlanRoot(in, nil); err != nil {
-		t.Fatal(err)
-	}
-	return bs.Root
-}
-
 // The optimal rung started from a planned root — fresh, or stale by
 // book churn, a drain or a whole other book — must reach the optimum a
 // cold RecoverOptimal reaches: a fresh plan for every failure of
@@ -102,7 +92,11 @@ func planRoot(t *testing.T, in *alloc.Input) *lp.Basis {
 // solve's.
 func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 	for _, tc := range rootCases() {
-		root := planRoot(t, tc.in)
+		planned := &BackupSet{}
+		if _, _, err := planned.PlanRoot(tc.in, nil); err != nil {
+			t.Fatal(err)
+		}
+		root := planned.Root
 		plans := []struct {
 			name string
 			in   *alloc.Input // the book failures hit

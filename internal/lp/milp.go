@@ -54,10 +54,7 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 		pivots       int
 		anyFeasible  bool
 		hitLimit     bool
-		// The root relaxation's use of opts.Warm, reported as the
-		// MILP's WarmStarted/WarmFallback.
-		rootWarm     bool
-		rootFallback string
+		rootWarm     bool // the root relaxation used opts.Warm
 	)
 	eng := opts.Engine.resolve(opts.Warm)
 	nodeOpts := Options{Pivot: opts.Pivot, Engine: eng, Cancel: opts.Cancel}
@@ -75,7 +72,7 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 		relax, err := p.solveLPWith(nd.lo, nd.hi, nodeOpts)
 		pivots += relax.Iterations
 		if nodes == 1 {
-			rootWarm, rootFallback = relax.WarmStarted, relax.WarmFallback
+			rootWarm = relax.WarmStarted
 		}
 		if err != nil {
 			if relax.Status == Unbounded {
@@ -167,7 +164,7 @@ func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
 	_ = anyFeasible
 	incumbent.Nodes = nodes
 	incumbent.Iterations = pivots
-	incumbent.WarmStarted, incumbent.WarmFallback = rootWarm, rootFallback
+	incumbent.WarmStarted = rootWarm
 	if hitLimit {
 		// Best-effort incumbent: report it but flag the limit.
 		incumbent.Status = IterLimit
