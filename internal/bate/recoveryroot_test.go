@@ -96,16 +96,14 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 		if _, _, err := planned.PlanRoot(tc.in, nil); err != nil {
 			t.Fatal(err)
 		}
-		root := planned.Root
 		plans := []struct {
 			name string
 			in   *alloc.Input // the book failures hit
-			root *lp.Basis
 		}{
-			{"fresh", tc.in, root},
-			{"stale/churned", tc.churned, root},
-			{"stale/drained", tc.drained, root},
-			{"stale/other-book", tc.other, root},
+			{"fresh", tc.in},
+			{"stale/churned", tc.churned},
+			{"stale/drained", tc.drained},
+			{"stale/other-book", tc.other},
 		}
 		for _, pl := range plans {
 			coldPivots, warmPivots, notWarm := 0, 0, 0
@@ -121,7 +119,7 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 					t.Fatalf("%s/%s %v: cold: %v", tc.name, pl.name, down, err)
 				}
 				start := time.Now()
-				got, err := RecoverOptimalOpts(pl.in, down, lp.Options{Engine: lp.EngineRevised, Warm: pl.root})
+				got, err := RecoverOptimalOpts(pl.in, down, lp.Options{Engine: lp.EngineRevised, Warm: planned.Root})
 				warmTime += time.Since(start)
 				if err != nil {
 					t.Fatalf("%s/%s %v: warm: %v", tc.name, pl.name, down, err)
