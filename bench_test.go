@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"bate/internal/alloc"
 	"bate/internal/bate"
@@ -279,9 +280,12 @@ func benchB4RecoveryInput() *alloc.Input {
 // branch & bound on the Eq. 12 recovery MILP over B4: warm reports
 // fewer total pivots. The node budget bounds the tree; both variants
 // explore the same 64 nodes, so the pivot counts isolate the
-// warm-start effect. planned is the controller's optimal rung on a
-// double failure of the ledger's B4 book of 200, started from the root
-// its last round planned (BackupSet.PlanRoot).
+// warm-start effect. planned rebuilds Eq. 12 for a double failure of
+// the ledger's B4 book of 200 and starts it from the root its last
+// round planned (BackupSet.PlanRoot), as the optimal rung does on a
+// book the round did not plan; retained is the ladder's rung on the
+// planned book, bate.Recover solving the failure as bound changes on
+// the round's model.
 func BenchmarkMILPRecovery(b *testing.B) {
 	in := benchB4RecoveryInput()
 	failed := []topo.LinkID{6}
@@ -325,6 +329,31 @@ func BenchmarkMILPRecovery(b *testing.B) {
 			}
 			if !res.WarmRoot {
 				b.Fatal("the rung did not start from the planned root")
+			}
+			pivots += res.Iterations
+		}
+		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	})
+	b.Run("retained", func(b *testing.B) {
+		in := newChurnBook(200).in
+		bs, err := bate.PrecomputeBackups(in, 1, in.Net.NumLinks()*4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := bs.PlanRoot(in, nil); err != nil {
+			b.Fatal(err)
+		}
+		failed := []topo.LinkID{6, 13}
+		opts := bate.RecoverOptions{Backups: bs, Deadline: time.Minute}
+		pivots := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, stage, err := bate.Recover(in, failed, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stage != bate.StageOptimal || res.Model != bate.ModelRound {
+				b.Fatalf("the failure took the %v stage on %v, not the optimal one on the round's model", stage, res.Model)
 			}
 			pivots += res.Iterations
 		}

@@ -30,15 +30,47 @@ type BackupSet struct {
 	// One-demand LPs the pass solved (the no-failure run's included)
 	// and fits it took from the no-failure run instead.
 	FitsSolved, FitsReused int
-	// Root is the optimal basis of Eq. 12's LP relaxation with no link
-	// failed (PlanRoot), nil until planned. Recover's optimal rung
-	// starts from it: the failure set's zeroed links and any book
-	// change since the plan are a few dual pivots away.
-	Root    *lp.Basis
+	// Root is the optimal basis of the relaxation of Eq. 12 with no
+	// link failed (PlanRoot), nil until planned. It is a basis of the
+	// model PlanRoot keeps, which Recover's optimal rung solves a
+	// failure on as bound changes while the book is the planned one;
+	// on any other book the rung rebuilds Eq. 12 and starts from Root
+	// by name, the failure's zeroed links and the book's changes a few
+	// dual pivots away.
+	Root  *lp.Basis
+	model *rootModel
+	book
 	byKey   map[string]*RecoveryResult
 	skipped int
+}
+
+// book is what a plan was made for: its input's demands (by pointer,
+// keyed by ID) and drained links.
+type book struct {
 	planned map[int]*demand.Demand
 	drained string // comboKey of the input's drained links
+}
+
+func bookOf(in *alloc.Input) book {
+	b := book{planned: make(map[int]*demand.Demand, len(in.Demands)), drained: comboKey(in.Drained)}
+	for _, d := range in.Demands {
+		b.planned[d.ID] = d
+	}
+	return b
+}
+
+// changed says how in differs from the planned book, up to
+// withdrawals: ModelRound when it does not.
+func (b *book) changed(in *alloc.Input) RecoveryModel {
+	if comboKey(in.Drained) != b.drained {
+		return ModelDrainsChanged
+	}
+	for _, d := range in.Demands {
+		if b.planned[d.ID] != d {
+			return ModelBookChanged
+		}
+	}
+	return ModelRound
 }
 
 // comboKey canonicalizes a link set: a failure set, or a drain set.
@@ -92,15 +124,7 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 		}
 		return len(combos[i].links) < len(combos[j].links)
 	})
-	bs := &BackupSet{
-		Depth:   depth,
-		byKey:   make(map[string]*RecoveryResult),
-		planned: make(map[int]*demand.Demand, len(in.Demands)),
-		drained: comboKey(in.Drained),
-	}
-	for _, d := range in.Demands {
-		bs.planned[d.ID] = d
-	}
+	bs := &BackupSet{Depth: depth, book: bookOf(in), byKey: make(map[string]*RecoveryResult)}
 	w := newGreedyWalk(in)
 	_, fitted := w.run(nil)
 	copy(w.base, fitted)
@@ -117,23 +141,43 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 	return bs, nil
 }
 
-// PlanRoot solves the LP relaxation of Eq. 12 over in with no link
-// failed, warm-started from prev's Root when there is one, and keeps
-// its optimal basis as bs.Root. It reports the solve's pivots and
-// whether it started warm. Unlike For, the root outlives book changes:
-// it is a hint that the optimal rung repairs, never a plan it serves.
+// PlanRoot builds Eq. 12 over in with no link failed and binary y,
+// solves its LP relaxation warm-started from prev's Root when there is
+// one, and keeps the model as the set's, with its optimal basis as
+// bs.Root. It reports the solve's pivots and whether it started warm.
+// Unlike For, the root outlives book changes: it is a hint that the
+// optimal rung repairs, never a plan it serves. in must not change
+// after the call.
 func (bs *BackupSet) PlanRoot(in *alloc.Input, prev *BackupSet) (pivots int, warm bool, err error) {
 	opts := lp.Options{Engine: lp.EngineRevised}
 	if prev != nil {
 		opts.Warm = prev.Root
 	}
-	p, _, _ := recoveryLP(in, nil, false)
-	sol, err := p.SolveOpts(opts)
+	p, fv, yv := recoveryLP(in, nil, true)
+	sol, err := p.SolveRelaxation(opts)
 	if err != nil {
 		return sol.Iterations, sol.WarmStarted, fmt.Errorf("bate: recovery root: %w", err)
 	}
 	bs.Root = sol.Basis()
+	bs.model = &rootModel{book: bookOf(in), in: in, p: p, fv: fv, yv: yv}
+	bs.model.lo, bs.model.hi = p.Bounds()
 	return sol.Iterations, sol.WarmStarted, nil
+}
+
+// modelFor returns the set's planned model when in is its book up to
+// withdrawals, and which model the optimal rung solves on in.
+func (bs *BackupSet) modelFor(in *alloc.Input) (*rootModel, RecoveryModel) {
+	if bs == nil || bs.model == nil {
+		return nil, ModelNoPlan
+	}
+	m := bs.model
+	if in.Net != m.in.Net || in.Tunnels != m.in.Tunnels {
+		return nil, ModelBookChanged
+	}
+	if why := m.changed(in); why != ModelRound {
+		return nil, why
+	}
+	return m, ModelRound
 }
 
 // For returns the precomputed recovery for a failure set, if covered
@@ -142,25 +186,11 @@ func (bs *BackupSet) PlanRoot(in *alloc.Input, prev *BackupSet) (pivots int, war
 // same links. A withdrawn demand keeps the set valid; its rows are
 // simply off the book.
 func (bs *BackupSet) For(in *alloc.Input, down []topo.LinkID) (*RecoveryResult, bool) {
-	if bs == nil || len(down) == 0 || !bs.plannedFor(in) {
+	if bs == nil || len(down) == 0 || bs.changed(in) != ModelRound {
 		return nil, false
 	}
 	r, ok := bs.byKey[comboKey(down)]
 	return r, ok
-}
-
-// plannedFor reports whether in's book and drain set are the ones the
-// set was planned for, up to withdrawals.
-func (bs *BackupSet) plannedFor(in *alloc.Input) bool {
-	if comboKey(in.Drained) != bs.drained {
-		return false
-	}
-	for _, d := range in.Demands {
-		if bs.planned[d.ID] != d {
-			return false
-		}
-	}
-	return true
 }
 
 // Len returns the number of precomputed combinations.

@@ -53,12 +53,45 @@ func (s RecoveryStage) String() string {
 	return "unknown"
 }
 
+// RecoveryModel says which Eq. 12 model Recover's optimal stage solved:
+// the round's, or a rebuilt one and why.
+type RecoveryModel int8
+
+// The models, the round's first. ModelNone marks a result the optimal
+// stage did not produce, or a direct RecoverOptimal call.
+const (
+	ModelNone RecoveryModel = iota
+	// ModelRound is the model BackupSet.PlanRoot kept, the failure and
+	// any withdrawals since the round solved as bound changes on it.
+	ModelRound
+	// The rebuilt ones: no round planned a model, the book gained a
+	// demand since the round, or its drain set changed.
+	ModelNoPlan
+	ModelBookChanged
+	ModelDrainsChanged
+)
+
+func (m RecoveryModel) String() string {
+	switch m {
+	case ModelRound:
+		return "the round's model"
+	case ModelNoPlan:
+		return "a rebuilt model (no plan)"
+	case ModelBookChanged:
+		return "a rebuilt model (book changed since the round)"
+	case ModelDrainsChanged:
+		return "a rebuilt model (drains changed since the round)"
+	}
+	return "none"
+}
+
 // RecoverOptions tunes the deadline-bounded recovery pipeline.
 type RecoverOptions struct {
 	// Backups are the precomputed §3.4 plans; a covered failure set is
 	// served from here instantly, if the set was planned for Recover's
-	// book (see BackupSet.For). Their Root, when planned, seeds the
-	// optimal stage whatever book it was planned for.
+	// book (see BackupSet.For). The model PlanRoot kept serves the
+	// optimal stage on that book up to withdrawals; on any other book
+	// their Root seeds the stage's rebuilt model.
 	Backups *BackupSet
 	// Deadline bounds the whole Recover call. The optimal stage gets
 	// most of it; the greedy floor keeps a reserve. <= 0 means 2s.
@@ -136,6 +169,13 @@ func Recover(in *alloc.Input, down []topo.LinkID, opts RecoverOptions) (*Recover
 // deadline also feeds the solver's Cancel hook, so a losing solve
 // aborts mid-pivot instead of burning a core in the background until
 // its node budget runs out.
+//
+// When the backups' round planned a model for in's book (the same
+// demands up to withdrawals, the same drains), the MILP is that model
+// under bound changes, its search started from the planned root basis.
+// Otherwise Eq. 12 is rebuilt for in and its root warm-started from
+// the backups' Root by name (cold without one). The result's Model
+// says which, and why it rebuilt.
 func recoverOptimalBudgeted(in *alloc.Input, down []topo.LinkID, opts *RecoverOptions, start time.Time) *RecoveryResult {
 	if opts.Gate != nil {
 		if err := opts.Gate("recover"); err != nil {
@@ -156,17 +196,26 @@ func recoverOptimalBudgeted(in *alloc.Input, down []topo.LinkID, opts *RecoverOp
 		err error
 	}
 	ch := make(chan outcome, 1)
-	// The root starts from the round's planned basis when there is one
-	// (BackupSet.Root); a warm start the solver cannot use falls back
-	// to a cold one inside the solve.
-	var root *lp.Basis
+	model, why := opts.Backups.modelFor(in)
+	// Named: only the revised engine polls Cancel and warm-starts a
+	// node from its parent; EngineAuto is the dense tableau here. A warm
+	// start the solver cannot use falls back to a cold one inside the
+	// solve.
+	lpOpts := lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err}
 	if opts.Backups != nil {
-		root = opts.Backups.Root
+		lpOpts.Warm = opts.Backups.Root
 	}
 	go func() {
-		// Named: only the revised engine polls Cancel and warm-starts a
-		// node from its parent; EngineAuto is the dense tableau here.
-		r, err := RecoverOptimalOpts(in, down, lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err, Warm: root})
+		var r *RecoveryResult
+		var err error
+		if model != nil {
+			r, err = model.recover(in, down, lpOpts)
+		} else {
+			r, err = RecoverOptimalOpts(in, down, lpOpts)
+		}
+		if r != nil {
+			r.Model = why
+		}
 		ch <- outcome{r, err}
 	}()
 	t := time.NewTimer(budget)

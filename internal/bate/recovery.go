@@ -29,6 +29,9 @@ type RecoveryResult struct {
 	// whether its root relaxation started from a supplied basis.
 	Nodes, Iterations int
 	WarmRoot          bool
+	// Model says, for Recover's optimal stage, whether it solved the
+	// round's planned model or rebuilt Eq. 12, and why.
+	Model RecoveryModel
 }
 
 // profitOf computes Σ r_d given which demands are fully served.
@@ -81,6 +84,12 @@ func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) 
 	start := time.Now()
 	p, fv, yv := recoveryLP(in, failed, true)
 	sol, err := p.SolveOpts(opts)
+	return recoveryResult(in, fv, yv, sol, err, start)
+}
+
+// recoveryResult reads a solve of Eq. 12 into the recovery of in's
+// book. fv must hold exactly in's demands, yv at least them.
+func recoveryResult(in *alloc.Input, fv alloc.FlowVars, yv map[int]lp.VarID, sol *lp.Solution, err error, start time.Time) (*RecoveryResult, error) {
 	switch {
 	case err == nil:
 	case sol != nil && sol.Status == lp.IterLimit && len(sol.Values()) > 0:
@@ -105,6 +114,69 @@ func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) 
 	}
 	res.Profit = profitOf(in.Demands, res.FullProfit)
 	return res, nil
+}
+
+// rootModel is Eq. 12 as PlanRoot built it: the MILP over the round's
+// book with no link failed, and its root bounds. Nothing writes it
+// after PlanRoot, so solves on it may overlap, as when a budgeted rung
+// outlives its deadline while the next failure's starts.
+type rootModel struct {
+	book
+	in     *alloc.Input
+	p      *lp.Problem
+	fv     alloc.FlowVars
+	yv     map[int]lp.VarID
+	lo, hi []float64
+}
+
+// recover solves Eq. 12 for in's book (the planned one up to
+// withdrawals) under a failure set as bound changes on the model: every
+// tunnel over a failed link, and every withdrawn demand's flows and y,
+// get an upper bound of 0. That is the LP recoveryLP(in, failed, true)
+// builds, give or take columns fixed at zero and the rows they leave
+// slack, so the branch and bound starts from the planned root's basis
+// with no assembly and no remap.
+func (m *rootModel) recover(in *alloc.Input, failed []topo.LinkID, opts lp.Options) (*RecoveryResult, error) {
+	start := time.Now()
+	down := make([]bool, m.in.Net.NumLinks())
+	for _, e := range failed {
+		if int(e) >= 0 && int(e) < len(down) {
+			down[e] = true
+		}
+	}
+	fv := m.fv
+	if len(in.Demands) < len(m.in.Demands) {
+		fv = make(alloc.FlowVars, len(in.Demands))
+		for _, d := range in.Demands {
+			fv[d.ID] = m.fv[d.ID]
+		}
+	}
+	hi := append([]float64(nil), m.hi...)
+	for _, d := range m.in.Demands {
+		_, live := fv[d.ID]
+		if !live {
+			hi[m.yv[d.ID]] = 0
+		}
+		for pi, vs := range m.fv[d.ID] {
+			for ti, t := range m.in.TunnelsFor(d, pi) {
+				if !live || crosses(t, down) {
+					hi[vs[ti]] = 0
+				}
+			}
+		}
+	}
+	sol, err := m.p.SolveBounded(m.lo, hi, opts)
+	return recoveryResult(in, fv, m.yv, sol, err, start)
+}
+
+// crosses reports whether t has a link marked in down.
+func crosses(t routing.Tunnel, down []bool) bool {
+	for _, e := range t.Links {
+		if down[e] {
+			return true
+		}
+	}
+	return false
 }
 
 // recoveryLP builds Eq. 12 under a failure set: flows over the

@@ -457,10 +457,12 @@ func (c *Controller) serveBroker(conn *wire.Conn, dc string) {
 	}
 	c.mu.Lock()
 	c.brokers[dc] = conn
-	// Late joiner gets the current allocation immediately.
-	msg := c.allocMessagesLocked(c.st.Current, false, []string{dc})[0]
+	// Late joiner gets the current allocation immediately, queued before
+	// c.mu is released: a push made after the unlock then queues behind
+	// it, and the broker never applies an older snapshot last. The
+	// session's coalescing writer makes the Send an enqueue.
+	conn.Send(c.allocMessagesLocked(c.st.Current, false, []string{dc})[0])
 	c.mu.Unlock()
-	conn.Send(msg)
 	defer func() {
 		c.mu.Lock()
 		if c.brokers[dc] == conn {
@@ -1166,7 +1168,7 @@ func (c *Controller) onLinkEvent(ev *wire.LinkEvent) {
 	// precomputation took at the last round.
 	effort := ""
 	if stage == bate.StageOptimal {
-		effort = fmt.Sprintf(", %d pivots from a %s root", res.Iterations, warmth(res.WarmRoot))
+		effort = fmt.Sprintf(", %d pivots from a %s root on %s", res.Iterations, warmth(res.WarmRoot), res.Model)
 	}
 	c.logf("controller: recovered %d-link failure via %s stage in %v (profit %.1f%s)",
 		len(down), stage, time.Since(takenUp), res.Profit, effort)

@@ -102,3 +102,46 @@ func TestDoubleFailureRecoversFromPlannedRoot(t *testing.T) {
 		t.Fatalf("pushed allocation is worth %.3f, RecoverOptimal %.3f", profit, want.Profit)
 	}
 }
+
+// The optimal stage's log line names the model it solved: the round's
+// on the book the round planned, a rebuilt one after an admit.
+func TestRecoveryLogNamesTheModel(t *testing.T) {
+	n := topo.Testbed()
+	ts := routing.Compute(n, routing.KShortest, 4)
+	for _, c := range []struct {
+		admit bool
+		want  string
+	}{
+		{false, "on the round's model"},
+		{true, "on a rebuilt model (book changed since the round)"},
+	} {
+		var mu sync.Mutex
+		var lines []string
+		ctrl, err := New(Config{Net: n, Tunnels: ts, MaxFail: 2, Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSequence(ctrl, []step{{"DC1", "DC4", 700, 0.9}, {"DC1", "DC3", 500, 0.9}, {"DC2", "DC6", 400, 0.9}})
+		if err := ctrl.Reschedule(); err != nil {
+			t.Fatal(err)
+		}
+		if c.admit {
+			if r := runSequence(ctrl, []step{{"DC5", "DC3", 100, 0.9}}); !r[0].Admitted {
+				t.Fatalf("admit refused: %+v", r[0])
+			}
+		}
+		for _, l := range []topo.Link{n.Links()[0], n.Links()[6]} {
+			ctrl.onLinkEvent(&wire.LinkEvent{SrcDC: n.NodeName(l.Src), DstDC: n.NodeName(l.Dst), Up: false})
+		}
+		mu.Lock()
+		log := strings.Join(lines, "\n")
+		mu.Unlock()
+		if !strings.Contains(log, "via optimal stage") || !strings.Contains(log, c.want) {
+			t.Fatalf("admit %v: no optimal-stage line %q:\n%s", c.admit, c.want, log)
+		}
+	}
+}

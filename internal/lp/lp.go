@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Op is a constraint comparison operator.
@@ -73,11 +75,49 @@ type variable struct {
 
 // Problem is a linear (or mixed-integer) program. The zero value is a
 // minimization problem with no variables. Problems are not safe for
-// concurrent mutation.
+// concurrent mutation; solves of an unchanging problem may overlap.
 type Problem struct {
 	vars     []variable
 	cons     []Constraint
 	maximize bool
+	mat      atomic.Pointer[matrix] // nil until a revised solve, and after a new variable or row
+}
+
+// matrix is a problem's constraint matrix as the revised engine reads
+// it. It is built on the first revised solve and shared, read-only, by
+// every later solve and branch-and-bound node of the problem until a
+// variable or row is added.
+type matrix struct {
+	csc      *cscMatrix
+	slackCol []int32
+	csrOnce  sync.Once
+	csr      *cscMatrix // row-wise copy of csc, built on first use
+}
+
+// matrix returns p's matrix, building it if needed. Overlapping first
+// solves may each build one; every copy is the same.
+func (p *Problem) matrix() *matrix {
+	if mx := p.mat.Load(); mx != nil {
+		return mx
+	}
+	mx := &matrix{}
+	mx.csc, mx.slackCol = buildCSC(p)
+	p.mat.Store(mx)
+	return mx
+}
+
+// dropMatrix forgets a matrix the problem has outgrown. Building a
+// problem drops none, so it pays no atomic store per variable or row.
+func (p *Problem) dropMatrix() {
+	if p.mat.Load() != nil {
+		p.mat.Store(nil)
+	}
+}
+
+// rows returns the row-wise copy of the matrix.
+func (mx *matrix) rows() *cscMatrix {
+	mx.csrOnce.Do(func() { mx.csr = mx.csc.transpose() })
+	return mx.csr
 }
 
 // NewProblem returns an empty minimization problem.
@@ -98,6 +138,7 @@ func (p *Problem) AddVariable(name string, lower, upper, cost float64) VarID {
 		panic(fmt.Sprintf("lp: variable %s: upper %v < lower %v", name, upper, lower))
 	}
 	p.vars = append(p.vars, variable{name: name, lower: lower, upper: upper, cost: cost})
+	p.dropMatrix()
 	return VarID(len(p.vars) - 1)
 }
 
@@ -121,6 +162,16 @@ func (p *Problem) SetBounds(v VarID, lower, upper float64) {
 	}
 	p.vars[v].lower = lower
 	p.vars[v].upper = upper
+}
+
+// Bounds returns fresh copies of every variable's lower and upper
+// bounds, indexed by VarID.
+func (p *Problem) Bounds() (lo, hi []float64) {
+	lo, hi = make([]float64, len(p.vars)), make([]float64, len(p.vars))
+	for j, v := range p.vars {
+		lo[j], hi[j] = v.lower, v.upper
+	}
+	return lo, hi
 }
 
 // NumVariables returns the number of variables added so far.
@@ -157,6 +208,7 @@ func (p *Problem) AddConstraint(c Constraint) {
 		panic(fmt.Sprintf("lp: constraint %s: invalid RHS %v", c.Name, c.RHS))
 	}
 	p.cons = append(p.cons, c)
+	p.dropMatrix()
 }
 
 // Status reports the outcome of a solve.

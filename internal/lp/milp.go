@@ -11,7 +11,7 @@ const defaultMaxNodes = 200000
 // solveMILP solves the problem honouring integral variables via
 // depth-first branch & bound on the LP relaxation.
 func (p *Problem) solveMILP() (*Solution, error) {
-	return p.solveMILPOpts(Options{})
+	return p.solveMILPOpts(nil, nil, Options{})
 }
 
 // (FirstIncumbent handling lives in solveMILPOpts: feasibility-style
@@ -27,16 +27,16 @@ type bbNode struct {
 	warm *Basis
 }
 
-func (p *Problem) solveMILPOpts(opts Options) (*Solution, error) {
+// solveMILPOpts runs the search from root bounds rootLo/rootHi, or the
+// variables' own bounds where they are nil. The nodes copy them, so the
+// caller's slices are never written.
+func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Solution, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = defaultMaxNodes
 	}
-	ns := len(p.vars)
-	rootLo := make([]float64, ns)
-	rootHi := make([]float64, ns)
-	for j, v := range p.vars {
-		rootLo[j], rootHi[j] = v.lower, v.upper
+	if rootLo == nil || rootHi == nil {
+		rootLo, rootHi = p.Bounds()
 	}
 
 	// Internally minimize; flip the sign for maximization problems at

@@ -35,15 +35,15 @@ const (
 
 // revised is the working state of one revised-simplex solve.
 type revised struct {
-	p        *Problem
-	ns       int // structural variables
-	m        int // constraint rows
-	artLo    int // first artificial column (== csc.n)
-	ncols    int // csc.n + m artificials
-	csc      *cscMatrix
-	slackCol []int32
-	rhs      []float64
-	artSign  []float64 // per-row artificial coefficient (±1)
+	p       *Problem
+	ns      int // structural variables
+	m       int // constraint rows
+	artLo   int // first artificial column (== csc.n)
+	ncols   int // csc.n + m artificials
+	rhs     []float64
+	artSign []float64 // per-row artificial coefficient (±1)
+
+	*matrix // p's, shared with every other solve of p
 
 	lo, hi []float64 // per column, artificials included
 	cost   []float64 // current-phase cost per column
@@ -62,24 +62,24 @@ type revised struct {
 	artInd         [1]int32
 	artVal         [1]float64
 
-	csr     *cscMatrix // row-wise copy of csc, built on first use
-	alpha   []float64  // the last pivotRow, nonzero only at rowCols
+	alpha   []float64 // the last pivotRow, nonzero only at rowCols
 	rowCols []int
 	d       []float64 // carried reduced costs, per structural or slack column
 	stale   bool      // d was updated since the last refresh
 }
 
-// newRevisedBase builds the problem-shaped state (bounds, CSC, scratch)
-// without choosing a starting basis. It returns ErrInfeasible when a
-// bound override leaves lo > hi, matching newTableau.
+// newRevisedBase builds the problem-shaped state (bounds, scratch) on
+// the problem's shared matrix without choosing a starting basis. It
+// returns ErrInfeasible when a bound override leaves lo > hi, matching
+// newTableau.
 func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, error) {
 	ns := len(p.vars)
 	m := len(p.cons)
-	csc, slackCol := buildCSC(p)
+	mx := p.matrix()
 	r := &revised{
 		p: p, ns: ns, m: m,
-		artLo: csc.n, ncols: csc.n + m,
-		csc: csc, slackCol: slackCol,
+		artLo: mx.csc.n, ncols: mx.csc.n + m,
+		matrix: mx,
 	}
 	r.lo = make([]float64, r.ncols)
 	r.hi = make([]float64, r.ncols)
@@ -400,13 +400,11 @@ func (r *revised) pivotRow(leave int) {
 		}
 		return
 	}
-	if r.csr == nil {
-		r.csr = r.csc.transpose()
-	}
+	csr := r.rows()
 	slices.Sort(rows)
 	for _, i := range rows {
 		x := r.work2[i] // a zero here (cancellation) adds ±0
-		ind, val := r.csr.col(int(i))
+		ind, val := csr.col(int(i))
 		for k, j := range ind {
 			if r.status[j] != isBasic {
 				if r.alpha[j] == 0 { // first touch, give or take a cancellation

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // PivotRule selects the entering-column strategy of the simplex.
 type PivotRule int8
@@ -45,8 +48,30 @@ type Options struct {
 // SolveOpts is Solve with explicit Options.
 func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 	if p.HasIntegers() {
-		return p.solveMILPOpts(opts)
+		return p.solveMILPOpts(nil, nil, opts)
 	}
+	return p.solveLPWith(nil, nil, opts)
+}
+
+// SolveBounded is SolveOpts with every variable's bounds replaced by
+// lo[j] and hi[j] (for a MILP, the root node's bounds), leaving the
+// problem as it is: solves of one problem under different bounds share
+// its matrix and may run at the same time. Bounds returns a starting
+// point for lo and hi.
+func (p *Problem) SolveBounded(lo, hi []float64, opts Options) (*Solution, error) {
+	if len(lo) != len(p.vars) || len(hi) != len(p.vars) {
+		panic(fmt.Sprintf("lp: SolveBounded: %d/%d bounds for %d variables", len(lo), len(hi), len(p.vars)))
+	}
+	if p.HasIntegers() {
+		return p.solveMILPOpts(lo, hi, opts)
+	}
+	return p.solveLPWith(lo, hi, opts)
+}
+
+// SolveRelaxation is SolveOpts with integrality ignored: the LP
+// relaxation branch and bound solves at its root. Its basis warm-starts
+// the root of a later SolveOpts or SolveBounded of the same problem.
+func (p *Problem) SolveRelaxation(opts Options) (*Solution, error) {
 	return p.solveLPWith(nil, nil, opts)
 }
 
