@@ -228,6 +228,7 @@ func BenchmarkScheduleChurn(b *testing.B) {
 			name = "warm"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			book := newChurnBook(200)
 			sched := bate.NewScheduler()
 			if _, _, err := sched.Schedule(book.in, opts); err != nil {

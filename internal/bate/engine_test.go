@@ -2,11 +2,14 @@ package bate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
 	"bate/internal/lp"
+	"bate/internal/routing"
+	"bate/internal/topo"
 )
 
 // testbed6Demands is a small saturated workload on the 6-DC testbed.
@@ -153,5 +156,60 @@ func TestSchedulerWarmStart(t *testing.T) {
 	}
 	if st4.Iterations >= stCold.Iterations {
 		t.Fatalf("grown round took %d pivots warm, %d cold", st4.Iterations, stCold.Iterations)
+	}
+}
+
+// BenchmarkAdmitTrialEngine solves AdmitFixed's relaxed trial LP, one
+// newcomer over the residual capacities of a book shaped like the
+// b4_deep ledger workload's (B4, four shortest tunnels, 200 single-pair
+// demands of 50-200 Mbps, targets 0.9-0.999, scheduled at MaxFail 2),
+// on the dense tableau that EngineAuto resolves it to and on the
+// revised simplex. The timer covers the solve, not the assembly; the
+// ratio of the two ns/op is what flipping EngineAuto would change.
+func BenchmarkAdmitTrialEngine(b *testing.B) {
+	n := topo.B4()
+	rng := rand.New(rand.NewSource(1))
+	pairs := n.Pairs()
+	targets := []float64{0.9, 0.95, 0.99, 0.999}
+	draw := func(id int) *demand.Demand {
+		p := pairs[rng.Intn(len(pairs))]
+		bw := 50 + 150*rng.Float64()
+		return &demand.Demand{
+			ID: id, Pairs: []demand.PairDemand{{Src: p[0], Dst: p[1], Bandwidth: bw}},
+			Target: targets[rng.Intn(len(targets))], Charge: bw, RefundFrac: 0.1,
+		}
+	}
+	in := &alloc.Input{Net: n, Tunnels: routing.Compute(n, routing.KShortest, 4)}
+	for id := 1; id <= 200; id++ {
+		in.Demands = append(in.Demands, draw(id))
+	}
+	current, _, err := Schedule(in, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	if err != nil {
+		b.Fatal(err)
+	}
+	residual := current.ResidualCapacities(in)
+	var newcomers []*demand.Demand
+	for id := 201; id <= 216; id++ {
+		newcomers = append(newcomers, draw(id))
+	}
+	for _, eng := range []lp.Engine{lp.EngineDense, lp.EngineRevised} {
+		b.Run(eng.String(), func(b *testing.B) {
+			pivots := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := lp.NewProblem()
+				d := newcomers[i%len(newcomers)]
+				if _, _, err := buildScheduleLP(p, in.WithDemands([]*demand.Demand{d}), 2, residual, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				sol, err := p.SolveOpts(lp.Options{Engine: eng})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots += sol.Iterations
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
 	}
 }

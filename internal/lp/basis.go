@@ -12,6 +12,10 @@ import (
 // current basic columns once it grows past refactorEvery etas, which
 // both bounds FTRAN/BTRAN cost and flushes accumulated roundoff.
 
+// refactorEvery bounds the eta file's length past a refactorization
+// of m rows before the next rebuild.
+func refactorEvery(m int) int { return min(max(m/4, 32), 120) }
+
 // etaDropTol discards eta entries below this magnitude.
 const etaDropTol = 1e-12
 
@@ -65,8 +69,11 @@ func (f *factorization) indexRefactorEtas() {
 }
 
 // ftran solves B z = a in place: v holds a on entry, B⁻¹a on exit.
-func (f *factorization) ftran(v []float64) {
-	for k := range f.etas {
+func (f *factorization) ftran(v []float64) { f.ftranFrom(0, v) }
+
+// ftranFrom applies the etas from k on to v, oldest first.
+func (f *factorization) ftranFrom(k int, v []float64) {
+	for ; k < len(f.etas); k++ {
 		e := &f.etas[k]
 		t := v[e.pivot]
 		if t == 0 {
@@ -75,6 +82,84 @@ func (f *factorization) ftran(v []float64) {
 		v[e.pivot] = t * e.pivotVal
 		for i, r := range e.ind {
 			v[r] += t * e.val[i]
+		}
+	}
+}
+
+// ftranSparse is ftran for the column (ind, val) scattered into v, which
+// is zero on entry, returning the ascending rows that may be nonzero.
+// It applies only the refactor etas a live row reaches, in file order
+// via a min-heap as pivotColumn does, then the etas pushed since the
+// refactorization — or, returning nil, every eta left once the heap
+// outgrows an eighth of the file. A skipped eta would see a zero at its
+// pivot row, which ftran skips too, so v ends bit for bit as ftran
+// leaves it.
+func (f *factorization) ftranSparse(ind []int32, val []float64, v []float64) []int32 {
+	f.scatter(ind, val, v)
+	next := f.ftranQueued(v, len(f.etas)/8)
+	if next < 0 {
+		for k := f.nRefactor; k < len(f.etas); k++ {
+			f.ftranEta(int32(k), v)
+		}
+	}
+	for _, r := range f.touched {
+		f.inWork[r] = false
+	}
+	if next >= 0 {
+		f.ftranFrom(int(next), v)
+		return nil
+	}
+	slices.Sort(f.touched)
+	return f.touched
+}
+
+// scatter writes the column (ind, val) into work, zero on its rows,
+// lists those rows in touched and queues the refactor etas pivoting on
+// them.
+func (f *factorization) scatter(ind []int32, val []float64, work []float64) {
+	f.touched, f.heap = f.touched[:0], f.heap[:0]
+	for k, r := range ind {
+		work[r] = val[k]
+		f.inWork[r] = true
+		f.touched = append(f.touched, r)
+		if e := f.etaOfRow[r]; e >= 0 {
+			f.heapPush(e)
+		}
+	}
+}
+
+// ftranQueued applies the queued refactor etas to work in file order.
+// It stops while more than maxQueue are pending and returns the first
+// of them, or -1 once the queue runs dry.
+func (f *factorization) ftranQueued(work []float64, maxQueue int) int32 {
+	for len(f.heap) > 0 {
+		if len(f.heap) > maxQueue {
+			return f.heap[0]
+		}
+		f.ftranEta(f.heapPop(), work)
+	}
+	return -1
+}
+
+// ftranEta applies eta k to work as ftran does. A row it reaches for
+// the first time is listed in touched, and the refactor eta pivoting
+// on it is queued when it comes after k: an eta before k saw a zero
+// there when its turn came.
+func (f *factorization) ftranEta(k int32, work []float64) {
+	e := &f.etas[k]
+	t := work[e.pivot]
+	if t == 0 {
+		return
+	}
+	work[e.pivot] = t * e.pivotVal
+	for i, r := range e.ind {
+		work[r] += t * e.val[i]
+		if !f.inWork[r] {
+			f.inWork[r] = true
+			f.touched = append(f.touched, r)
+			if q := f.etaOfRow[r]; q > k {
+				f.heapPush(q)
+			}
 		}
 	}
 }
@@ -161,11 +246,12 @@ func (f *factorization) markLive(r, below int32) {
 }
 
 // push appends the eta for a pivot on row r of the FTRAN'd entering
-// column w (w = B⁻¹ a_enter), scanning every row. w is left dirty.
-func (f *factorization) push(w []float64, r int32) {
+// column w (w = B⁻¹ a_enter), reading the ascending rows where w may be
+// nonzero.
+func (f *factorization) push(w []float64, r int32, rows []int32) {
 	e := eta{pivot: r, pivotVal: 1 / w[r]}
-	for i, x := range w {
-		e.add(int32(i), x)
+	for _, i := range rows {
+		e.add(i, w[i])
 	}
 	f.etas = append(f.etas, e)
 }
@@ -206,6 +292,10 @@ func (e *eta) add(i int32, x float64) {
 func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]int32, []float64), work []float64, fill func(row int32) int32) ([]int32, bool) {
 	f.reset(m)
 	factorizations.Inc()
+	// At most one eta per row, then refactorEvery(m) pushed ones.
+	if n := m + refactorEvery(m); cap(f.etas) < n {
+		f.etas = make([]eta, 0, n)
+	}
 	if cap(f.etaOfRow) < m {
 		f.etaOfRow = make([]int32, m)
 		f.rowUsed = make([]bool, m)
@@ -278,35 +368,8 @@ func sortByNNZ(cols []int32, colOf func(j int32) ([]int32, []float64)) []int32 {
 // exit.
 func (f *factorization) pivotColumn(j int32, colOf func(j int32) ([]int32, []float64), work []float64) int32 {
 	ind, val := colOf(j)
-	f.touched, f.heap = f.touched[:0], f.heap[:0]
-	for k, r := range ind {
-		work[r] = val[k]
-		f.inWork[r] = true
-		f.touched = append(f.touched, r)
-		if e := f.etaOfRow[r]; e >= 0 {
-			f.heapPush(e)
-		}
-	}
-	for len(f.heap) > 0 {
-		k := f.heapPop()
-		e := &f.etas[k]
-		t := work[e.pivot]
-		if t == 0 {
-			continue
-		}
-		work[e.pivot] = t * e.pivotVal
-		for i, r := range e.ind {
-			work[r] += t * e.val[i]
-			if !f.inWork[r] {
-				f.inWork[r] = true
-				f.touched = append(f.touched, r)
-				// An eta before k saw a zero here when its turn came.
-				if q := f.etaOfRow[r]; q > k {
-					f.heapPush(q)
-				}
-			}
-		}
-	}
+	f.scatter(ind, val, work)
+	f.ftranQueued(work, len(f.etas)) // the heap never outgrows the file
 	best, bestAbs := int32(-1), singularTol
 	nonzero := 0
 	for _, r := range f.touched {

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,7 +63,7 @@ func refactorDense(f *factorization, m int, basic []int32, colOf func(j int32) (
 			}
 		}
 		if !unit {
-			f.push(work, best)
+			f.pushSweepRef(work, best)
 		}
 		rowUsed[best] = true
 		rowVar[best] = j
@@ -286,5 +288,108 @@ func TestRefactorRepair(t *testing.T) {
 				t.Fatalf("trial %d: B·B⁻¹e_%d has %v at row %d", trial, r, x, i)
 			}
 		}
+	}
+}
+
+// TestFtranSparseMatchesFtran: over random eta files (a refactorization
+// of a random basis followed by update etas, each pushed for a pivot on
+// the largest entry of an FTRAN'd column) and a hand-built file with an
+// exact cancellation to 0, ftranSparse leaves a column bit for bit as
+// ftran does and lists, ascending, every row it left nonzero. Both its
+// hypersparse and its dense path must be met.
+func TestFtranSparseMatchesFtran(t *testing.T) {
+	sparse, dense := 0, 0
+	check := func(name string, f *factorization, ind []int32, val []float64) {
+		t.Helper()
+		want := make([]float64, f.m)
+		for k, r := range ind {
+			want[r] = val[k]
+		}
+		f.ftran(want)
+		got := make([]float64, f.m)
+		rows := f.ftranSparse(ind, val, got)
+		if rows == nil {
+			dense++
+			rows = make([]int32, f.m)
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+		} else {
+			sparse++
+		}
+		checkFtranRows(t, name, got, want, rows)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(60)
+		cols, basic := randomBasis(rng, m, []string{"unit", "slack", "dense"}[trial%3])
+		var f factorization
+		if _, ok := f.refactor(m, basic, cols.colOf, make([]float64, m), nil); !ok {
+			continue
+		}
+		pool, _ := randomBasis(rng, m, "slack")
+		all := make([]int32, m)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for u := rng.Intn(10); u > 0; u-- {
+			ind, val := pool.colOf(int32(rng.Intn(m)))
+			w := make([]float64, m)
+			for k, r := range ind {
+				w[r] = val[k]
+			}
+			f.ftran(w)
+			best := 0
+			for i, x := range w {
+				if math.Abs(x) > math.Abs(w[best]) {
+					best = i
+				}
+			}
+			if math.Abs(w[best]) > singularTol {
+				f.push(w, int32(best), all)
+			}
+		}
+		for k := 0; k < 10; k++ {
+			ind, val := cols.colOf(basic[rng.Intn(m)])
+			if k%2 == 1 {
+				ind, val = pool.colOf(int32(rng.Intn(m)))
+			}
+			check(fmt.Sprintf("trial %d column %d", trial, k), &f, ind, val)
+		}
+	}
+	// Rows 0 and 1 carry refactor etas 0 and 1, rows 3..18 idle refactor
+	// etas that keep the heap under an eighth of the file, and update eta
+	// 18 pivots on row 2. Column e0+e1 cancels to 0 at row 1 under eta 0,
+	// so eta 1 (reached, row 1 listed) and the update eta are skipped;
+	// column e1 reaches row 2 through eta 1 and, through the update eta,
+	// row 0, whose refactor eta had its turn at a zero.
+	f := factorization{m: 20, etaOfRow: make([]int32, 20), inWork: make([]bool, 20)}
+	f.etas = append(f.etas,
+		eta{pivot: 0, pivotVal: 1, ind: []int32{1}, val: []float64{-1}},
+		eta{pivot: 1, pivotVal: 2, ind: []int32{2}, val: []float64{5}})
+	f.etaOfRow[0], f.etaOfRow[1], f.etaOfRow[2], f.etaOfRow[19] = 0, 1, -1, -1
+	for r := int32(3); r < 19; r++ {
+		f.etaOfRow[r] = int32(len(f.etas))
+		f.etas = append(f.etas, eta{pivot: r, pivotVal: 1.5})
+	}
+	f.nRefactor = len(f.etas)
+	f.etas = append(f.etas, eta{pivot: 2, pivotVal: 3, ind: []int32{0}, val: []float64{1}})
+	before := sparse
+	check("cancellation", &f, []int32{0, 1}, []float64{1, 1})
+	check("update eta", &f, []int32{1}, []float64{1})
+	if sparse != before+2 {
+		t.Fatalf("the hand-built file went dense")
+	}
+	v := make([]float64, 20)
+	if rows := f.ftranSparse([]int32{0, 1}, []float64{1, 1}, v); !slices.Equal(rows, []int32{0, 1}) || v[0] != 1 || v[1] != 0 || v[2] != 0 {
+		t.Fatalf("cancellation: rows %v, v[0:3] = %v", rows, v[:3])
+	}
+	clear(v)
+	if rows := f.ftranSparse([]int32{1}, []float64{1}, v); !slices.Equal(rows, []int32{0, 1, 2}) || v[0] != 5 || v[1] != 2 || v[2] != 15 {
+		t.Fatalf("update eta: rows %v, v[0:3] = %v", rows, v[:3])
+	}
+	t.Logf("%d hypersparse, %d dense FTRANs", sparse, dense)
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("ftranSparse paths exercised: %d hypersparse, %d dense", sparse, dense)
 	}
 }

@@ -44,7 +44,9 @@ func fuzzLP(data []byte) *Problem {
 
 // FuzzRevisedVsDense solves each decoded LP on the dense tableau and on
 // the revised simplex: the verdicts must match and, at an optimum, the
-// objectives agree to 1e-6 relative.
+// objectives agree to 1e-6 relative. The hypersparse iteration must
+// also take the dense sweeps' path (checkSweepPath) cold and, from the
+// optimal basis, warm on a child with every other upper bound halved.
 func FuzzRevisedVsDense(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{11, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
@@ -61,6 +63,16 @@ func FuzzRevisedVsDense(f *testing.F) {
 		}
 		if ds.Status == Optimal && math.Abs(ds.Objective-rs.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
 			t.Fatalf("objective dense=%.12g revised=%.12g", ds.Objective, rs.Objective)
+		}
+		checkSweepPath(t, kernelCase{name: "cold", p: p})
+		if rs.Status == Optimal {
+			hi := make([]float64, len(p.vars))
+			for j, v := range p.vars {
+				if hi[j] = v.upper; j%2 == 0 {
+					hi[j] = rs.values[j] / 2
+				}
+			}
+			checkSweepPath(t, kernelCase{name: "child", p: p, hi: hi, warm: rs.Basis()})
 		}
 	})
 }

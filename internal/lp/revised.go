@@ -62,6 +62,17 @@ type revised struct {
 	artInd         [1]int32
 	artVal         [1]float64
 
+	// Row lists of the hypersparse iteration: the rows where the last
+	// FTRAN'd column (col) and the last ρ (work2) may be nonzero, kept in
+	// colBuf and rhoBuf or, once their solve went dense, allRows (0..m-1);
+	// and the rows whose basic value may be out of bounds.
+	col              []float64
+	colRows, rhoRows []int32
+	colBuf, rhoBuf   []int32
+	allRows          []int32
+	infeas           []int32
+	inInfeas         []bool
+
 	alpha   []float64 // the last pivotRow, nonzero only at rowCols
 	rowCols []int
 	d       []float64 // carried reduced costs, per structural or slack column
@@ -93,6 +104,13 @@ func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, err
 	r.work2 = make([]float64, m)
 	r.y = make([]float64, m)
 	r.d, r.alpha = make([]float64, r.artLo), make([]float64, r.artLo)
+	r.col = make([]float64, m)
+	r.inInfeas = make([]bool, m)
+	r.allRows = make([]int32, m)
+	for i := range r.allRows {
+		r.allRows[i] = int32(i)
+	}
+	r.rhoRows = r.allRows // until the first ρ, the first pivotRow clears all of work2
 
 	for j, v := range p.vars {
 		r.lo[j], r.hi[j] = v.lower, v.upper
@@ -280,19 +298,8 @@ func (r *revised) refactorNow() bool {
 	return true
 }
 
-// refactorEvery bounds the eta-file length before a rebuild.
-func (r *revised) refactorEvery() int {
-	n := r.m / 4
-	if n < 32 {
-		n = 32
-	}
-	if n > 120 {
-		n = 120
-	}
-	return n
-}
-
-// computeXB recomputes x_B = B⁻¹(b - N·x_N) into xB.
+// computeXB recomputes x_B = B⁻¹(b - N·x_N) into xB and rebuilds the
+// set of out-of-bounds rows.
 func (r *revised) computeXB() {
 	v := r.work
 	copy(v, r.rhs)
@@ -310,6 +317,62 @@ func (r *revised) computeXB() {
 	// Nonbasic artificials are fixed at zero: no contribution.
 	r.fac.ftran(v)
 	copy(r.xB, v)
+	for _, i := range r.infeas {
+		r.inInfeas[i] = false
+	}
+	r.infeas = r.infeas[:0]
+	for i := range r.xB {
+		r.track(int32(i))
+	}
+}
+
+// violation is how far row i's basic value lies outside its bounds (not
+// positive within them) and whether below the lower one. On a tie the
+// lower bound's side wins, as in a scan that tests it first.
+func (r *revised) violation(i int32) (float64, bool) {
+	j := r.rowVar[i]
+	below, above := r.lo[j]-r.xB[i], r.xB[i]-r.hi[j]
+	if above > below {
+		return above, false
+	}
+	return below, true
+}
+
+// track lists row i among the out-of-bounds rows when its basic value
+// violates a bound by more than feasTol. Every write to xB calls it,
+// and so the list holds every such row; the bounds of a basic column
+// change only before a computeXB (fixArtificials runs only before the
+// primal, which never reads the list).
+func (r *revised) track(i int32) {
+	if !r.inInfeas[i] {
+		if v, _ := r.violation(i); v > feasTol {
+			r.inInfeas[i] = true
+			r.infeas = append(r.infeas, i)
+		}
+	}
+}
+
+// leavingRow is the dual's leaving row: the largest bound violation
+// above feasTol with the lowest row on ties, as a scan over every row
+// in order picks it, and whether it lies below its lower bound; -1 once
+// the basis is primal feasible. It reads only the out-of-bounds rows
+// and drops those back within bounds.
+func (r *revised) leavingRow() (leave int, below bool) {
+	leave, worst := -1, feasTol
+	kept := r.infeas[:0]
+	for _, i := range r.infeas {
+		v, b := r.violation(i)
+		if !(v > feasTol) {
+			r.inInfeas[i] = false
+			continue
+		}
+		kept = append(kept, i)
+		if v > worst || (v == worst && int(i) < leave) {
+			leave, worst, below = int(i), v, b
+		}
+	}
+	r.infeas = kept
+	return leave, below
 }
 
 // computeY computes the simplex multipliers y = c_B B⁻¹ into r.y.
@@ -361,18 +424,28 @@ func (r *revised) carryDuals(leave, enter int, pivot float64) {
 	}
 }
 
-// ftranCol scatters column j into work and FTRANs it: work = B⁻¹ a_j.
-func (r *revised) ftranCol(j int) []float64 {
-	w := r.work
-	for i := range w {
+// ftranCol FTRANs column j into r.col, w = B⁻¹ a_j, and returns it with
+// the ascending rows where it may be nonzero: the rows ftranSparse
+// reached, or every row once it went dense. It first clears only the
+// previous column's rows.
+func (r *revised) ftranCol(j int) ([]float64, []int32) {
+	w := r.col
+	for _, i := range r.colRows {
 		w[i] = 0
 	}
 	ind, val := r.colOf(int32(j))
-	for k, row := range ind {
-		w[row] = val[k]
+	r.colRows = r.keepRows(r.fac.ftranSparse(ind, val, w), &r.colBuf)
+	return w, r.colRows
+}
+
+// keepRows copies a sparse solve's row list into *buf, or returns
+// allRows for nil (the solve went dense).
+func (r *revised) keepRows(rows []int32, buf *[]int32) []int32 {
+	if rows == nil {
+		return r.allRows
 	}
-	r.fac.ftran(w)
-	return w
+	*buf = append((*buf)[:0], rows...)
+	return *buf
 }
 
 // pivotRow computes ρ = e_leaveᵀB⁻¹ (into r.work2) and α_j = ρ·a_j over
@@ -386,8 +459,11 @@ func (r *revised) pivotRow(leave int) {
 		r.alpha[j] = 0
 	}
 	r.rowCols = r.rowCols[:0]
-	clear(r.work2)
+	for _, i := range r.rhoRows {
+		r.work2[i] = 0
+	}
 	rows := r.fac.btranUnit(int32(leave), r.work2)
+	r.rhoRows = r.keepRows(rows, &r.rhoBuf)
 	if rows == nil {
 		for j := 0; j < r.artLo; j++ {
 			if r.status[j] != isBasic {
@@ -483,17 +559,19 @@ func (r *revised) primal(phase1 bool) Status {
 		if enter < 0 {
 			return Optimal
 		}
-		w := r.ftranCol(enter)
+		w, rows := r.ftranCol(enter)
 
 		// Ratio test: the entering variable moves by sigma·t from its
 		// bound; basic i changes at rate -sigma·w_i. Blockers are basic
 		// variables hitting a bound, or the entering variable reaching
-		// its opposite bound (a bound flip, no basis change).
+		// its opposite bound (a bound flip, no basis change). A row
+		// where w is zero blocks nothing, so only w's rows are read.
 		tMax := r.hi[enter] - r.lo[enter]
 		leave := -1
 		leaveToUpper := false
 		bestT := math.Inf(1)
-		for i := 0; i < r.m; i++ {
+		for _, row := range rows {
+			i := int(row)
 			delta := sigma * w[i]
 			bi := r.rowVar[i]
 			if delta > pivotTol {
@@ -536,8 +614,9 @@ func (r *revised) primal(phase1 bool) Status {
 			// Bound flip: the entering variable crosses to its other
 			// bound; the basis is unchanged.
 			r.pivots++
-			for i := 0; i < r.m; i++ {
+			for _, i := range rows {
 				r.xB[i] -= sigma * tMax * w[i]
+				r.track(i)
 			}
 			if r.status[enter] == atLower {
 				r.status[enter] = atUpper
@@ -556,19 +635,21 @@ func (r *revised) primal(phase1 bool) Status {
 		}
 		r.pivotRow(leave)
 		r.carryDuals(leave, enter, w[leave])
-		r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w)
+		r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w, rows)
 	}
 }
 
 // pivotStep applies one basis exchange: entering column `enter` moves
-// by sigma·t, basic row `leave` leaves at the bound it hit.
-func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper bool, w []float64) {
+// by sigma·t, basic row `leave` leaves at the bound it hit. w is the
+// entering column's FTRAN and rows where it may be nonzero: a basic
+// value off them moves by ±0, as does an eta entry.
+func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper bool, w []float64, rows []int32) {
 	r.pivots++
-	for i := 0; i < r.m; i++ {
-		if i == leave {
-			continue
+	for _, i := range rows {
+		if int(i) != leave {
+			r.xB[i] -= sigma * t * w[i]
+			r.track(i)
 		}
-		r.xB[i] -= sigma * t * w[i]
 	}
 	lv := r.rowVar[leave]
 	if leaveToUpper {
@@ -590,9 +671,10 @@ func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper boo
 	r.xB[leave] = entVal
 	r.status[enter] = isBasic
 	r.rowVar[leave] = int32(enter)
-	r.fac.push(w, int32(leave))
+	r.track(int32(leave))
+	r.fac.push(w, int32(leave), rows)
 	r.sinceRefactor++
-	if r.sinceRefactor >= r.refactorEvery() {
+	if r.sinceRefactor >= refactorEvery(r.m) {
 		r.refactorNow()
 	}
 }
@@ -756,7 +838,8 @@ func (r *revised) primalFeasible() bool {
 
 // dualSimplex restores primal feasibility from a dual-feasible basis:
 // the standard bounded-variable dual iteration (leaving row by largest
-// bound violation, entering column by the dual ratio test on r.d).
+// bound violation, see leavingRow; entering column by the dual ratio
+// test on r.d).
 // Returns Optimal once primal feasible, Infeasible when dual-unbounded
 // (the problem has no feasible point), IterLimit at warmRepairPivotCap.
 func (r *revised) dualSimplex() Status {
@@ -767,21 +850,7 @@ func (r *revised) dualSimplex() Status {
 		if r.aborted() {
 			return Aborted
 		}
-		leave := -1
-		worst := feasTol
-		below := false
-		for i, j := range r.rowVar {
-			if v := r.lo[j] - r.xB[i]; v > worst {
-				worst = v
-				leave = i
-				below = true
-			}
-			if v := r.xB[i] - r.hi[j]; v > worst {
-				worst = v
-				leave = i
-				below = false
-			}
-		}
+		leave, below := r.leavingRow()
 		if leave < 0 {
 			return Optimal
 		}
@@ -823,7 +892,7 @@ func (r *revised) dualSimplex() Status {
 		if enter < 0 {
 			return Infeasible // dual unbounded
 		}
-		w := r.ftranCol(enter)
+		w, rows := r.ftranCol(enter)
 		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
 			if !r.refactorNow() {
 				return IterLimit
@@ -844,7 +913,7 @@ func (r *revised) dualSimplex() Status {
 			t = 0
 		}
 		r.carryDuals(leave, enter, bestAlpha)
-		r.pivotStep(leave, enter, sigma, t, !below, w)
+		r.pivotStep(leave, enter, sigma, t, !below, w, rows)
 	}
 }
 

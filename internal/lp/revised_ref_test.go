@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,9 +14,18 @@ import (
 // two BTRANs (the pivot row and the multipliers) and computes α_j = ρ·a_j
 // for every nonbasic column. primalRef, priceRef and dualSimplexRef are
 // the replaced primal, price and dualSimplex, unchanged but for their
-// names; runRef and runWarmRef are run and runWarm calling them.
+// names and the dense sweeps (below) they call; runRef and runWarmRef
+// are run and runWarm calling them.
 
-func (r *revised) runRef() Status {
+func (r *revised) runRef() Status { return r.runRefWith(r.primalRef) }
+
+func (r *revised) runWarmRef() (Status, string) {
+	return r.runWarmRefWith(r.primalRef, r.dualSimplexRef)
+}
+
+// runRefWith and runWarmRefWith are run and runWarm on the given primal
+// and dual iterations.
+func (r *revised) runRefWith(primal func(phase1 bool) Status) Status {
 	needPhase1 := false
 	for _, j := range r.rowVar {
 		if int(j) >= r.artLo {
@@ -25,7 +35,7 @@ func (r *revised) runRef() Status {
 	}
 	if needPhase1 {
 		r.setPhase1Costs()
-		if st := r.primalRef(true); st != Optimal {
+		if st := primal(true); st != Optimal {
 			return st
 		}
 		if r.infeasSum() > 1e-7 {
@@ -34,13 +44,13 @@ func (r *revised) runRef() Status {
 		r.fixArtificials()
 	}
 	r.setPhase2Costs()
-	return r.primalRef(false)
+	return primal(false)
 }
 
-func (r *revised) runWarmRef() (Status, string) {
+func (r *revised) runWarmRefWith(primal func(phase1 bool) Status, dual func() Status) (Status, string) {
 	if !r.primalFeasible() {
 		r.makeDualFeasible()
-		st := r.dualSimplexRef()
+		st := dual()
 		r.setPhase2Costs()
 		switch {
 		case st == Infeasible:
@@ -53,7 +63,7 @@ func (r *revised) runWarmRef() (Status, string) {
 			return st, warmOK
 		}
 	}
-	st := r.primalRef(false)
+	st := primal(false)
 	if st == IterLimit && r.pivots < maxPivots {
 		return st, warmSingular
 	}
@@ -116,7 +126,7 @@ func (r *revised) primalRef(phase1 bool) Status {
 		if enter < 0 {
 			return Optimal
 		}
-		w := r.ftranCol(enter)
+		w := r.ftranColSweepRef(enter)
 
 		// Ratio test: the entering variable moves by sigma·t from its
 		// bound; basic i changes at rate -sigma·w_i. Blockers are basic
@@ -183,7 +193,7 @@ func (r *revised) primalRef(phase1 bool) Status {
 			}
 			continue
 		}
-		r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w)
+		r.pivotStepSweepRef(leave, enter, sigma, bestT, leaveToUpper, w)
 	}
 }
 
@@ -269,7 +279,7 @@ func (r *revised) dualSimplexRef() Status {
 		if enter < 0 {
 			return Infeasible // dual unbounded
 		}
-		w := r.ftranCol(enter)
+		w := r.ftranColSweepRef(enter)
 		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
 			if !r.refactorNow() {
 				return IterLimit
@@ -289,7 +299,260 @@ func (r *revised) dualSimplexRef() Status {
 		if t < 0 {
 			t = 0
 		}
-		r.pivotStep(leave, enter, sigma, t, !below, w)
+		r.pivotStepSweepRef(leave, enter, sigma, t, !below, w)
+	}
+}
+
+// The dense sweeps the hypersparse iteration replaced, kept as its
+// reference: ftranColSweepRef FTRANs a column through every eta, and
+// every row is read by primalSweepRef's ratio test and bound flip, by
+// pivotStepSweepRef's basic-value update and pushSweepRef's eta, and by
+// dualSweepRef's search for its leaving row. primalSweepRef,
+// dualSweepRef and pivotStepSweepRef are the replaced primal,
+// dualSimplex and pivotStep, unchanged but for their names and the
+// sweeps they call.
+
+// ftranColSweepRef scatters column j into work and FTRANs it: work =
+// B⁻¹ a_j.
+func (r *revised) ftranColSweepRef(j int) []float64 {
+	w := r.work
+	for i := range w {
+		w[i] = 0
+	}
+	ind, val := r.colOf(int32(j))
+	for k, row := range ind {
+		w[row] = val[k]
+	}
+	r.fac.ftran(w)
+	return w
+}
+
+// pushSweepRef appends the eta for a pivot on row r of the FTRAN'd
+// entering column w, scanning every row.
+func (f *factorization) pushSweepRef(w []float64, r int32) {
+	e := eta{pivot: r, pivotVal: 1 / w[r]}
+	for i, x := range w {
+		e.add(int32(i), x)
+	}
+	f.etas = append(f.etas, e)
+}
+
+func (r *revised) primalSweepRef(phase1 bool) Status {
+	r.refresh()
+	for {
+		if r.pivots >= maxPivots {
+			return IterLimit
+		}
+		if r.aborted() {
+			return Aborted
+		}
+		bland := r.rule == Bland || (r.rule != Dantzig && r.pivots >= blandThreshold)
+		enter, sigma := r.price(bland)
+		if enter < 0 && r.stale {
+			r.refresh() // confirm the verdict on recomputed reduced costs
+			continue
+		}
+		if enter < 0 {
+			return Optimal
+		}
+		w := r.ftranColSweepRef(enter)
+
+		// Ratio test: the entering variable moves by sigma·t from its
+		// bound; basic i changes at rate -sigma·w_i. Blockers are basic
+		// variables hitting a bound, or the entering variable reaching
+		// its opposite bound (a bound flip, no basis change).
+		tMax := r.hi[enter] - r.lo[enter]
+		leave := -1
+		leaveToUpper := false
+		bestT := math.Inf(1)
+		for i := 0; i < r.m; i++ {
+			delta := sigma * w[i]
+			bi := r.rowVar[i]
+			if delta > pivotTol {
+				t := (r.xB[i] - r.lo[bi]) / delta
+				if t < 0 {
+					t = 0
+				}
+				if t < bestT-eps || (t < bestT+eps && (leave < 0 || bi < r.rowVar[leave])) {
+					bestT = t
+					leave = i
+					leaveToUpper = false
+				}
+			} else if delta < -pivotTol {
+				if hb := r.hi[bi]; !math.IsInf(hb, 1) {
+					t := (hb - r.xB[i]) / (-delta)
+					if t < 0 {
+						t = 0
+					}
+					if t < bestT-eps || (t < bestT+eps && (leave < 0 || bi < r.rowVar[leave])) {
+						bestT = t
+						leave = i
+						leaveToUpper = true
+					}
+				}
+			}
+		}
+		if leave < 0 && math.IsInf(tMax, 1) {
+			if r.stale {
+				r.refresh() // confirm the ray on recomputed reduced costs
+				continue
+			}
+			if phase1 {
+				// Phase-1 objective is bounded below by 0; a free ray
+				// means numerical trouble. Mirror the dense engine.
+				return Infeasible
+			}
+			return Unbounded
+		}
+		if leave < 0 || tMax <= bestT {
+			// Bound flip: the entering variable crosses to its other
+			// bound; the basis is unchanged.
+			r.pivots++
+			for i := 0; i < r.m; i++ {
+				r.xB[i] -= sigma * tMax * w[i]
+			}
+			if r.status[enter] == atLower {
+				r.status[enter] = atUpper
+			} else {
+				r.status[enter] = atLower
+			}
+			continue
+		}
+		// A suspiciously small pivot right after a long eta file is
+		// usually drift: refactorize and retry the iteration.
+		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
+			if !r.refactorNow() {
+				return IterLimit
+			}
+			continue
+		}
+		r.pivotRow(leave)
+		r.carryDuals(leave, enter, w[leave])
+		r.pivotStepSweepRef(leave, enter, sigma, bestT, leaveToUpper, w)
+	}
+}
+
+func (r *revised) pivotStepSweepRef(leave, enter int, sigma, t float64, leaveToUpper bool, w []float64) {
+	r.pivots++
+	for i := 0; i < r.m; i++ {
+		if i == leave {
+			continue
+		}
+		r.xB[i] -= sigma * t * w[i]
+	}
+	lv := r.rowVar[leave]
+	if leaveToUpper {
+		r.status[lv] = atUpper
+	} else {
+		r.status[lv] = atLower
+	}
+	if int(lv) >= r.artLo {
+		// An artificial that leaves the basis never returns.
+		r.lo[lv], r.hi[lv] = 0, 0
+		r.status[lv] = atLower
+	}
+	var entVal float64
+	if sigma > 0 {
+		entVal = r.lo[enter] + t
+	} else {
+		entVal = r.hi[enter] - t
+	}
+	r.xB[leave] = entVal
+	r.status[enter] = isBasic
+	r.rowVar[leave] = int32(enter)
+	r.fac.pushSweepRef(w, int32(leave))
+	r.sinceRefactor++
+	if r.sinceRefactor >= refactorEvery(r.m) {
+		r.refactorNow()
+	}
+}
+
+func (r *revised) dualSweepRef() Status {
+	for {
+		if r.pivots >= warmRepairPivotCap {
+			return IterLimit
+		}
+		if r.aborted() {
+			return Aborted
+		}
+		leave := -1
+		worst := feasTol
+		below := false
+		for i, j := range r.rowVar {
+			if v := r.lo[j] - r.xB[i]; v > worst {
+				worst = v
+				leave = i
+				below = true
+			}
+			if v := r.xB[i] - r.hi[j]; v > worst {
+				worst = v
+				leave = i
+				below = false
+			}
+		}
+		if leave < 0 {
+			return Optimal
+		}
+		r.pivotRow(leave)
+		enter := -1
+		bestRatio := math.Inf(1)
+		bestAlpha := 0.0
+		for _, j := range r.rowCols {
+			st := r.status[j]
+			if st == isBasic || r.hi[j]-r.lo[j] <= 0 {
+				continue
+			}
+			alpha := r.alpha[j]
+			// Eligibility: moving j in its feasible direction must push
+			// the leaving basic toward its violated bound.
+			ok := false
+			if below {
+				ok = (st == atLower && alpha < -pivotTol) || (st == atUpper && alpha > pivotTol)
+			} else {
+				ok = (st == atLower && alpha > pivotTol) || (st == atUpper && alpha < -pivotTol)
+			}
+			if !ok {
+				continue
+			}
+			mag := r.d[j]
+			if st == atUpper {
+				mag = -mag
+			}
+			if mag < 0 {
+				mag = 0 // tolerance noise; treat as degenerate
+			}
+			ratio := mag / math.Abs(alpha)
+			if ratio < bestRatio-eps || (ratio < bestRatio+eps && math.Abs(alpha) > math.Abs(bestAlpha)) {
+				bestRatio = ratio
+				bestAlpha = alpha
+				enter = j
+			}
+		}
+		if enter < 0 {
+			return Infeasible // dual unbounded
+		}
+		w := r.ftranColSweepRef(enter)
+		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
+			if !r.refactorNow() {
+				return IterLimit
+			}
+			continue
+		}
+		sigma := 1.0
+		if r.status[enter] == atUpper {
+			sigma = -1
+		}
+		lv := r.rowVar[leave]
+		target := r.lo[lv]
+		if !below {
+			target = r.hi[lv]
+		}
+		t := (r.xB[leave] - target) / (sigma * w[leave])
+		if t < 0 {
+			t = 0
+		}
+		r.carryDuals(leave, enter, bestAlpha)
+		r.pivotStepSweepRef(leave, enter, sigma, t, !below, w)
 	}
 }
 
@@ -491,6 +754,107 @@ func TestPivotRowMatchesReference(t *testing.T) {
 	}
 }
 
+// TestHypersparseMatchesSweepReference runs every kernel case through
+// the dense sweeps (primalSweepRef, dualSweepRef) and through the
+// hypersparse iteration. A row or eta the iteration skips would only
+// add ±0, so the two must take the same path: the same verdict and
+// fallback, the same pivot count and final basis, and the basic values
+// bit for bit up to the sign of a zero. At the final basis ftranCol is
+// checked against ftran column by column, and both of ftranSparse's
+// paths must have been met.
+func TestHypersparseMatchesSweepReference(t *testing.T) {
+	cases := kernelCases()
+	sparse, dense := 0, 0
+	for _, c := range cases {
+		got := checkSweepPath(t, c)
+		if got == nil {
+			continue // no start, or a singular refactorization: no basis to inspect
+		}
+		s, d := checkFtranCols(t, c.name, got)
+		sparse, dense = sparse+s, dense+d
+	}
+	t.Logf("%d cases; columns FTRAN'd at the final basis: %d hypersparse, %d dense", len(cases), sparse, dense)
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("ftranSparse paths exercised: %d hypersparse, %d dense", sparse, dense)
+	}
+}
+
+// checkSweepPath runs c through the dense sweeps and through the
+// hypersparse iteration and fails unless both end alike: the same
+// verdict, fallback, pivot count and basis, and xB bit for bit up to
+// the sign of a zero. It returns the hypersparse state, or nil when the
+// case has no start or ends on a singular refactorization.
+func checkSweepPath(t *testing.T, c kernelCase) *revised {
+	t.Helper()
+	ref, ok := c.start()
+	if !ok {
+		return nil
+	}
+	got, _ := c.start()
+	var refSt, gotSt Status
+	var refFb, gotFb string
+	if c.warm == nil {
+		refSt, gotSt = ref.runRefWith(ref.primalSweepRef), got.run()
+	} else {
+		refSt, refFb = ref.runWarmRefWith(ref.primalSweepRef, ref.dualSweepRef)
+		gotSt, gotFb = got.runWarm()
+	}
+	if refSt != gotSt || refFb != gotFb {
+		t.Fatalf("%s: sweeps %v %q, hypersparse %v %q", c.name, refSt, refFb, gotSt, gotFb)
+	}
+	if ref.pivots != got.pivots || !slices.Equal(ref.rowVar, got.rowVar) || !bitsEqualUpToZeroSign(ref.xB, got.xB) {
+		t.Fatalf("%s: hypersparse left the sweeps' path: %d pivots, reference %d", c.name, got.pivots, ref.pivots)
+	}
+	if gotSt == IterLimit {
+		return nil
+	}
+	return got
+}
+
+// checkFtranCols compares, at r's current basis, the ftranCol of every
+// column (of 40 spread over more) with ftran of the scattered column:
+// bit for bit, with every nonzero on a listed row and the list
+// ascending. It returns how many stayed hypersparse and how many went
+// dense (listing every row).
+func checkFtranCols(t *testing.T, name string, r *revised) (sparse, dense int) {
+	t.Helper()
+	want := make([]float64, r.m)
+	for j := 0; j < r.artLo; j += 1 + r.artLo/40 {
+		clear(want)
+		ind, val := r.colOf(int32(j))
+		for k, row := range ind {
+			want[row] = val[k]
+		}
+		r.fac.ftran(want)
+		w, rows := r.ftranCol(j)
+		if len(rows) > 0 && &rows[0] == &r.allRows[0] {
+			dense++
+		} else {
+			sparse++
+		}
+		checkFtranRows(t, fmt.Sprintf("%s column %d", name, j), w, want, rows)
+	}
+	return sparse, dense
+}
+
+// checkFtranRows fails unless v is want bit for bit with every nonzero
+// on one of rows, which must ascend.
+func checkFtranRows(t *testing.T, name string, v, want []float64, rows []int32) {
+	t.Helper()
+	listed := make([]bool, len(v))
+	for k, i := range rows {
+		if k > 0 && i <= rows[k-1] {
+			t.Fatalf("%s: FTRAN rows not ascending: %v", name, rows)
+		}
+		listed[i] = true
+	}
+	for i, x := range want {
+		if math.Float64bits(v[i]) != math.Float64bits(x) || (!listed[i] && v[i] != 0) {
+			t.Fatalf("%s: v[%d] = %v (listed %v), ftran %v", name, i, v[i], listed[i], x)
+		}
+	}
+}
+
 // TestPrimalConfirmsRayOnFreshReducedCosts drifts one carried reduced
 // cost so that a column with no blocking row looks improving: min y + z
 // subject to y - z >= rhs, where y (rhs 0, phase 2) or z (rhs 1, phase
@@ -589,6 +953,16 @@ func objectiveAt(r *revised) float64 {
 		obj += r.p.vars[j].cost * x
 	}
 	return obj
+}
+
+// bitsEqualUpToZeroSign is bitsEqual with +0 and -0 taken as equal.
+func bitsEqualUpToZeroSign(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(a[i] == 0 && b[i] == 0) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 func bitsEqual(a, b []float64) bool {
