@@ -86,17 +86,21 @@ func (f *factorization) ftranFrom(k int, v []float64) {
 	}
 }
 
+// heapBudget is the density switch of ftranSparse and btranUnit: once
+// more etas than this are queued, the vector is going dense and the
+// full walk over the rest of the file is cheaper than the heap.
+func (f *factorization) heapBudget() int { return len(f.etas) / 8 }
+
 // ftranSparse is ftran for the column (ind, val) scattered into v, which
 // is zero on entry, returning the ascending rows that may be nonzero.
 // It applies only the refactor etas a live row reaches, in file order
 // via a min-heap as pivotColumn does, then the etas pushed since the
 // refactorization — or, returning nil, every eta left once the heap
-// outgrows an eighth of the file. A skipped eta would see a zero at its
-// pivot row, which ftran skips too, so v ends bit for bit as ftran
-// leaves it.
+// outgrows heapBudget. A skipped eta would see a zero at its pivot row,
+// which ftran skips too, so v ends bit for bit as ftran leaves it.
 func (f *factorization) ftranSparse(ind []int32, val []float64, v []float64) []int32 {
 	f.scatter(ind, val, v)
-	next := f.ftranQueued(v, len(f.etas)/8)
+	next := f.ftranQueued(v, f.heapBudget())
 	if next < 0 {
 		for k := f.nRefactor; k < len(f.etas); k++ {
 			f.ftranEta(int32(k), v)
@@ -188,14 +192,14 @@ func (e *eta) dotT(v []float64) float64 {
 // that may be nonzero. After the etas pushed since the refactorization
 // it applies only the refactor etas a live row reaches, newest first via
 // a max-heap — or, returning nil, every eta left once the heap outgrows
-// an eighth of the file. A skipped eta would write a zero, so v ends bit
-// for bit as btran leaves it (up to the sign of a zero).
+// heapBudget. A skipped eta would write a zero, so v ends bit for bit as
+// btran leaves it (up to the sign of a zero).
 func (f *factorization) btranUnit(r int32, v []float64) []int32 {
 	if f.etasOf == nil {
 		f.indexRefactorEtas()
 	}
 	f.touched, f.heap = f.touched[:0], f.heap[:0]
-	maxQueue := len(f.etas) / 8
+	maxQueue := f.heapBudget()
 	v[r] = 1
 	f.markLive(r, int32(f.nRefactor))
 	next := len(f.etas) // the etas before next are still to apply

@@ -608,6 +608,32 @@ func randomSparseLP(nVars, nRows int, seed uint64) *Problem {
 	return p
 }
 
+// largeLPs are kernelCases' covering and sparse LPs, alternately, large
+// enough to refactorize mid-solve.
+func largeLPs() []*Problem {
+	var large []*Problem
+	for k, n := range []int{40, 80, 150} {
+		large = append(large, randomCoverLP(n, n*3/2, uint64(k+1)), randomSparseLP(n, n*2, uint64(k+1)))
+	}
+	return large
+}
+
+// BenchmarkLargeLPs solves largeLPs cold on the revised engine. They
+// time both sides of the FTRAN's density switch: most FTRANs of the
+// covering LPs (even indices) outgrow heapBudget and finish with the
+// full walk, those of the sparse LPs (odd) stay hypersparse.
+func BenchmarkLargeLPs(b *testing.B) {
+	for k, p := range largeLPs() {
+		b.Run(fmt.Sprintf("large%d_m%d", k, len(p.cons)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := p.SolveOpts(Options{Engine: EngineRevised}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // kernelCases draws the differential suite from the generators the
 // engine tests use: random LPs of every status, the degenerate
 // instances under both pivot rules, covering LPs large enough to
@@ -624,11 +650,7 @@ func kernelCases() []kernelCase {
 			cases = append(cases, kernelCase{name: fmt.Sprintf("%s rule %d", name, rule), p: build(), rule: rule})
 		}
 	}
-	var large []*Problem
-	for k, n := range []int{40, 80, 150} {
-		large = append(large, randomCoverLP(n, n*3/2, uint64(k+1)), randomSparseLP(n, n*2, uint64(k+1)))
-	}
-	for k, p := range large {
+	for k, p := range largeLPs() {
 		cases = append(cases, kernelCase{name: fmt.Sprintf("large %d", k), p: p})
 		// Children: a few variables pinned below their optimal value.
 		parent, err := p.solveLPRevised(nil, nil, Options{})
