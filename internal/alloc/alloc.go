@@ -52,7 +52,13 @@ func (in *Input) WithDemands(ds []*demand.Demand) *Input {
 // scenario.DefaultClassCache. The bool reports a cache hit. The slice
 // is shared and read-only.
 func (in *Input) Classes(d *demand.Demand, maxFail int) ([]scenario.Class, bool, error) {
-	return scenario.DefaultClassCache.ClassesFor(in.Net, in.Groups, in.AllTunnelsFor(d), maxFail)
+	var tunnels []routing.Tunnel
+	if len(d.Pairs) == 1 {
+		tunnels = in.TunnelsFor(d, 0) // read-only below, so not copied
+	} else {
+		tunnels = in.AllTunnelsFor(d)
+	}
+	return scenario.DefaultClassCache.ClassesFor(in.Net, in.Groups, tunnels, maxFail)
 }
 
 // TunnelsFor returns the tunnels demand d may use on its pair with

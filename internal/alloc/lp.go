@@ -8,7 +8,6 @@ import (
 	"bate/internal/lp"
 	"bate/internal/routing"
 	"bate/internal/scenario"
-	"bate/internal/topo"
 )
 
 // FlowVars holds the LP variables f^t_d for every (demand, pair,
@@ -33,21 +32,13 @@ func AppendName(buf []byte, prefix, tags string, vals ...int) []byte {
 	return append(buf, ']')
 }
 
-// AddFlowVars adds one nonnegative variable per (demand, pair, tunnel)
-// to p and the per-link capacity constraints (Eq. 6) using the given
-// per-link capacities. Tunnels for which usable returns false get a
-// fixed zero upper bound (used by failure recovery, where tunnels
-// through failed links carry nothing). usable may be nil.
+// AddFlowVars adds one nonnegative variable f[d,p,t] per (demand, pair,
+// tunnel) to p and the per-link capacity constraints cap[e] (Eq. 6)
+// using the given per-link capacities; links carrying no tunnel have
+// no capacity row. Tunnels for which usable returns false get a fixed
+// zero upper bound (used by failure recovery, where tunnels through
+// failed links carry nothing). usable may be nil.
 func AddFlowVars(p *lp.Problem, in *Input, caps []float64, usable func(routing.Tunnel) bool) FlowVars {
-	fv, _ := AddFlowVarsIndexed(p, in, caps, usable)
-	return fv
-}
-
-// AddFlowVarsIndexed is AddFlowVars that additionally reports the LP
-// constraint index of each link's capacity row, enabling shadow-price
-// (dual) lookups after the solve. Links carrying no tunnel have no
-// capacity row and are absent from the map.
-func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(routing.Tunnel) bool) (FlowVars, map[topo.LinkID]int) {
 	fv := make(FlowVars, len(in.Demands))
 	linkTerms := make([][]lp.Term, in.Net.NumLinks())
 	var name [32]byte
@@ -72,12 +63,10 @@ func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(ro
 		}
 		fv[d.ID] = rows
 	}
-	capIdx := make(map[topo.LinkID]int)
 	for _, l := range in.Net.Links() {
 		if len(linkTerms[l.ID]) == 0 {
 			continue
 		}
-		capIdx[l.ID] = p.NumConstraints()
 		p.AddConstraint(lp.Constraint{
 			Name:  string(AppendName(name[:0], "cap", "e", int(l.ID))),
 			Terms: linkTerms[l.ID],
@@ -85,17 +74,20 @@ func AddFlowVarsIndexed(p *lp.Problem, in *Input, caps []float64, usable func(ro
 			RHS:   caps[l.ID],
 		})
 	}
-	return fv, capIdx
+	return fv
 }
 
-// ClassTerms returns the LP terms Σ_t f^t_d of pair pi of d over the
-// tunnels up in class cls, in tunnel order: the pair's delivered
-// bandwidth in that class. The slice is fresh, with room for one more
-// term (the caller's B, q or grant variable).
-func (fv FlowVars) ClassTerms(in *Input, d *demand.Demand, pi int, cls scenario.Class) []lp.Term {
+// ClassTerms appends to dst the LP terms Σ_t f^t_d of pair pi of d over
+// the tunnels up in class cls, in tunnel order: the pair's delivered
+// bandwidth in that class. With dst nil the slice is fresh, with room
+// for one more term (the caller's B, q or grant variable).
+func (fv FlowVars) ClassTerms(dst []lp.Term, in *Input, d *demand.Demand, pi int, cls scenario.Class) []lp.Term {
 	bit := pairBit(in, d, pi)
 	vars := fv[d.ID][pi]
-	terms := make([]lp.Term, 0, len(vars)+1)
+	terms := dst
+	if terms == nil {
+		terms = make([]lp.Term, 0, len(vars)+1)
+	}
 	for ti, v := range vars {
 		if cls.TunnelUp(bit + ti) {
 			terms = append(terms, lp.Term{Var: v, Coef: 1})

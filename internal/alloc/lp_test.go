@@ -9,10 +9,10 @@ import (
 	"bate/internal/routing"
 )
 
-func TestAddFlowVarsIndexedAndExtract(t *testing.T) {
+func TestAddFlowVarsAndExtract(t *testing.T) {
 	in, u1, u2 := toyInput(t)
 	p := lp.NewProblem()
-	fv, capIdx := AddFlowVarsIndexed(p, in, FullCapacities(in), nil)
+	fv := AddFlowVars(p, in, FullCapacities(in), nil)
 	// Every (demand, pair, tunnel) has a variable.
 	for _, d := range in.Demands {
 		rows := fv[d.ID]
@@ -27,8 +27,8 @@ func TestAddFlowVarsIndexedAndExtract(t *testing.T) {
 	}
 	// All toy links carry DC1->DC4 tunnels in the forward direction
 	// only: exactly the 4 forward links have capacity rows.
-	if len(capIdx) != 4 {
-		t.Fatalf("capacity rows for %d links, want 4", len(capIdx))
+	if n := p.NumConstraints(); n != 4 {
+		t.Fatalf("capacity rows for %d links, want 4", n)
 	}
 	// Minimize total flow with both demands forced: capacity duals
 	// exist and the extracted allocation meets the demand rows.
@@ -107,7 +107,7 @@ func TestRatioZeroBandwidthPair(t *testing.T) {
 	}
 }
 
-// TestAppendNameMatchesSprintf: every LP name shape AddFlowVarsIndexed
+// TestAppendNameMatchesSprintf: every LP name shape AddFlowVars
 // and the scheduling LP build with AppendName is byte for byte the
 // fmt.Sprintf form it replaced, since keyed warm starts match bases by
 // these names across rounds.

@@ -329,7 +329,7 @@ func addQualifiedScenarioConstraints(p *lp.Problem, in *alloc.Input, fv alloc.Fl
 			if pr.Bandwidth <= 0 {
 				continue
 			}
-			terms := append(fv.ClassTerms(in, d, pi, cls), lp.Term{Var: q, Coef: -pr.Bandwidth})
+			terms := append(fv.ClassTerms(nil, in, d, pi, cls), lp.Term{Var: q, Coef: -pr.Bandwidth})
 			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
 		}
 	}

@@ -118,7 +118,7 @@ func addHardGuarantee(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, d *dema
 			if pr.Bandwidth <= 0 {
 				continue
 			}
-			terms := fv.ClassTerms(in, d, pi, cls)
+			terms := fv.ClassTerms(nil, in, d, pi, cls)
 			if len(terms) == 0 {
 				// A required class with no surviving tunnel cannot be
 				// covered at all.

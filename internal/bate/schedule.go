@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"bate/internal/alloc"
@@ -102,7 +104,7 @@ type ScheduleStats struct {
 // link capacities (Eq. 6). It returns lp.ErrInfeasible when the
 // admitted set cannot be satisfied.
 func Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, *ScheduleStats, error) {
-	return scheduleWarm(in, opts, nil, nil, nil)
+	return scheduleWarm(in, opts, nil, nil, nil, lp.NewProblem(), new(assembler))
 }
 
 // Scheduler runs successive scheduling solves with the revised LP
@@ -120,6 +122,10 @@ func Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, *Schedul
 type Scheduler struct {
 	basis  *lp.Basis
 	pstate *partition.State
+	// The global round's LP, Reset and reassembled every round on the
+	// same buffers, so a round solves in the memory of the round before.
+	p   *lp.Problem
+	asm assembler
 }
 
 // NewScheduler returns a Scheduler with no cached basis.
@@ -133,14 +139,18 @@ func (s *Scheduler) Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Alloc
 	if s.pstate == nil {
 		s.pstate = &partition.State{}
 	}
-	return scheduleWarm(in, opts, s.basis, &s.basis, s.pstate)
+	if s.p == nil {
+		s.p = lp.NewProblem()
+	}
+	return scheduleWarm(in, opts, s.basis, &s.basis, s.pstate, s.p, &s.asm)
 }
 
 // scheduleWarm builds and solves the scheduling LP, optionally seeding
 // the revised engine with a warm basis; basisOut, when non-nil,
 // receives the new optimal basis for the caller to cache. pst carries
 // the partitioned path's warm-start state (nil for one-shot solves).
-func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOut **lp.Basis, pst *partition.State) (alloc.Allocation, *ScheduleStats, error) {
+// The global LP is reassembled into p by asm.
+func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOut **lp.Basis, pst *partition.State, p *lp.Problem, asm *assembler) (alloc.Allocation, *ScheduleStats, error) {
 	if opts.MaxFail <= 0 {
 		opts.MaxFail = 2
 	}
@@ -179,9 +189,9 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 			return nil, nil, fmt.Errorf("bate: partitioned schedule: %w", err)
 		}
 	}
-	p := lp.NewProblem()
+	p.Reset()
 	stats := &ScheduleStats{PoolWorkers: parallel.Default().Size(), PartitionFallback: declined}
-	fv, _, err := buildScheduleLP(p, in, opts.MaxFail, alloc.FullCapacities(in), nil, stats)
+	fv, _, err := asm.build(p, in, opts.MaxFail, alloc.FullCapacities(in), nil, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -201,7 +211,7 @@ func ScheduleEnumerated(in *alloc.Input, maxFail int) (alloc.Allocation, *Schedu
 	}
 	start := time.Now()
 	p := lp.NewProblem()
-	fv, _ := addDemandLP(p, in, alloc.FullCapacities(in))
+	fv, _ := new(assembler).addDemandLP(p, in, alloc.FullCapacities(in))
 	if err := addAvailabilityEnumerated(p, in, fv, maxFail); err != nil {
 		return nil, nil, err
 	}
@@ -237,9 +247,48 @@ func solveSchedule(p *lp.Problem, fv alloc.FlowVars, o lp.Options, start time.Ti
 // and LinkPrices pass hard == nil; Harden's re-solve and AdmitFixed's
 // fallback trial name the demands the relaxation over-promised. The
 // returned map gives each link's capacity-row index for dual lookups.
-// stats may be nil.
+// stats may be nil. It assembles on a fresh assembler; a Scheduler's
+// rounds call build on the one it keeps.
 func buildScheduleLP(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64, hard map[int]bool, stats *ScheduleStats) (alloc.FlowVars, map[topo.LinkID]int, error) {
-	fv, capIdx := addDemandLP(p, in, caps)
+	return new(assembler).build(p, in, maxFail, caps, hard, stats)
+}
+
+// assembler assembles the Eq. 7 LP into buffers it keeps for its next
+// build: the rows' terms, the flow variables, the capacity rows and
+// the names of every column and row, interned by demand so that only
+// a demand the last build did not meet allocates names. A Scheduler
+// keeps one for its whole life; every other build uses a fresh one.
+// The terms of the rows it adds and the FlowVars it returns are its
+// own until its next build. The zero value is ready to use.
+type assembler struct {
+	builds    int
+	demands   map[int]*demandLP // the demands of the last build, by ID
+	capNames  []string          // cap[e] per link
+	fv        alloc.FlowVars
+	capIdx    map[topo.LinkID]int
+	linkTerms [][]lp.Term // each capacity row's terms
+	terms     []lp.Term   // the Eq. 1 rows' terms
+	targeted  []*demand.Demand
+	jobs      []availability
+}
+
+// demandLP is what an assembler keeps of one demand: its flow
+// variables and the names of its columns and rows, each built on first
+// use. A name is a function of the demand ID and the indices only.
+type demandLP struct {
+	build  int          // the last build that met the demand
+	flows  [][]lp.VarID // f^t_d's column per pair and tunnel
+	f      [][]string   // f[d,p,t]
+	demand []string     // demand[d,p], the pair's Eq. 1 row
+	b      []string     // B[d,c]
+	deliv  [][]string   // deliv[d,c,p]
+	avail  string       // avail[d]
+}
+
+// build is buildScheduleLP on a's buffers.
+func (a *assembler) build(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64, hard map[int]bool, stats *ScheduleStats) (alloc.FlowVars, map[topo.LinkID]int, error) {
+	a.builds++
+	fv, capIdx := a.addDemandLP(p, in, caps)
 	soft := in
 	if hard != nil {
 		var ds []*demand.Demand
@@ -250,7 +299,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64
 		}
 		soft = in.WithDemands(ds)
 	}
-	if err := addAvailabilityAggregated(p, soft, fv, maxFail, stats); err != nil {
+	if err := a.addAvailabilityAggregated(p, soft, fv, maxFail, stats); err != nil {
 		return nil, nil, err
 	}
 	for _, d := range in.Demands {
@@ -260,41 +309,122 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64
 			}
 		}
 	}
+	for id, dl := range a.demands {
+		if dl.build != a.builds {
+			delete(a.demands, id)
+		}
+	}
 	return fv, capIdx, nil
 }
 
+// demand returns what a keeps of d, marking it met by this build.
+func (a *assembler) demand(d *demand.Demand) *demandLP {
+	if a.demands == nil {
+		a.demands = make(map[int]*demandLP)
+	}
+	dl := a.demands[d.ID]
+	if dl == nil {
+		dl = &demandLP{}
+		a.demands[d.ID] = dl
+	}
+	dl.build = a.builds
+	return dl
+}
+
+// name1 returns (*names)[i], the name prefix[id,i] with tags' letters,
+// building the names up to it on first use.
+func name1(names *[]string, prefix, tags string, id, i int) string {
+	var buf [32]byte
+	for k := len(*names); k <= i; k++ {
+		*names = append(*names, string(alloc.AppendName(buf[:0], prefix, tags, id, k)))
+	}
+	return (*names)[i]
+}
+
+// name2 is name1 for the names prefix[id,i,j].
+func name2(names *[][]string, prefix, tags string, id, i, j int) string {
+	var buf [32]byte
+	for len(*names) <= i {
+		*names = append(*names, nil)
+	}
+	row := &(*names)[i]
+	for k := len(*row); k <= j; k++ {
+		*row = append(*row, string(alloc.AppendName(buf[:0], prefix, tags, id, i, k)))
+	}
+	return (*row)[j]
+}
+
+// grow returns s with length n on s's array when it is large enough,
+// keeping what s held.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // addDemandLP adds the rows every scheduling LP shares: a flow variable
-// per (demand, pair, tunnel) with the Eq. 6 capacity rows for caps,
-// cost 1 on every flow (Eq. 7 minimizes total allocated bandwidth), and
-// the named Eq. 1 full-bandwidth row of every pair. The map gives each
-// link's capacity-row index.
-func addDemandLP(p *lp.Problem, in *alloc.Input, caps []float64) (alloc.FlowVars, map[topo.LinkID]int) {
-	fv, capIdx := alloc.AddFlowVarsIndexed(p, in, caps, nil)
-	for _, rows := range fv {
-		for _, r := range rows {
-			for _, v := range r {
-				p.SetCost(v, 1)
+// per (demand, pair, tunnel) with the Eq. 6 capacity rows for caps —
+// the LP alloc.AddFlowVars builds — with cost 1 on every flow (Eq. 7
+// minimizes total allocated bandwidth), and the named Eq. 1
+// full-bandwidth row of every pair. The map gives each link's
+// capacity-row index.
+func (a *assembler) addDemandLP(p *lp.Problem, in *alloc.Input, caps []float64) (alloc.FlowVars, map[topo.LinkID]int) {
+	if a.fv == nil {
+		a.fv, a.capIdx = make(alloc.FlowVars, len(in.Demands)), make(map[topo.LinkID]int)
+	}
+	clear(a.fv)
+	clear(a.capIdx)
+	a.linkTerms = grow(a.linkTerms, in.Net.NumLinks())
+	for e := range a.linkTerms {
+		a.linkTerms[e] = a.linkTerms[e][:0]
+	}
+	nTerms := 0
+	for _, d := range in.Demands {
+		dl := a.demand(d)
+		dl.flows = grow(dl.flows, len(d.Pairs))
+		for pi := range d.Pairs {
+			tunnels := in.TunnelsFor(d, pi)
+			dl.flows[pi] = grow(dl.flows[pi], len(tunnels))
+			for ti, t := range tunnels {
+				v := p.AddVariable(name2(&dl.f, "f", "dpt", d.ID, pi, ti), 0, math.Inf(1), 1)
+				dl.flows[pi][ti] = v
+				for _, e := range t.Links {
+					a.linkTerms[e] = append(a.linkTerms[e], lp.Term{Var: v, Coef: 1})
+				}
 			}
+			nTerms += len(tunnels)
 		}
+		a.fv[d.ID] = dl.flows
+	}
+	var buf [32]byte
+	for k := len(a.capNames); k < len(a.linkTerms); k++ {
+		a.capNames = append(a.capNames, string(alloc.AppendName(buf[:0], "cap", "e", k)))
+	}
+	for _, l := range in.Net.Links() {
+		if len(a.linkTerms[l.ID]) == 0 {
+			continue
+		}
+		a.capIdx[l.ID] = p.NumConstraints()
+		p.AddConstraint(lp.Constraint{
+			Name:  a.capNames[l.ID],
+			Terms: a.linkTerms[l.ID], Op: lp.LE, RHS: caps[l.ID],
+		})
 	}
 	// Eq. 1: full bandwidth for every pair of every admitted demand.
-	var name [32]byte
+	a.terms = slices.Grow(a.terms[:0], nTerms)
 	for _, d := range in.Demands {
+		dl := a.demands[d.ID]
 		for pi, pr := range d.Pairs {
 			if pr.Bandwidth <= 0 {
 				continue
 			}
-			terms := make([]lp.Term, 0, len(fv[d.ID][pi]))
-			for _, v := range fv[d.ID][pi] {
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
+			start := len(a.terms)
+			for _, v := range a.fv[d.ID][pi] {
+				a.terms = append(a.terms, lp.Term{Var: v, Coef: 1})
 			}
 			p.AddConstraint(lp.Constraint{
-				Name:  string(alloc.AppendName(name[:0], "demand", "dp", d.ID, pi)),
-				Terms: terms, Op: lp.GE, RHS: pr.Bandwidth,
+				Name:  name1(&dl.demand, "demand", "dp", d.ID, pi),
+				Terms: a.terms[start:len(a.terms):len(a.terms)], Op: lp.GE, RHS: pr.Bandwidth,
 			})
 		}
 	}
-	return fv, capIdx
+	return a.fv, a.capIdx
 }
 
 // subSolver adapts the scheduling-LP formulation to the partition
@@ -352,6 +482,19 @@ func availabilityBonus(d *demand.Demand) float64 {
 	return 1e-3 * d.TotalBandwidth() * w
 }
 
+// availability is one targeted demand's share of the Eq. 3-4
+// assembly: its classes, B variables and rows, on buffers the
+// assembler keeps by position.
+type availability struct {
+	d       *demand.Demand
+	names   *demandLP
+	classes []scenario.Class
+	hit     bool
+	bv      []lp.VarID
+	rows    []lp.Constraint
+	terms   []lp.Term
+}
+
 // addAvailabilityAggregated adds Eq. 3-4 using per-demand tunnel-state
 // classes under the input's failure model: one B variable per (demand,
 // class), B ∈ [0,1], delivered_{k,class} ≥ b_k·B, and
@@ -361,33 +504,29 @@ func availabilityBonus(d *demand.Demand) float64 {
 // serially in the exact order the serial assembly used, so the LP
 // (and therefore the simplex pivot sequence and the solution bytes)
 // is identical at any worker count. stats may be nil.
-func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int, stats *ScheduleStats) error {
-	targeted := make([]*demand.Demand, 0, len(in.Demands))
+func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars, maxFail int, stats *ScheduleStats) error {
+	a.targeted = a.targeted[:0]
 	for _, d := range in.Demands {
 		if d.Target > 0 {
-			targeted = append(targeted, d)
+			a.targeted = append(a.targeted, d)
 		}
 	}
-	if len(targeted) == 0 {
+	if len(a.targeted) == 0 {
 		return nil
 	}
-	type assembly struct {
-		classes []scenario.Class
-		hit     bool
-		bv      []lp.VarID
-		rows    []lp.Constraint
-	}
-	jobs := make([]assembly, len(targeted))
+	a.jobs = grow(a.jobs, len(a.targeted))
+	jobs := a.jobs
 	pool := parallel.Default()
 	ctx := context.Background()
 
 	// Phase 1: scenario classes per demand, concurrent and memoized.
-	err := pool.ForEach(ctx, len(targeted), func(i int) error {
-		classes, hit, err := in.Classes(targeted[i], maxFail)
+	err := pool.ForEach(ctx, len(jobs), func(i int) error {
+		d := a.targeted[i]
+		classes, hit, err := in.Classes(d, maxFail)
 		if err != nil {
-			return fmt.Errorf("bate: classes for demand %d: %w", targeted[i].ID, err)
+			return fmt.Errorf("bate: classes for demand %d: %w", d.ID, err)
 		}
-		jobs[i].classes, jobs[i].hit = classes, hit
+		jobs[i].d, jobs[i].classes, jobs[i].hit = d, classes, hit
 		return nil
 	})
 	if err != nil {
@@ -395,16 +534,28 @@ func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars
 	}
 
 	// Phase 2 (serial): allocate the B variables in (demand, class)
-	// order — the same VarID sequence the serial assembly produces.
-	var name [32]byte
-	for i, d := range targeted {
+	// order — the same VarID sequence the serial assembly produces —
+	// and name the rows phase 3 builds.
+	for i := range jobs {
+		j := &jobs[i]
+		d := j.d
+		j.names = a.demands[d.ID]
 		bonus := availabilityBonus(d)
-		jobs[i].bv = make([]lp.VarID, len(jobs[i].classes))
-		for ci, cls := range jobs[i].classes {
-			jobs[i].bv[ci] = p.AddVariable(string(alloc.AppendName(name[:0], "B", "dc", d.ID, ci)), 0, 1, -bonus*cls.Prob)
+		j.bv = grow(j.bv, len(j.classes))
+		for ci, cls := range j.classes {
+			j.bv[ci] = p.AddVariable(name1(&j.names.b, "B", "dc", d.ID, ci), 0, 1, -bonus*cls.Prob)
+			for pi, pr := range d.Pairs {
+				if pr.Bandwidth > 0 {
+					name2(&j.names.deliv, "deliv", "dcp", d.ID, ci, pi)
+				}
+			}
+		}
+		if j.names.avail == "" {
+			var buf [32]byte
+			j.names.avail = string(alloc.AppendName(buf[:0], "avail", "d", d.ID))
 		}
 		if stats != nil {
-			if jobs[i].hit {
+			if j.hit {
 				stats.ClassCacheHits++
 			} else {
 				stats.ClassCacheMisses++
@@ -414,8 +565,8 @@ func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars
 
 	// Phase 3: build the constraint rows concurrently; rows are pure
 	// data referencing the pre-allocated variable ids.
-	err = pool.ForEach(ctx, len(targeted), func(i int) error {
-		jobs[i].rows = availabilityRows(in, targeted[i], jobs[i].classes, jobs[i].bv, fv)
+	err = pool.ForEach(ctx, len(jobs), func(i int) error {
+		jobs[i].buildRows(in, fv)
 		return nil
 	})
 	if err != nil {
@@ -431,31 +582,40 @@ func addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv alloc.FlowVars
 	return nil
 }
 
-// availabilityRows builds demand d's Eq. 3-4 constraint rows: per
-// class, one delivered ≥ b·B row per pair; then the Σ p·B ≥ β row.
-// The returned rows are pure data, safe to build concurrently.
-func availabilityRows(in *alloc.Input, d *demand.Demand, classes []scenario.Class, bv []lp.VarID, fv alloc.FlowVars) []lp.Constraint {
-	rows := make([]lp.Constraint, 0, len(classes)*len(d.Pairs)+1)
-	availTerms := make([]lp.Term, 0, len(classes))
-	var name [32]byte
-	for ci, cls := range classes {
-		availTerms = append(availTerms, lp.Term{Var: bv[ci], Coef: cls.Prob})
+// buildRows builds the demand's Eq. 3-4 constraint rows into j.rows:
+// per class, one delivered ≥ b·B row per pair; then the Σ p·B ≥ β row.
+// The rows are pure data on j's own buffers, safe to build
+// concurrently with other demands'.
+func (j *availability) buildRows(in *alloc.Input, fv alloc.FlowVars) {
+	d, flows := j.d, fv[j.d.ID]
+	nTerms := len(j.classes)
+	for pi, pr := range d.Pairs {
+		if pr.Bandwidth > 0 {
+			nTerms += len(j.classes) * (len(flows[pi]) + 1)
+		}
+	}
+	j.rows, j.terms = j.rows[:0], slices.Grow(j.terms[:0], nTerms)
+	for ci, cls := range j.classes {
 		for pi, pr := range d.Pairs {
 			if pr.Bandwidth <= 0 {
 				continue
 			}
-			terms := append(fv.ClassTerms(in, d, pi, cls), lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
-			rows = append(rows, lp.Constraint{
-				Name:  string(alloc.AppendName(name[:0], "deliv", "dcp", d.ID, ci, pi)),
-				Terms: terms, Op: lp.GE, RHS: 0,
+			start := len(j.terms)
+			j.terms = append(fv.ClassTerms(j.terms, in, d, pi, cls), lp.Term{Var: j.bv[ci], Coef: -pr.Bandwidth})
+			j.rows = append(j.rows, lp.Constraint{
+				Name:  j.names.deliv[ci][pi],
+				Terms: j.terms[start:len(j.terms):len(j.terms)], Op: lp.GE, RHS: 0,
 			})
 		}
 	}
-	rows = append(rows, lp.Constraint{
-		Name:  string(alloc.AppendName(name[:0], "avail", "d", d.ID)),
-		Terms: availTerms, Op: lp.GE, RHS: d.Target,
+	start := len(j.terms)
+	for ci, cls := range j.classes {
+		j.terms = append(j.terms, lp.Term{Var: j.bv[ci], Coef: cls.Prob})
+	}
+	j.rows = append(j.rows, lp.Constraint{
+		Name:  j.names.avail,
+		Terms: j.terms[start:len(j.terms):len(j.terms)], Op: lp.GE, RHS: d.Target,
 	})
-	return rows
 }
 
 // addAvailabilityEnumerated adds Eq. 3-4 with one B variable per

@@ -34,7 +34,9 @@ type eta struct {
 }
 
 // factorization is the eta-file representation of B⁻¹, plus the
-// scratch refactor reuses across rebuilds.
+// scratch refactor reuses across rebuilds. The eta file's slots keep
+// their index and value arrays when the file is emptied, and the next
+// eta in a slot writes into them.
 type factorization struct {
 	m    int
 	etas []eta
@@ -46,9 +48,15 @@ type factorization struct {
 	heap     []int32 // pending eta indices of the refactor FTRAN and btranUnit
 
 	// The first nRefactor etas are the last refactor's; column i of
-	// etasOf lists those that include row i (built on first use).
-	nRefactor int
-	etasOf    *cscMatrix
+	// etasOf lists those that include row i (built on first use, into
+	// etasOfBuf from etaRows, the etas' row sets).
+	nRefactor          int
+	etasOf             *cscMatrix
+	etaRows, etasOfBuf cscMatrix
+
+	rowVars    [2][]int32 // refactor's results, alternately
+	nnz, byNNZ []int32    // sortByNNZ's scratch
+	order      []int32
 }
 
 // reset empties the eta file.
@@ -60,12 +68,15 @@ func (f *factorization) reset(m int) {
 
 // indexRefactorEtas transposes the refactor etas' row sets into etasOf.
 func (f *factorization) indexRefactorEtas() {
-	c := &cscMatrix{m: f.m, n: f.nRefactor, ptr: make([]int32, 1, f.nRefactor+1)}
+	c := &f.etaRows
+	c.m, c.n = f.m, f.nRefactor
+	c.ptr, c.ind = append(c.ptr[:0], 0), c.ind[:0]
 	for _, e := range f.etas[:f.nRefactor] {
 		c.ind = append(append(c.ind, e.pivot), e.ind...)
 		c.ptr = append(c.ptr, int32(len(c.ind)))
 	}
-	f.etasOf = c.transpose()
+	c.transposeInto(&f.etasOfBuf)
+	f.etasOf = &f.etasOfBuf
 }
 
 // ftran solves B z = a in place: v holds a on entry, B⁻¹a on exit.
@@ -253,11 +264,25 @@ func (f *factorization) markLive(r, below int32) {
 // column w (w = B⁻¹ a_enter), reading the ascending rows where w may be
 // nonzero.
 func (f *factorization) push(w []float64, r int32, rows []int32) {
-	e := eta{pivot: r, pivotVal: 1 / w[r]}
+	e := f.nextEta(r, 1/w[r], 0)
 	for _, i := range rows {
 		e.add(i, w[i])
 	}
-	f.etas = append(f.etas, e)
+}
+
+// nextEta appends an eta pivoting on row r to the file and returns it,
+// empty, on the index and value arrays its slot held before, grown to
+// hold n entries.
+func (f *factorization) nextEta(r int32, pivotVal float64, n int) *eta {
+	if len(f.etas) < cap(f.etas) {
+		f.etas = f.etas[:len(f.etas)+1]
+	} else {
+		f.etas = append(f.etas, eta{})
+	}
+	e := &f.etas[len(f.etas)-1]
+	e.pivot, e.pivotVal = r, pivotVal
+	e.ind, e.val = slices.Grow(e.ind[:0], n), slices.Grow(e.val[:0], n)
+	return e
 }
 
 // add records off-pivot entry x of the pivoted column at row i,
@@ -296,17 +321,13 @@ func (e *eta) add(i int32, x float64) {
 func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]int32, []float64), work []float64, fill func(row int32) int32) ([]int32, bool) {
 	f.reset(m)
 	factorizations.Inc()
-	// At most one eta per row, then refactorEvery(m) pushed ones.
+	// At most one eta per row, then refactorEvery(m) pushed ones. The
+	// slots carry their arrays over to a larger file.
 	if n := m + refactorEvery(m); cap(f.etas) < n {
-		f.etas = make([]eta, 0, n)
+		f.etas = append(make([]eta, 0, n+n/8), f.etas[:cap(f.etas)]...)[:0]
 	}
-	if cap(f.etaOfRow) < m {
-		f.etaOfRow = make([]int32, m)
-		f.rowUsed = make([]bool, m)
-		f.inWork = make([]bool, m)
-	}
-	f.etaOfRow, f.rowUsed, f.inWork = f.etaOfRow[:m], f.rowUsed[:m], f.inWork[:m]
-	rowVar := make([]int32, m)
+	f.etaOfRow, f.rowUsed, f.inWork = resize(f.etaOfRow, m), resize(f.rowUsed, m), resize(f.inWork, m)
+	rowVar := f.rowVarFor(m, basic)
 	for i := 0; i < m; i++ {
 		f.etaOfRow[i], f.rowUsed[i], f.inWork[i] = -1, false, false
 		rowVar[i] = -1
@@ -314,7 +335,7 @@ func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]in
 	}
 	// Sparsest columns first: unit slack/artificial columns pivot
 	// trivially and keep the etas of later, denser columns short.
-	for _, j := range sortByNNZ(basic, colOf) {
+	for _, j := range f.sortByNNZ(basic, colOf) {
 		row := f.pivotColumn(j, colOf, work)
 		if row >= 0 {
 			rowVar[row] = j
@@ -338,10 +359,24 @@ func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]in
 	return rowVar, true
 }
 
+// rowVarFor returns a length-m array for refactor's rowVar, one of two
+// it alternates between: not basic's, which refactor still reads after
+// it starts writing rowVar. So the rowVar of the refactor before stays
+// the caller's until the one after.
+func (f *factorization) rowVarFor(m int, basic []int32) []int32 {
+	k := 0
+	if b := f.rowVars[0]; len(basic) > 0 && cap(b) > 0 && &b[:1][0] == &basic[0] {
+		k = 1
+	}
+	f.rowVars[k] = resize(f.rowVars[k], m)
+	return f.rowVars[k]
+}
+
 // sortByNNZ returns cols stably ordered by nonzero count (a counting
-// sort: the counts are at most m).
-func sortByNNZ(cols []int32, colOf func(j int32) ([]int32, []float64)) []int32 {
-	nnz := make([]int32, len(cols))
+// sort: the counts are at most m), in scratch valid until the next call.
+func (f *factorization) sortByNNZ(cols []int32, colOf func(j int32) ([]int32, []float64)) []int32 {
+	f.nnz = resize(f.nnz, len(cols))
+	nnz := f.nnz
 	maxN := int32(0)
 	for i, j := range cols {
 		ind, _ := colOf(j)
@@ -350,14 +385,17 @@ func sortByNNZ(cols []int32, colOf func(j int32) ([]int32, []float64)) []int32 {
 			maxN = nnz[i]
 		}
 	}
-	next := make([]int32, maxN+2)
+	f.byNNZ = resize(f.byNNZ, int(maxN)+2)
+	next := f.byNNZ
+	clear(next)
 	for _, n := range nnz {
 		next[n+1]++
 	}
 	for n := int32(1); n <= maxN; n++ {
 		next[n] += next[n-1]
 	}
-	order := make([]int32, len(cols))
+	f.order = resize(f.order, len(cols))
+	order := f.order
 	for i, j := range cols {
 		order[next[nnz[i]]] = j
 		next[nnz[i]]++
@@ -396,16 +434,11 @@ func (f *factorization) pivotColumn(j int32, colOf func(j int32) ([]int32, []flo
 		// row with coefficient 1) need no eta.
 		if !(work[best] == 1 && nonzero == 1) {
 			slices.Sort(f.touched)
-			e := eta{
-				pivot: best, pivotVal: 1 / work[best],
-				ind: make([]int32, 0, len(f.touched)-1),
-				val: make([]float64, 0, len(f.touched)-1),
-			}
+			f.etaOfRow[best] = int32(len(f.etas))
+			e := f.nextEta(best, 1/work[best], len(f.touched)-1)
 			for _, r := range f.touched {
 				e.add(r, work[r])
 			}
-			f.etaOfRow[best] = int32(len(f.etas))
-			f.etas = append(f.etas, e)
 		}
 		f.rowUsed[best] = true
 	}
@@ -503,7 +536,12 @@ func (b *Basis) matches(p *Problem) bool {
 // that is gone is simply missing from the result, which is therefore
 // not a basis yet: the repairing refactorization makes it one.
 func (b *Basis) remap(r *revised) {
-	oldCol := make(map[string]int32, b.ns)
+	if r.oldCol == nil {
+		r.oldCol, r.oldRow = make(map[string]int32, b.ns), make(map[string]int32, b.m)
+	}
+	oldCol, oldRow := r.oldCol, r.oldRow
+	clear(oldCol)
+	clear(oldRow)
 	for j, name := range b.colNames {
 		if name != "" {
 			oldCol[name] = int32(j)
@@ -518,8 +556,8 @@ func (b *Basis) remap(r *revised) {
 			r.status[j] = atLower
 		}
 	}
-	oldRow := make(map[string]int32, b.m)
-	oldSlack := make([]int32, b.m)
+	r.oldSlack = resize(r.oldSlack, b.m)
+	oldSlack := r.oldSlack
 	next := int32(b.ns)
 	for i, name := range b.rowNames {
 		oldSlack[i] = -1

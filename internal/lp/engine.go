@@ -108,9 +108,11 @@ func (p *Problem) solveLPDense(overrideLo, overrideHi []float64, rule PivotRule)
 // solveLPRevised runs the sparse revised simplex, warm-starting from
 // opts.Warm when one is supplied: any snapshot seeds any problem (see
 // Basis). The warm attempt is abandoned for a cold two-phase solve only
-// for the reasons runWarm names.
+// for the reasons runWarm names. The working state goes back to the
+// problem's spare when the solve ends; the Solution is copied out of it.
 func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options) (*Solution, error) {
 	r, err := newRevisedBase(p, overrideLo, overrideHi)
+	defer p.spare.Store(r)
 	if err != nil {
 		return &Solution{Status: Infeasible}, ErrInfeasible
 	}
@@ -135,7 +137,7 @@ func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options)
 			warmstartFallbacks.Inc()
 		}
 		prior := r.pivots
-		r, _ = newRevisedBase(p, overrideLo, overrideHi)
+		r.init(p, overrideLo, overrideHi) // the bounds passed once
 		r.rule = opts.Pivot
 		r.cancel = opts.Cancel
 		r.pivots = prior // keep the count monotone across the restart

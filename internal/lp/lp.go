@@ -76,11 +76,24 @@ type variable struct {
 // Problem is a linear (or mixed-integer) program. The zero value is a
 // minimization problem with no variables. Problems are not safe for
 // concurrent mutation; solves of an unchanging problem may overlap.
+//
+// A problem keeps what its solves build for the next one: the matrix
+// (until a variable or row is added), the arrays of the matrix it
+// outgrew, and the working state of its last revised solve, which the
+// next revised solve takes over instead of allocating its own. Reset
+// keeps all of it, so a problem emptied and rebuilt every round solves
+// in the memory of the round before. What a solve returns never shares
+// it.
 type Problem struct {
 	vars     []variable
 	cons     []Constraint
 	maximize bool
 	mat      atomic.Pointer[matrix] // nil until a revised solve, and after a new variable or row
+
+	// A solve takes either by swapping it out, so overlapping solves
+	// never share one: the one that finds it gone allocates its own.
+	oldMat atomic.Pointer[matrix]  // the matrix the problem outgrew, rebuilt into
+	spare  atomic.Pointer[revised] // a finished revised solve's working state
 }
 
 // matrix is a problem's constraint matrix as the revised engine reads
@@ -92,36 +105,67 @@ type matrix struct {
 	slackCol []int32
 	csrOnce  sync.Once
 	csr      *cscMatrix // row-wise copy of csc, built on first use
+
+	// Kept for the next build: the last row-wise copy's arrays and the
+	// scratch of build (acc all zero).
+	oldCSR        *cscMatrix
+	acc           []float64
+	touched, next []int32
 }
 
-// matrix returns p's matrix, building it if needed. Overlapping first
-// solves may each build one; every copy is the same.
+// matrix returns p's matrix, building it if needed, into the arrays of
+// the one it outgrew when it has them. Overlapping first solves may
+// each build one; every copy is the same.
 func (p *Problem) matrix() *matrix {
 	if mx := p.mat.Load(); mx != nil {
 		return mx
 	}
-	mx := &matrix{}
-	mx.csc, mx.slackCol = buildCSC(p)
+	mx := p.oldMat.Swap(nil)
+	if mx == nil {
+		mx = &matrix{csc: &cscMatrix{}}
+	}
+	mx.build(p)
 	p.mat.Store(mx)
 	return mx
 }
 
-// dropMatrix forgets a matrix the problem has outgrown. Building a
-// problem drops none, so it pays no atomic store per variable or row.
+// dropMatrix retires a matrix the problem has outgrown, keeping it for
+// the next build. Building a problem drops none, so it pays no atomic
+// store per variable or row.
 func (p *Problem) dropMatrix() {
-	if p.mat.Load() != nil {
+	if mx := p.mat.Load(); mx != nil {
 		p.mat.Store(nil)
+		p.oldMat.Store(mx)
 	}
 }
 
 // rows returns the row-wise copy of the matrix.
 func (mx *matrix) rows() *cscMatrix {
-	mx.csrOnce.Do(func() { mx.csr = mx.csc.transpose() })
+	mx.csrOnce.Do(func() {
+		t := mx.oldCSR
+		if t == nil {
+			t = &cscMatrix{}
+		}
+		mx.csc.transposeInto(t)
+		mx.csr = t
+	})
 	return mx.csr
 }
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
+
+// Reset empties the problem — no variables, no rows, minimization — for
+// reassembly, keeping every buffer: the variable and row arrays, the
+// matrix's arrays and the spare solver state. Constraints added after
+// it may reuse the Terms arrays of the ones before. Reset must not
+// overlap a solve of p; what earlier solves returned stays valid.
+func (p *Problem) Reset() {
+	p.vars = p.vars[:0]
+	p.cons = p.cons[:0]
+	p.maximize = false
+	p.dropMatrix()
+}
 
 // SetMaximize switches the problem to maximization.
 func (p *Problem) SetMaximize() { p.maximize = true }

@@ -77,36 +77,64 @@ type revised struct {
 	rowCols []int
 	d       []float64 // carried reduced costs, per structural or slack column
 	stale   bool      // d was updated since the last refresh
+
+	// initWarm's scratch: the candidate basic columns and remap's
+	// name lookups.
+	candidates     []int32
+	oldCol, oldRow map[string]int32
+	oldSlack       []int32
 }
 
 // newRevisedBase builds the problem-shaped state (bounds, scratch) on
-// the problem's shared matrix without choosing a starting basis. It
-// returns ErrInfeasible when a bound override leaves lo > hi, matching
+// the problem's shared matrix without choosing a starting basis, in the
+// problem's spare state when no other solve holds it. It returns
+// ErrInfeasible when a bound override leaves lo > hi, matching
 // newTableau.
 func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, error) {
+	r := p.spare.Swap(nil)
+	if r == nil {
+		r = &revised{}
+	}
+	return r, r.init(p, overrideLo, overrideHi)
+}
+
+// init sets r up for a solve of p from scratch, on the arrays of
+// whatever solve r last ran: every vector ends as a fresh one would
+// be, sized to p and zero but for the bounds, costs and row data.
+func (r *revised) init(p *Problem, overrideLo, overrideHi []float64) error {
 	ns := len(p.vars)
 	m := len(p.cons)
 	mx := p.matrix()
-	r := &revised{
+	*r = revised{
 		p: p, ns: ns, m: m,
 		artLo: mx.csc.n, ncols: mx.csc.n + m,
 		matrix: mx,
+
+		lo: r.lo, hi: r.hi, cost: r.cost, status: r.status,
+		rowVar: r.rowVar, xB: r.xB, rhs: r.rhs, artSign: r.artSign,
+		work: r.work, work2: r.work2, y: r.y, d: r.d, alpha: r.alpha,
+		col: r.col, inInfeas: r.inInfeas, allRows: r.allRows,
+		colBuf: r.colBuf[:0], rhoBuf: r.rhoBuf[:0], infeas: r.infeas[:0], rowCols: r.rowCols[:0],
+		fac:        r.fac,
+		candidates: r.candidates[:0], oldCol: r.oldCol, oldRow: r.oldRow, oldSlack: r.oldSlack,
 	}
-	r.lo = make([]float64, r.ncols)
-	r.hi = make([]float64, r.ncols)
-	r.cost = make([]float64, r.ncols)
-	r.status = make([]int8, r.ncols)
-	r.rowVar = make([]int32, m)
-	r.xB = make([]float64, m)
-	r.rhs = make([]float64, m)
-	r.artSign = make([]float64, m)
-	r.work = make([]float64, m)
-	r.work2 = make([]float64, m)
-	r.y = make([]float64, m)
-	r.d, r.alpha = make([]float64, r.artLo), make([]float64, r.artLo)
-	r.col = make([]float64, m)
-	r.inInfeas = make([]bool, m)
-	r.allRows = make([]int32, m)
+	for _, v := range []*[]float64{&r.lo, &r.hi, &r.cost} {
+		*v = resize(*v, r.ncols)
+		clear(*v)
+	}
+	for _, v := range []*[]float64{&r.xB, &r.rhs, &r.artSign, &r.work, &r.work2, &r.y, &r.col} {
+		*v = resize(*v, m)
+		clear(*v)
+	}
+	r.d, r.alpha = resize(r.d, r.artLo), resize(r.alpha, r.artLo)
+	clear(r.d)
+	clear(r.alpha)
+	r.status = resize(r.status, r.ncols)
+	clear(r.status)
+	r.rowVar = resize(r.rowVar, m)
+	r.inInfeas = resize(r.inInfeas, m)
+	clear(r.inInfeas)
+	r.allRows = resize(r.allRows, m)
 	for i := range r.allRows {
 		r.allRows[i] = int32(i)
 	}
@@ -123,7 +151,7 @@ func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, err
 	}
 	for j := 0; j < ns; j++ {
 		if r.lo[j] > r.hi[j]+eps {
-			return nil, ErrInfeasible
+			return ErrInfeasible
 		}
 	}
 	for j := ns; j < r.artLo; j++ {
@@ -134,7 +162,7 @@ func newRevisedBase(p *Problem, overrideLo, overrideHi []float64) (*revised, err
 		r.artSign[i] = 1
 	}
 	r.fac.reset(m)
-	return r, nil
+	return nil
 }
 
 // colOf materializes column j (CSC column or implicit artificial).
@@ -216,11 +244,13 @@ func (r *revised) initWarm(b *Basis) bool {
 		candidates = b.rowVar
 	} else {
 		b.remap(r)
+		candidates = r.candidates[:0]
 		for j := 0; j < r.artLo; j++ {
 			if r.status[j] == isBasic {
 				candidates = append(candidates, int32(j))
 			}
 		}
+		r.candidates = candidates
 	}
 	// Artificials are fixed at zero in a warm solve even when basic.
 	for i := 0; i < r.m; i++ {

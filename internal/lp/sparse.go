@@ -7,6 +7,8 @@ package lp
 // form and every solver pass works on column nonzeros instead of dense
 // tableau rows.
 
+import "sync"
+
 // cscMatrix is a compressed-sparse-column matrix: column j's nonzeros
 // are rows ind[ptr[j]:ptr[j+1]] with values val[ptr[j]:ptr[j+1]].
 type cscMatrix struct {
@@ -21,12 +23,17 @@ func (c *cscMatrix) col(j int) ([]int32, []float64) {
 	return c.ind[c.ptr[j]:c.ptr[j+1]], c.val[c.ptr[j]:c.ptr[j+1]]
 }
 
-// transpose returns the row-wise (CSR) copy: its column i is row i. A
-// pattern-only matrix (nil val) gives a pattern-only copy.
-func (c *cscMatrix) transpose() *cscMatrix {
-	t := &cscMatrix{m: c.n, n: c.m, ptr: make([]int32, c.m+1), ind: make([]int32, len(c.ind))}
+// transposeInto writes the row-wise (CSR) copy of c into t, whose
+// arrays it reuses: t's column i is row i. A pattern-only matrix (nil
+// val) gives a pattern-only copy.
+func (c *cscMatrix) transposeInto(t *cscMatrix) {
+	t.m, t.n = c.n, c.m
+	t.ptr = resize(t.ptr, c.m+1)
+	clear(t.ptr)
+	t.ind = resize(t.ind, len(c.ind))
+	t.val = t.val[:0]
 	if c.val != nil {
-		t.val = make([]float64, len(c.val))
+		t.val = resize(t.val, len(c.val))
 	}
 	for _, i := range c.ind {
 		t.ptr[i+1]++
@@ -34,37 +41,56 @@ func (c *cscMatrix) transpose() *cscMatrix {
 	for i := 0; i < c.m; i++ {
 		t.ptr[i+1] += t.ptr[i]
 	}
-	next := append([]int32(nil), t.ptr[:c.m]...)
+	// t.ptr[i] is row i's write cursor; once every entry is placed it
+	// is the row's end, the next row's start, so the shift restores it.
 	for j := 0; j < c.n; j++ {
 		for k := c.ptr[j]; k < c.ptr[j+1]; k++ {
 			i := c.ind[k]
-			if t.ind[next[i]] = int32(j); t.val != nil {
-				t.val[next[i]] = c.val[k]
+			if t.ind[t.ptr[i]] = int32(j); c.val != nil {
+				t.val[t.ptr[i]] = c.val[k]
 			}
-			next[i]++
+			t.ptr[i]++
 		}
 	}
-	return t
+	copy(t.ptr[1:], t.ptr[:c.m])
+	t.ptr[0] = 0
 }
 
-// buildCSC assembles the CSC matrix of the problem's structural
-// columns followed by one slack/surplus column per LE/GE row (+e_i for
-// LE, -e_i for GE). Duplicate variables within one constraint are
-// summed, matching the dense tableau's semantics. slackCol[i] is the
-// CSC column of row i's slack, or -1 for EQ rows.
-func buildCSC(p *Problem) (csc *cscMatrix, slackCol []int32) {
+// build assembles into mx the CSC matrix of p's structural columns
+// followed by one slack/surplus column per LE/GE row (+e_i for LE, -e_i
+// for GE), reusing the arrays of the matrix mx held before. Duplicate
+// variables within one constraint are summed, matching the dense
+// tableau's semantics. slackCol[i] is the CSC column of row i's slack,
+// or -1 for EQ rows. The row-wise copy is left to rows.
+func (mx *matrix) build(p *Problem) {
+	if mx.csr != nil {
+		mx.oldCSR, mx.csr = mx.csr, nil
+	}
+	mx.csrOnce = sync.Once{}
 	ns := len(p.vars)
 	m := len(p.cons)
 
-	// Count structural nonzeros per column, summing duplicates via a
-	// per-row scatter into acc (touched tracks dirtied entries).
-	acc := make([]float64, ns)
-	touched := make([]int32, 0, 16)
-	counts := make([]int32, ns)
+	// Count structural nonzeros per column into ptr, summing duplicates
+	// via a per-row scatter into acc (touched tracks dirtied entries;
+	// acc is all zero between builds).
+	c := mx.csc
+	mx.acc = resize(mx.acc, ns)
+	acc := mx.acc
+	touched := mx.touched[:0]
 	nSlack := 0
-	for _, c := range p.cons {
+	for _, con := range p.cons {
+		if con.Op != EQ {
+			nSlack++
+		}
+	}
+	n := ns + nSlack
+	c.m, c.n = m, n
+	c.ptr = resize(c.ptr, n+1)
+	clear(c.ptr)
+	ptr := c.ptr
+	for _, con := range p.cons {
 		touched = touched[:0]
-		for _, t := range c.Terms {
+		for _, t := range con.Terms {
 			if acc[t.Var] == 0 {
 				touched = append(touched, int32(t.Var))
 			}
@@ -72,33 +98,29 @@ func buildCSC(p *Problem) (csc *cscMatrix, slackCol []int32) {
 		}
 		for _, j := range touched {
 			if acc[j] != 0 {
-				counts[j]++
+				ptr[j+1]++
 			}
 			acc[j] = 0
 		}
-		if c.Op != EQ {
-			nSlack++
-		}
 	}
-
-	n := ns + nSlack
-	ptr := make([]int32, n+1)
 	for j := 0; j < ns; j++ {
-		ptr[j+1] = ptr[j] + counts[j]
+		ptr[j+1] += ptr[j]
 	}
 	for j := ns; j < n; j++ {
 		ptr[j+1] = ptr[j] + 1 // unit slack columns
 	}
 	nnz := ptr[n]
-	ind := make([]int32, nnz)
-	val := make([]float64, nnz)
+	c.ind = resize(c.ind, int(nnz))
+	c.val = resize(c.val, int(nnz))
+	ind, val := c.ind, c.val
 
 	// Fill structural columns row by row; next[j] is the write cursor.
-	next := make([]int32, ns)
+	mx.next = resize(mx.next, ns)
+	next := mx.next
 	copy(next, ptr[:ns])
-	for i, c := range p.cons {
+	for i, con := range p.cons {
 		touched = touched[:0]
-		for _, t := range c.Terms {
+		for _, t := range con.Terms {
 			if acc[t.Var] == 0 {
 				touched = append(touched, int32(t.Var))
 			}
@@ -113,24 +135,35 @@ func buildCSC(p *Problem) (csc *cscMatrix, slackCol []int32) {
 			acc[j] = 0
 		}
 	}
+	mx.touched = touched
 	// Slack columns in row order.
-	slackCol = make([]int32, m)
+	mx.slackCol = resize(mx.slackCol, m)
 	sc := int32(ns)
-	for i, c := range p.cons {
-		switch c.Op {
+	for i, con := range p.cons {
+		switch con.Op {
 		case LE:
 			ind[ptr[sc]] = int32(i)
 			val[ptr[sc]] = 1
-			slackCol[i] = sc
+			mx.slackCol[i] = sc
 			sc++
 		case GE:
 			ind[ptr[sc]] = int32(i)
 			val[ptr[sc]] = -1
-			slackCol[i] = sc
+			mx.slackCol[i] = sc
 			sc++
 		default:
-			slackCol[i] = -1
+			mx.slackCol[i] = -1
 		}
 	}
-	return &cscMatrix{m: m, n: n, ptr: ptr, ind: ind, val: val}, slackCol
+}
+
+// resize returns s with length n, on s's array when it is large enough
+// and otherwise on a new one with an eighth to spare, so that a problem
+// rebuilt a little larger round after round does not reallocate every
+// round. It does not clear what s held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, n+n/8)
 }

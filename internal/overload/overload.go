@@ -91,8 +91,8 @@ type Options struct {
 	// priorities bypass the bound: there are at most a handful of
 	// critical requests per connection in flight.
 	QueueBound int
-	// QueueTimeout is the CoDel-style sojourn bound: a request still
-	// queued after this long is shed (default 100ms).
+	// QueueTimeout is the CoDel-style sojourn bound: a sheddable
+	// request still queued after this long is shed (default 100ms).
 	QueueTimeout time.Duration
 	// LatencyTarget drives the AIMD ceiling: when the EWMA of request
 	// latency exceeds it, the ceiling decreases multiplicatively;
@@ -332,8 +332,10 @@ func (g *Gate) retryAfterLocked() int64 {
 
 // Acquire asks for one execution slot. client keys the per-client
 // rate limit ("" skips it); deadline is the client's own request
-// budget (0 = none), which tightens the queue-sojourn bound. The
-// call blocks at most min(QueueTimeout, deadline).
+// budget (0 = none), which tightens the queue-sojourn bound. A
+// sheddable request blocks at most min(QueueTimeout, deadline); an
+// unsheddable one (below ShedPriority) waits for its slot, and only
+// Close ends its wait without one.
 func (g *Gate) Acquire(client string, p Priority, deadline time.Duration) Decision {
 	if p < 0 {
 		p = 0
@@ -389,6 +391,9 @@ func (g *Gate) Acquire(client string, p Priority, deadline time.Duration) Decisi
 		mQueuePeak.Observe(int64(g.queued))
 	}
 	g.mu.Unlock()
+	if !sheddable {
+		return <-w.granted
+	}
 
 	wait := g.opts.QueueTimeout
 	reason := ReasonQueueDelay

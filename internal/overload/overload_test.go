@@ -156,6 +156,34 @@ func TestCriticalNeverShed(t *testing.T) {
 	g.Release(time.Millisecond)
 }
 
+// TestCriticalOutwaitsQueueTimeout: an unsheddable request queued past
+// QueueTimeout (and past its own deadline) keeps waiting for its slot
+// instead of being shed, and Close still ends such a wait.
+func TestCriticalOutwaitsQueueTimeout(t *testing.T) {
+	g := NewGate(Options{MaxInflight: 1, QueueTimeout: 5 * time.Millisecond, LatencyTarget: -1})
+	if d := g.Acquire("a", PSubmit, 0); !d.OK {
+		t.Fatal("first acquire shed")
+	}
+	done := make(chan Decision, 1)
+	go func() { done <- g.Acquire("c", PCritical, 5*time.Millisecond) }()
+	waitQueued(t, g, 1)
+	time.Sleep(30 * time.Millisecond) // six sojourn bounds
+	g.Release(time.Millisecond)
+	if d := <-done; !d.OK {
+		t.Fatalf("critical request was shed after QueueTimeout: %+v", d)
+	}
+	if c := g.Snapshot(); c.Timeouts != 0 {
+		t.Fatalf("timeouts = %d, want 0", c.Timeouts)
+	}
+
+	go func() { done <- g.Acquire("c", PCritical, 0) }()
+	waitQueued(t, g, 1)
+	g.Close()
+	if d := <-done; d.OK || d.Reason != ReasonGateClosed {
+		t.Fatalf("Close left a critical waiter with %+v, want a gate-closed shed", d)
+	}
+}
+
 func TestQueueTimeoutSheds(t *testing.T) {
 	g := NewGate(Options{MaxInflight: 1, QueueTimeout: 20 * time.Millisecond, LatencyTarget: -1})
 	if d := g.Acquire("a", PSubmit, 0); !d.OK {

@@ -183,7 +183,7 @@ func bestEffortBATE(in *alloc.Input, maxFail int) (alloc.Allocation, error) {
 			// Class availability anchored to the grant:
 			// delivered_cls ≥ b·B - (b - g).
 			for ci, cls := range classes {
-				cterms := append(fv.ClassTerms(in, d, pi, cls),
+				cterms := append(fv.ClassTerms(nil, in, d, pi, cls),
 					lp.Term{Var: bvars[ci], Coef: -pr.Bandwidth},
 					lp.Term{Var: g, Coef: -1})
 				p.AddConstraint(lp.Constraint{Terms: cterms, Op: lp.GE, RHS: -pr.Bandwidth})

@@ -89,7 +89,7 @@ func FFC(in *alloc.Input, k int) (alloc.Allocation, error) {
 				}
 				// FFC protection: delivered >= granted in every ≤k-failure class.
 				for _, cls := range classes[d.ID] {
-					terms := fv.ClassTerms(in, d, pi, cls)
+					terms := fv.ClassTerms(nil, in, d, pi, cls)
 					terms = append(terms, lp.Term{Var: gv[d.ID][pi], Coef: -1})
 					p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
 				}
@@ -199,12 +199,12 @@ func TEAVAR(in *alloc.Input, beta float64, maxFail int) (alloc.Allocation, error
 			}
 			g := granted[d.ID][pi]
 			// The grant must remain deliverable with all tunnels up.
-			anchor := fv.ClassTerms(in, d, pi, allUpClass())
+			anchor := fv.ClassTerms(nil, in, d, pi, allUpClass())
 			p.AddConstraint(lp.Constraint{Terms: anchor, Op: lp.GE, RHS: g * (1 - 1e-9)})
 			for ci, c := range cls {
 				// delivered ≥ B·granted is bilinear; linearize around
 				// the full demand: delivered_cls ≥ b·B - (b - granted).
-				terms := fv.ClassTerms(in, d, pi, c)
+				terms := fv.ClassTerms(nil, in, d, pi, c)
 				terms = append(terms, lp.Term{Var: bv[ci], Coef: -pr.Bandwidth})
 				p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: g - pr.Bandwidth})
 			}
@@ -228,7 +228,7 @@ func SWAN(in *alloc.Input) (alloc.Allocation, error) {
 	for _, d := range in.Demands {
 		for pi := range d.Pairs {
 			p.SetCost(gv[d.ID][pi], 1)
-			terms := fv.ClassTerms(in, d, pi, allUpClass())
+			terms := fv.ClassTerms(nil, in, d, pi, allUpClass())
 			terms = append(terms, lp.Term{Var: gv[d.ID][pi], Coef: -1})
 			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE, RHS: 0})
 		}
@@ -287,7 +287,7 @@ func SMORE(in *alloc.Input) (alloc.Allocation, error) {
 	}
 	for _, d := range in.Demands {
 		for pi := range d.Pairs {
-			terms := fv.ClassTerms(in, d, pi, allUpClass())
+			terms := fv.ClassTerms(nil, in, d, pi, allUpClass())
 			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE,
 				RHS: granted[d.ID][pi] * (1 - 1e-9)})
 		}
@@ -341,7 +341,7 @@ func B4(in *alloc.Input) (alloc.Allocation, error) {
 				if pr.Bandwidth <= 0 {
 					continue
 				}
-				terms := fv.ClassTerms(in, d, pi, allUpClass())
+				terms := fv.ClassTerms(nil, in, d, pi, allUpClass())
 				if fr, ok := frozen[pairKey{d.ID, pi}]; ok {
 					p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.GE,
 						RHS: fr * (1 - 1e-9)})
@@ -368,7 +368,7 @@ func B4(in *alloc.Input) (alloc.Allocation, error) {
 					continue
 				}
 				p2.SetCost(gv2[d.ID][pi], 1)
-				terms := fv2.ClassTerms(in, d, pi, allUpClass())
+				terms := fv2.ClassTerms(nil, in, d, pi, allUpClass())
 				gterms := append(append([]lp.Term(nil), terms...),
 					lp.Term{Var: gv2[d.ID][pi], Coef: -1})
 				p2.AddConstraint(lp.Constraint{Terms: gterms, Op: lp.GE, RHS: 0})
