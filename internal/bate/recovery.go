@@ -3,6 +3,7 @@ package bate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -253,6 +254,18 @@ type greedyWalk struct {
 	base    [][][]float64 // per position: the rows the no-failure run fitted, nil from its stop on
 	solved  int           // one-demand LPs solved,
 	reused  int           // and fits taken from base instead
+
+	// fitDemand's LP, Reset for every fit, and the buffers its rows
+	// are assembled in.
+	fit   *lp.Problem
+	uses  []linkUse
+	terms []lp.Term
+}
+
+// linkUse is one flow variable's use of a link in a fit's LP.
+type linkUse struct {
+	link topo.LinkID
+	v    lp.VarID
 }
 
 func newGreedyWalk(in *alloc.Input) *greedyWalk {
@@ -265,7 +278,7 @@ func newGreedyWalk(in *alloc.Input) *greedyWalk {
 		}
 		return order[i].ID < order[j].ID
 	})
-	w := &greedyWalk{in: in, order: order, caps: alloc.FullCapacities(in), base: make([][][]float64, len(order))}
+	w := &greedyWalk{in: in, order: order, caps: alloc.FullCapacities(in), base: make([][][]float64, len(order)), fit: lp.NewProblem()}
 	for _, d := range order {
 		ts, zero := make([][]routing.Tunnel, len(d.Pairs)), make([][]float64, len(d.Pairs))
 		for pi := range d.Pairs {
@@ -313,14 +326,14 @@ func (w *greedyWalk) run(failed []topo.LinkID) (*RecoveryResult, [][][]float64) 
 		if ok {
 			w.reused++
 		} else {
-			rows, ok = fitDemand(capRem, d, w.tunnels[i], usable)
+			rows, ok = w.fitDemand(capRem, d, w.tunnels[i], usable)
 			w.solved++
 		}
 		if !ok {
 			// Line 11: the unfittable demand may alone be worth more
 			// than everything accepted so far.
 			if acceptedCharge < d.Charge {
-				swap, _ = fitDemand(w.scenarioCaps(failed), d, w.tunnels[i], usable)
+				swap, _ = w.fitDemand(w.scenarioCaps(failed), d, w.tunnels[i], usable)
 				w.solved++
 			}
 			break // Algorithm 2 stops at the first unfittable demand.
@@ -395,14 +408,13 @@ func nonzero(x float64) float64 {
 // per-tunnel allocation on success. The LP is the one alloc.AddFlowVars
 // builds for a one-demand input — variables in (pair, tunnel) order, a
 // capacity row per link of a usable tunnel by ascending link id, terms
-// in variable order, then the demand rows — built from d's own tunnels.
-func fitDemand(capRem []float64, d *demand.Demand, tunnels [][]routing.Tunnel, usable func(routing.Tunnel) bool) ([][]float64, bool) {
-	p := lp.NewProblem()
-	type use struct {
-		link topo.LinkID
-		v    lp.VarID
-	}
-	var uses []use // sorted by link, then by variable
+// in variable order, then the demand rows — built from d's own tunnels
+// into the walk's problem and buffers.
+func (w *greedyWalk) fitDemand(capRem []float64, d *demand.Demand, tunnels [][]routing.Tunnel, usable func(routing.Tunnel) bool) ([][]float64, bool) {
+	p := w.fit
+	p.Reset()
+	uses := w.uses[:0] // sorted by link, then by variable
+	nVars := 0
 	for _, ts := range tunnels {
 		for _, t := range ts {
 			upper, links := math.Inf(1), t.Links
@@ -411,32 +423,37 @@ func fitDemand(capRem []float64, d *demand.Demand, tunnels [][]routing.Tunnel, u
 			}
 			v := p.AddVariable("", 0, upper, 1) // cost 1: cheapest exact fit
 			for _, e := range links {
-				uses = append(uses, use{e, v})
+				uses = append(uses, linkUse{e, v})
 				for j := len(uses) - 1; j > 0 && uses[j-1].link > e; j-- {
 					uses[j], uses[j-1] = uses[j-1], uses[j]
 				}
 			}
 		}
+		nVars += len(ts)
 	}
-	var terms []lp.Term
+	w.uses = uses
+	// Every row's terms are carved from one buffer, grown once.
+	terms := slices.Grow(w.terms[:0], len(uses)+nVars)
+	start := 0
 	for i, u := range uses {
 		terms = append(terms, lp.Term{Var: u.v, Coef: 1})
 		if i+1 == len(uses) || uses[i+1].link != u.link {
-			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.LE, RHS: capRem[u.link]})
-			terms = nil
+			p.AddConstraint(lp.Constraint{Terms: terms[start:len(terms):len(terms)], Op: lp.LE, RHS: capRem[u.link]})
+			start = len(terms)
 		}
 	}
 	v := lp.VarID(0)
 	for pi, pr := range d.Pairs {
-		terms := make([]lp.Term, len(tunnels[pi]))
-		for ti := range terms {
-			terms[ti] = lp.Term{Var: v, Coef: 1}
+		for range tunnels[pi] {
+			terms = append(terms, lp.Term{Var: v, Coef: 1})
 			v++
 		}
 		if pr.Bandwidth > 0 {
-			p.AddConstraint(lp.Constraint{Terms: terms, Op: lp.EQ, RHS: pr.Bandwidth})
+			p.AddConstraint(lp.Constraint{Terms: terms[start:len(terms):len(terms)], Op: lp.EQ, RHS: pr.Bandwidth})
 		}
+		start = len(terms)
 	}
+	w.terms = terms
 	sol, err := p.Solve()
 	if err != nil {
 		return nil, false
