@@ -539,7 +539,7 @@ func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv
 	for i := range jobs {
 		j := &jobs[i]
 		d := j.d
-		j.names = a.demands[d.ID]
+		j.names = a.demand(d)
 		bonus := availabilityBonus(d)
 		j.bv = grow(j.bv, len(j.classes))
 		for ci, cls := range j.classes {

@@ -105,36 +105,23 @@ func (r *revised) init(p *Problem, overrideLo, overrideHi []float64) error {
 	ns := len(p.vars)
 	m := len(p.cons)
 	mx := p.matrix()
+	old := *r
 	*r = revised{
 		p: p, ns: ns, m: m,
 		artLo: mx.csc.n, ncols: mx.csc.n + m,
 		matrix: mx,
-
-		lo: r.lo, hi: r.hi, cost: r.cost, status: r.status,
-		rowVar: r.rowVar, xB: r.xB, rhs: r.rhs, artSign: r.artSign,
-		work: r.work, work2: r.work2, y: r.y, d: r.d, alpha: r.alpha,
-		col: r.col, inInfeas: r.inInfeas, allRows: r.allRows,
-		colBuf: r.colBuf[:0], rhoBuf: r.rhoBuf[:0], infeas: r.infeas[:0], rowCols: r.rowCols[:0],
-		fac:        r.fac,
-		candidates: r.candidates[:0], oldCol: r.oldCol, oldRow: r.oldRow, oldSlack: r.oldSlack,
+		fac:    old.fac,
 	}
-	for _, v := range []*[]float64{&r.lo, &r.hi, &r.cost} {
-		*v = resize(*v, r.ncols)
-		clear(*v)
-	}
-	for _, v := range []*[]float64{&r.xB, &r.rhs, &r.artSign, &r.work, &r.work2, &r.y, &r.col} {
-		*v = resize(*v, m)
-		clear(*v)
-	}
-	r.d, r.alpha = resize(r.d, r.artLo), resize(r.alpha, r.artLo)
-	clear(r.d)
-	clear(r.alpha)
-	r.status = resize(r.status, r.ncols)
-	clear(r.status)
-	r.rowVar = resize(r.rowVar, m)
-	r.inInfeas = resize(r.inInfeas, m)
-	clear(r.inInfeas)
-	r.allRows = resize(r.allRows, m)
+	r.lo, r.hi, r.cost = zeroed(old.lo, r.ncols), zeroed(old.hi, r.ncols), zeroed(old.cost, r.ncols)
+	r.status = zeroed(old.status, r.ncols)
+	r.rowVar, r.xB = zeroed(old.rowVar, m), zeroed(old.xB, m)
+	r.rhs, r.artSign = zeroed(old.rhs, m), zeroed(old.artSign, m)
+	r.work, r.work2, r.y = zeroed(old.work, m), zeroed(old.work2, m), zeroed(old.y, m)
+	r.d, r.alpha = zeroed(old.d, r.artLo), zeroed(old.alpha, r.artLo)
+	r.col, r.inInfeas = zeroed(old.col, m), zeroed(old.inInfeas, m)
+	r.colBuf, r.rhoBuf, r.infeas, r.rowCols = old.colBuf[:0], old.rhoBuf[:0], old.infeas[:0], old.rowCols[:0]
+	r.candidates, r.oldCol, r.oldRow, r.oldSlack = old.candidates[:0], old.oldCol, old.oldRow, old.oldSlack
+	r.allRows = resize(old.allRows, m)
 	for i := range r.allRows {
 		r.allRows[i] = int32(i)
 	}

@@ -167,3 +167,10 @@ func resize[T any](s []T, n int) []T {
 	}
 	return make([]T, n, n+n/8)
 }
+
+// zeroed is resize with every element cleared, as make would leave it.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
