@@ -46,7 +46,7 @@ func b4ChurnBook(n int) (*alloc.Input, func(withdraw, admit int)) {
 // result is compared with a deep copy taken when it was returned, three
 // rounds later.
 func TestScheduleResultsOutliveRounds(t *testing.T) {
-	in, change := b4ChurnBook(60)
+	in, change := b4ChurnBook(200)
 	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
 	sched := NewScheduler()
 	type result struct {
@@ -56,11 +56,14 @@ func TestScheduleResultsOutliveRounds(t *testing.T) {
 	var kept []result
 	for round := 0; round < 12; round++ {
 		if round > 0 {
-			change(4, 4)
+			change(8, 8)
 		}
 		a, stats, err := sched.Schedule(in, opts)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if sched.p == nil {
+			t.Fatalf("round %d: the Scheduler kept no problem (%d rows)", round, stats.Constraints)
 		}
 		kept = append(kept, result{a: a, saved: a.Clone(), stats: *stats, saved2: *stats})
 		if n := len(kept) - 4; n >= 0 {
@@ -114,5 +117,29 @@ func TestWarmRoundAllocationGuard(t *testing.T) {
 	t.Logf("%d bytes per warm round (bound %d)", perRound, warmRoundBytes)
 	if perRound > warmRoundBytes {
 		t.Fatalf("a warm round allocates %d bytes, more than %d", perRound, warmRoundBytes)
+	}
+}
+
+// TestSmallLPKeepsNothing: a Scheduler whose global LP has fewer than
+// keepRows rows keeps neither the problem nor the assembler between
+// rounds (see keepRows), and still warm-starts.
+func TestSmallLPKeepsNothing(t *testing.T) {
+	in, change := b4ChurnBook(30)
+	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	sched := NewScheduler()
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			change(2, 2)
+		}
+		_, stats, err := sched.Schedule(in, opts)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if stats.Constraints >= keepRows || sched.p != nil || sched.asm.demands != nil {
+			t.Fatalf("round %d: %d rows, problem kept %v", round, stats.Constraints, sched.p != nil)
+		}
+		if round > 0 && !stats.WarmStarted {
+			t.Fatalf("round %d went cold", round)
+		}
 	}
 }
