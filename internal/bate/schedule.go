@@ -351,6 +351,9 @@ func (a *assembler) demand(d *demand.Demand) *demandLP {
 // building the names up to it on first use.
 func name1(names *[]string, prefix, tags string, id, i int) string {
 	var buf [32]byte
+	if n := len(*names); n <= i {
+		*names = slices.Grow(*names, i+1-n)
+	}
 	for k := len(*names); k <= i; k++ {
 		*names = append(*names, string(alloc.AppendName(buf[:0], prefix, tags, id, k)))
 	}
@@ -360,10 +363,13 @@ func name1(names *[]string, prefix, tags string, id, i int) string {
 // name2 is name1 for the names prefix[id,i,j].
 func name2(names *[][]string, prefix, tags string, id, i, j int) string {
 	var buf [32]byte
-	for len(*names) <= i {
-		*names = append(*names, nil)
+	if n := len(*names); n <= i {
+		*names = append(slices.Grow(*names, i+1-n), make([][]string, i+1-n)...)
 	}
 	row := &(*names)[i]
+	if n := len(*row); n <= j {
+		*row = slices.Grow(*row, j+1-n)
+	}
 	for k := len(*row); k <= j; k++ {
 		*row = append(*row, string(alloc.AppendName(buf[:0], prefix, tags, id, i, k)))
 	}
@@ -558,6 +564,9 @@ func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv
 		j.names = a.demand(d)
 		bonus := availabilityBonus(d)
 		j.bv = grow(j.bv, len(j.classes))
+		if n := len(j.classes); n > 0 {
+			name1(&j.names.b, "B", "dc", d.ID, n-1) // all at once
+		}
 		for ci, cls := range j.classes {
 			j.bv[ci] = p.AddVariable(name1(&j.names.b, "B", "dc", d.ID, ci), 0, 1, -bonus*cls.Prob)
 			for pi, pr := range d.Pairs {

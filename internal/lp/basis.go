@@ -324,7 +324,7 @@ func (f *factorization) refactor(m int, basic []int32, colOf func(j int32) ([]in
 	// At most one eta per row, then refactorEvery(m) pushed ones. The
 	// slots carry their arrays over to a larger file.
 	if n := m + refactorEvery(m); cap(f.etas) < n {
-		f.etas = append(make([]eta, 0, n+n/8), f.etas[:cap(f.etas)]...)[:0]
+		f.etas = append(resize(f.etas[:0], n)[:0], f.etas[:cap(f.etas)]...)[:0]
 	}
 	f.etaOfRow, f.rowUsed, f.inWork = resize(f.etaOfRow, m), resize(f.rowUsed, m), resize(f.inWork, m)
 	rowVar := f.rowVarFor(m, basic)

@@ -158,19 +158,25 @@ func (mx *matrix) build(p *Problem) {
 }
 
 // resize returns s with length n, on s's array when it is large enough
-// and otherwise on a new one with an eighth to spare, so that a problem
-// rebuilt a little larger round after round does not reallocate every
-// round. It does not clear what s held.
+// and otherwise on a new one — with an eighth to spare when s had one,
+// so that a problem rebuilt a little larger round after round does not
+// reallocate every round. It does not clear what s held.
 func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
+	switch {
+	case cap(s) >= n:
 		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
 	}
 	return make([]T, n, n+n/8)
 }
 
 // zeroed is resize with every element cleared, as make would leave it.
 func zeroed[T any](s []T, n int) []T {
-	s = resize(s, n)
+	if cap(s) < n {
+		return resize(s, n) // new, so zero
+	}
+	s = s[:n]
 	clear(s)
 	return s
 }
