@@ -292,13 +292,15 @@ type assembler struct {
 // variables and the names of its columns and rows, each built on first
 // use. A name is a function of the demand ID and the indices only.
 type demandLP struct {
-	build  int          // the last build that met the demand
-	flows  [][]lp.VarID // f^t_d's column per pair and tunnel
-	f      [][]string   // f[d,p,t]
-	demand []string     // demand[d,p], the pair's Eq. 1 row
-	b      []string     // B[d,c]
-	deliv  [][]string   // deliv[d,c,p]
-	avail  string       // avail[d]
+	build   int          // the last build that met the demand
+	claimed int          // the last build whose Eq. 3-4 rows it names
+	flows   [][]lp.VarID // f^t_d's column per pair and tunnel
+	f       [][]string   // f[d,p,t]
+	demand  []string     // demand[d,p], the pair's Eq. 1 row
+	b       []string     // B[d,c]
+	deliv   []string     // deliv[d,c,p] at c·np + p
+	np      int          // the pair count deliv is laid out for
+	avail   string       // avail[d]
 }
 
 // build is buildScheduleLP on a's buffers.
@@ -336,7 +338,7 @@ func (a *assembler) build(p *lp.Problem, in *alloc.Input, maxFail int, caps []fl
 // demand returns what a keeps of d, marking it met by this build.
 func (a *assembler) demand(d *demand.Demand) *demandLP {
 	if a.demands == nil {
-		a.demands = make(map[int]*demandLP)
+		a.demands = make(map[int]*demandLP, len(a.fv))
 	}
 	dl := a.demands[d.ID]
 	if dl == nil {
@@ -556,12 +558,16 @@ func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv
 	}
 
 	// Phase 2 (serial): allocate the B variables in (demand, class)
-	// order — the same VarID sequence the serial assembly produces —
-	// and name the rows phase 3 builds.
+	// order — the same VarID sequence the serial assembly produces.
 	for i := range jobs {
 		j := &jobs[i]
 		d := j.d
-		j.names = a.demand(d)
+		if j.names = a.demand(d); j.names.claimed == a.builds {
+			// An ID the book holds twice: names of its own, so that no
+			// two goroutines of phase 3 write the same ones.
+			j.names = &demandLP{}
+		}
+		j.names.claimed = a.builds
 		bonus := availabilityBonus(d)
 		j.bv = grow(j.bv, len(j.classes))
 		if n := len(j.classes); n > 0 {
@@ -569,15 +575,6 @@ func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv
 		}
 		for ci, cls := range j.classes {
 			j.bv[ci] = p.AddVariable(name1(&j.names.b, "B", "dc", d.ID, ci), 0, 1, -bonus*cls.Prob)
-			for pi, pr := range d.Pairs {
-				if pr.Bandwidth > 0 {
-					name2(&j.names.deliv, "deliv", "dcp", d.ID, ci, pi)
-				}
-			}
-		}
-		if j.names.avail == "" {
-			var buf [32]byte
-			j.names.avail = string(alloc.AppendName(buf[:0], "avail", "d", d.ID))
 		}
 		if stats != nil {
 			if j.hit {
@@ -609,10 +606,23 @@ func (a *assembler) addAvailabilityAggregated(p *lp.Problem, in *alloc.Input, fv
 
 // buildRows builds the demand's Eq. 3-4 constraint rows into j.rows:
 // per class, one delivered ≥ b·B row per pair; then the Σ p·B ≥ β row.
-// The rows are pure data on j's own buffers, safe to build
+// The rows are pure data on j's own buffers and names, safe to build
 // concurrently with other demands'.
 func (j *availability) buildRows(in *alloc.Input, fv alloc.FlowVars) {
-	d, flows := j.d, fv[j.d.ID]
+	d, flows, names := j.d, fv[j.d.ID], j.names
+	var buf [32]byte
+	if np := len(d.Pairs); names.np != np {
+		names.deliv, names.np = names.deliv[:0], np
+	}
+	if n := len(j.classes) * names.np; len(names.deliv) < n {
+		names.deliv = slices.Grow(names.deliv, n-len(names.deliv))
+		for k := len(names.deliv); k < n; k++ {
+			names.deliv = append(names.deliv, string(alloc.AppendName(buf[:0], "deliv", "dcp", d.ID, k/names.np, k%names.np)))
+		}
+	}
+	if names.avail == "" {
+		names.avail = string(alloc.AppendName(buf[:0], "avail", "d", d.ID))
+	}
 	nTerms := len(j.classes)
 	for pi, pr := range d.Pairs {
 		if pr.Bandwidth > 0 {
@@ -628,7 +638,7 @@ func (j *availability) buildRows(in *alloc.Input, fv alloc.FlowVars) {
 			start := len(j.terms)
 			j.terms = append(fv.ClassTerms(j.terms, in, d, pi, cls), lp.Term{Var: j.bv[ci], Coef: -pr.Bandwidth})
 			j.rows = append(j.rows, lp.Constraint{
-				Name:  j.names.deliv[ci][pi],
+				Name:  names.deliv[ci*names.np+pi],
 				Terms: j.terms[start:len(j.terms):len(j.terms)], Op: lp.GE, RHS: 0,
 			})
 		}
@@ -638,7 +648,7 @@ func (j *availability) buildRows(in *alloc.Input, fv alloc.FlowVars) {
 		j.terms = append(j.terms, lp.Term{Var: j.bv[ci], Coef: cls.Prob})
 	}
 	j.rows = append(j.rows, lp.Constraint{
-		Name:  j.names.avail,
+		Name:  names.avail,
 		Terms: j.terms[start:len(j.terms):len(j.terms)], Op: lp.GE, RHS: d.Target,
 	})
 }
