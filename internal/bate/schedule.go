@@ -279,7 +279,7 @@ func buildScheduleLP(p *lp.Problem, in *alloc.Input, maxFail int, caps []float64
 type assembler struct {
 	builds    int
 	demands   map[int]*demandLP // the demands of the last build, by ID
-	capNames  []string          // cap[e] per link
+	capNames  []string          // cap[e] per link, built on first use
 	fv        alloc.FlowVars
 	capIdx    map[topo.LinkID]int
 	linkTerms [][]lp.Term // each capacity row's terms
@@ -416,13 +416,14 @@ func (a *assembler) addDemandLP(p *lp.Problem, in *alloc.Input, caps []float64) 
 		}
 		a.fv[d.ID] = dl.flows
 	}
+	a.capNames = grow(a.capNames, len(a.linkTerms))
 	var buf [32]byte
-	for k := len(a.capNames); k < len(a.linkTerms); k++ {
-		a.capNames = append(a.capNames, string(alloc.AppendName(buf[:0], "cap", "e", k)))
-	}
 	for _, l := range in.Net.Links() {
 		if len(a.linkTerms[l.ID]) == 0 {
 			continue
+		}
+		if a.capNames[l.ID] == "" {
+			a.capNames[l.ID] = string(alloc.AppendName(buf[:0], "cap", "e", int(l.ID)))
 		}
 		a.capIdx[l.ID] = p.NumConstraints()
 		p.AddConstraint(lp.Constraint{
