@@ -76,11 +76,11 @@ func TestScheduleResultsOutliveRounds(t *testing.T) {
 }
 
 // warmRoundBytes is what a warm B4 round may allocate (bytes, averaged
-// over 20 rounds): twice the ~272 KB measured on amd64 for rounds
+// over 20 rounds): twice the ~265 KB measured on amd64 for rounds
 // reassembled on the Scheduler's buffers, over half of it the basis
 // snapshot, so that the garbage the reuse took off the round (4.5 MB)
 // cannot creep back unnoticed.
-const warmRoundBytes = 2 * 272 << 10
+const warmRoundBytes = 2 * 265 << 10
 
 // TestWarmRoundAllocationGuard averages the bytes a long-lived
 // Scheduler allocates per warm round of the B4 churn book (200
