@@ -46,6 +46,9 @@ func b4ChurnBook(n int) (*alloc.Input, func(withdraw, admit int)) {
 // result is compared with a deep copy taken when it was returned, three
 // rounds later.
 func TestScheduleResultsOutliveRounds(t *testing.T) {
+	if v := os.Getenv("LP_CROSSCHECK"); v != "" && v != "0" {
+		t.Skip("LP_CROSSCHECK adds a dense solve of this 3 218-row LP to every round and checks nothing it checks")
+	}
 	in, change := b4ChurnBook(200)
 	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
 	sched := NewScheduler()
@@ -54,7 +57,7 @@ func TestScheduleResultsOutliveRounds(t *testing.T) {
 		stats, saved2 ScheduleStats
 	}
 	var kept []result
-	for round := 0; round < 12; round++ {
+	for round := 0; round < 8; round++ {
 		if round > 0 {
 			change(8, 8)
 		}

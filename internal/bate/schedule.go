@@ -366,7 +366,7 @@ func name1(names *[]string, prefix, tags string, id, i int) string {
 func name2(names *[][]string, prefix, tags string, id, i, j int) string {
 	var buf [32]byte
 	if n := len(*names); n <= i {
-		*names = append(slices.Grow(*names, i+1-n), make([][]string, i+1-n)...)
+		*names = append(*names, make([][]string, i+1-n)...)
 	}
 	row := &(*names)[i]
 	if n := len(*row); n <= j {
