@@ -155,28 +155,20 @@ func benchB4Input() *alloc.Input {
 	return &alloc.Input{Net: n, Tunnels: ts, Demands: demands}
 }
 
-// BenchmarkScheduleLP compares the dense tableau against the sparse
-// revised simplex on the same B4-sized scheduling LP (ISSUE 2
-// acceptance: revised ≥ 2x fewer ns/op).
+// BenchmarkScheduleLP times the one-shot scheduling round on a
+// B4-sized book.
 func BenchmarkScheduleLP(b *testing.B) {
 	in := benchB4Input()
-	for _, bc := range []struct {
-		name   string
-		engine lp.Engine
-	}{{"dense", lp.EngineDense}, {"revised", lp.EngineRevised}} {
-		b.Run(bc.name, func(b *testing.B) {
-			pivots := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: 2, Engine: bc.engine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots += stats.Iterations
-			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-		})
+	pivots := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, stats, err := bate.Schedule(in, bate.ScheduleOptions{MaxFail: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pivots += stats.Iterations
 	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 
 // churnBook is a B4 book shaped like the ledger's b4_deep workload:
@@ -221,7 +213,7 @@ func (c *churnBook) change(withdraw, admit int) {
 // that carries its keyed basis from the round before (ISSUE 18: the
 // warm round re-solves in ~100 dual pivots instead of ~4000).
 func BenchmarkScheduleChurn(b *testing.B) {
-	opts := bate.ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	opts := bate.ScheduleOptions{MaxFail: 2}
 	for _, warm := range []bool{false, true} {
 		name := "cold"
 		if warm {
@@ -294,8 +286,8 @@ func BenchmarkMILPRecovery(b *testing.B) {
 		name string
 		opts lp.Options
 	}{
-		{"cold", lp.Options{Engine: lp.EngineRevised, ColdStart: true, MaxNodes: 64}},
-		{"warm", lp.Options{Engine: lp.EngineRevised, MaxNodes: 64}},
+		{"cold", lp.Options{ColdStart: true, MaxNodes: 64}},
+		{"warm", lp.Options{MaxNodes: 64}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			pivots := 0
@@ -320,7 +312,7 @@ func BenchmarkMILPRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		failed := []topo.LinkID{6, 13}
-		opts := lp.Options{Engine: lp.EngineRevised, Warm: bs.Root}
+		opts := lp.Options{Warm: bs.Root}
 		pivots := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -566,7 +558,7 @@ func BenchmarkClassesWarm(b *testing.B) {
 func BenchmarkSchedulePartitioned(b *testing.B) {
 	c := experiments.PartitionCase{Build: topo.Synth300, Regions: 15, Demands: 150}
 	in := experiments.PartitionInput(c, 1)
-	gOpts := bate.ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	gOpts := bate.ScheduleOptions{MaxFail: 2}
 	pOpts := gOpts
 	pOpts.Partition = &partition.Options{Regions: c.Regions}
 	global, _, err := bate.Schedule(in, gOpts)

@@ -23,8 +23,11 @@ import (
 // seeded book whose capacities bind, so the relaxation over-promises
 // and both paths run; the SHA-256 covers the hardened allocation and
 // every fixed-admission decision, against the hardened book and against
-// an empty network. The constants were recorded on amd64 with the
-// per-solve assembly that buildScheduleLP replaced; one moved row, column or
+// an empty network. The constants were recorded on amd64, and
+// re-recorded when the relaxed one-shot Schedule and AdmitFixed's
+// trials moved from the dense tableau to the revised simplex: the LPs
+// have alternate optima, so the allocation bits moved while every
+// decision count below stayed as it was. One moved row, column or
 // coefficient fails here.
 func TestAssemblyPinned(t *testing.T) {
 	for _, c := range []struct {
@@ -32,10 +35,12 @@ func TestAssemblyPinned(t *testing.T) {
 		net           *topo.Network
 		book, probes  int
 		minBw, spanBw float64
-		sha           string
+		// The decisions the pin stands for.
+		weak, admitted, fallbacks int
+		sha                       string
 	}{
-		{"Testbed", topo.Testbed(), 12, 12, 150, 350, "c662a63b4e836ec5f3385b4bbc75e553843a4b119b038ad06048e1e40ee7911a"},
-		{"B4", topo.B4(), 60, 12, 100, 400, "0ee333d4544a967a7b3080ba489aa9ecb19f475b32e230a46d287b387eb494c0"},
+		{"Testbed", topo.Testbed(), 12, 12, 150, 350, 1, 16, 4, "58f333876a4969dcc531d887ea7fa2c52d658a4e70c1a1cd2e0ddca17985bd33"},
+		{"B4", topo.B4(), 60, 12, 100, 400, 10, 24, 3, "b3d8917bc015ac38d4caaee0d51a223526db7b563fae885d135ea0f8309da0d8"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			in := &alloc.Input{Net: c.net, Tunnels: routing.Compute(c.net, routing.KShortest, 4)}
@@ -109,6 +114,10 @@ func TestAssemblyPinned(t *testing.T) {
 			t.Logf("%d weak demands, %d of %d fixed admits, %d hard fallbacks", weak, admitted, 2*c.probes, fallbacks)
 			if fallbacks == 0 || fallbacks == c.probes {
 				t.Fatalf("%d of %d probes took AdmitFixed's hard fallback: both trials must run", fallbacks, c.probes)
+			}
+			if weak != c.weak || admitted != c.admitted || fallbacks != c.fallbacks {
+				t.Fatalf("decisions moved: %d weak, %d admitted, %d fallbacks; pinned %d, %d, %d",
+					weak, admitted, fallbacks, c.weak, c.admitted, c.fallbacks)
 			}
 			if runtime.GOARCH != "amd64" {
 				t.Skipf("pinned on amd64; %s: %s", runtime.GOARCH, sum)

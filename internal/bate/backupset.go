@@ -149,7 +149,7 @@ func PrecomputeBackups(in *alloc.Input, depth, maxCombos int) (*BackupSet, error
 // optimal rung repairs, never a plan it serves. in must not change
 // after the call.
 func (bs *BackupSet) PlanRoot(in *alloc.Input, prev *BackupSet) (pivots int, warm bool, err error) {
-	opts := lp.Options{Engine: lp.EngineRevised}
+	var opts lp.Options
 	if prev != nil {
 		opts.Warm = prev.Root
 	}

@@ -692,6 +692,9 @@ func TestLinkPrices(t *testing.T) {
 		} else {
 			anyZero = true
 		}
+		if pr == 0 && math.Signbit(pr) {
+			t.Fatalf("unsaturated link %d priced -0", link)
+		}
 	}
 	if !anyPositive || !anyZero {
 		t.Fatalf("expected a mix of scarce and free links: %v", prices)
@@ -704,8 +707,8 @@ func TestLinkPrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for link, pr := range prices2 {
-		if pr > 1e-6 {
-			t.Fatalf("loose network link %d priced %v, want 0", link, pr)
+		if pr != 0 || math.Signbit(pr) {
+			t.Fatalf("loose network link %d priced %v, want +0", link, pr)
 		}
 	}
 }

@@ -149,7 +149,7 @@ func TestSchedulerChurnMatchesFresh(t *testing.T) {
 				in:    &alloc.Input{Net: c.net, Tunnels: routing.Compute(c.net, routing.KShortest, 4)},
 				pairs: c.net.Pairs(),
 			}
-			opts := ScheduleOptions{MaxFail: maxFail, Engine: lp.EngineRevised, Partition: c.part}
+			opts := ScheduleOptions{MaxFail: maxFail, Partition: c.part}
 			sched := NewScheduler()
 			// Fill the book with what fits.
 			for tries := 0; len(book.in.Demands) < c.book && tries < 4*c.book; tries++ {
@@ -267,7 +267,7 @@ func TestSchedulerReusedDemandID(t *testing.T) {
 		if !stats.WarmStarted {
 			t.Fatalf("reused-id round went cold (fallback %q)", stats.WarmFallback)
 		}
-		fresh, _, err := Schedule(next, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+		fresh, _, err := Schedule(next, ScheduleOptions{MaxFail: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,17 @@
 package bate
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
+	"time"
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
 	"bate/internal/lp"
+	"bate/internal/metrics"
 	"bate/internal/routing"
 	"bate/internal/topo"
 )
@@ -22,21 +26,29 @@ func testbed6Demands(t *testing.T, in *alloc.Input) []*demand.Demand {
 	}
 }
 
-// TestLinkPricesRevisedMatchesDense: the revised engine's shadow
-// prices must match the dense reference on the toy 4-DC and testbed
-// 6-DC topologies (ISSUE 2 satellite: Solution.Dual / LinkPrices
-// coverage under the revised engine).
+// TestLinkPricesRevisedMatchesDense: LinkPrices' shadow prices, solved
+// on the revised engine, must match the dense reference tableau's duals
+// of the same LP on the toy 4-DC and testbed 6-DC topologies.
 func TestLinkPricesRevisedMatchesDense(t *testing.T) {
 	toy := fig2Input(t)
 	testbed := testbedInput(t, nil)
 	testbed.Demands = testbed6Demands(t, testbed)
 	cases := map[string]*alloc.Input{"toy4": toy, "testbed6": testbed}
 	for name, in := range cases {
-		dense, err := LinkPrices(in, ScheduleOptions{MaxFail: 2, Engine: lp.EngineDense})
+		p := lp.NewProblem()
+		_, capIdx, err := buildScheduleLP(p, in, 2, alloc.FullCapacities(in), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := p.SolveOpts(lp.Options{Engine: lp.EngineDense})
 		if err != nil {
 			t.Fatalf("%s dense: %v", name, err)
 		}
-		revised, err := LinkPrices(in, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+		dense := make(map[topo.LinkID]float64, len(capIdx))
+		for link, idx := range capIdx {
+			dense[link] = -sol.Dual(idx)
+		}
+		revised, err := LinkPrices(in, ScheduleOptions{MaxFail: 2})
 		if err != nil {
 			t.Fatalf("%s revised: %v", name, err)
 		}
@@ -56,10 +68,10 @@ func TestLinkPricesRevisedMatchesDense(t *testing.T) {
 }
 
 // TestScheduleRevisedEngine: the revised engine produces a feasible,
-// target-meeting allocation equivalent in quality to the dense one.
+// target-meeting allocation.
 func TestScheduleRevisedEngine(t *testing.T) {
 	in := fig2Input(t)
-	a, stats, err := Schedule(in, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	a, stats, err := Schedule(in, ScheduleOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +142,7 @@ func TestSchedulerWarmStart(t *testing.T) {
 	if !st3.WarmStarted {
 		t.Fatalf("shape-changed round did not warm-start (fallback %q)", st3.WarmFallback)
 	}
-	cold, _, err := Schedule(in3, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	cold, _, err := Schedule(in3, ScheduleOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +159,7 @@ func TestSchedulerWarmStart(t *testing.T) {
 	if !st4.WarmStarted {
 		t.Fatalf("grown round did not warm-start (fallback %q)", st4.WarmFallback)
 	}
-	cold, stCold, err := Schedule(in4, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
+	cold, stCold, err := Schedule(in4, ScheduleOptions{MaxFail: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,57 +171,110 @@ func TestSchedulerWarmStart(t *testing.T) {
 	}
 }
 
-// BenchmarkAdmitTrialEngine solves AdmitFixed's relaxed trial LP, one
-// newcomer over the residual capacities of a book shaped like the
-// b4_deep ledger workload's (B4, four shortest tunnels, 200 single-pair
-// demands of 50-200 Mbps, targets 0.9-0.999, scheduled at MaxFail 2),
-// on the dense tableau that EngineAuto resolves it to and on the
-// revised simplex. The timer covers the solve, not the assembly; the
-// ratio of the two ns/op is what flipping EngineAuto would change.
-func BenchmarkAdmitTrialEngine(b *testing.B) {
-	n := topo.B4()
-	rng := rand.New(rand.NewSource(1))
-	pairs := n.Pairs()
-	targets := []float64{0.9, 0.95, 0.99, 0.999}
-	draw := func(id int) *demand.Demand {
-		p := pairs[rng.Intn(len(pairs))]
-		bw := 50 + 150*rng.Float64()
-		return &demand.Demand{
-			ID: id, Pairs: []demand.PairDemand{{Src: p[0], Dst: p[1], Bandwidth: bw}},
-			Target: targets[rng.Intn(len(targets))], Charge: bw, RefundFrac: 0.1,
-		}
+// TestNoProductionSolveOnTableau: every solve the controller and the
+// simulators make runs on the revised simplex. On a Testbed book and a
+// B4 book it drives admission (the relaxed trial and its hard fallback,
+// and the Appendix A MILP), a scheduling round, hardening, the backup
+// pass and its planned root, every recovery rung that solves (the
+// budgeted optimal MILP and the greedy floor's fits) and link pricing,
+// and holds the dense tableau's pivot counter still.
+func TestNoProductionSolveOnTableau(t *testing.T) {
+	if v := os.Getenv("LP_CROSSCHECK"); v != "" && v != "0" {
+		t.Skip("LP_CROSSCHECK runs the dense engine beside every solve")
 	}
-	in := &alloc.Input{Net: n, Tunnels: routing.Compute(n, routing.KShortest, 4)}
-	for id := 1; id <= 200; id++ {
-		in.Demands = append(in.Demands, draw(id))
-	}
-	current, _, err := Schedule(in, ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised})
-	if err != nil {
-		b.Fatal(err)
-	}
-	residual := current.ResidualCapacities(in)
-	var newcomers []*demand.Demand
-	for id := 201; id <= 216; id++ {
-		newcomers = append(newcomers, draw(id))
-	}
-	for _, eng := range []lp.Engine{lp.EngineDense, lp.EngineRevised} {
-		b.Run(eng.String(), func(b *testing.B) {
-			pivots := 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := lp.NewProblem()
-				d := newcomers[i%len(newcomers)]
-				if _, _, err := buildScheduleLP(p, in.WithDemands([]*demand.Demand{d}), 2, residual, nil, nil); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		name          string
+		net           *topo.Network
+		book, probes  int
+		minBw, spanBw float64
+	}{
+		{"Testbed", topo.Testbed(), 12, 12, 150, 350},
+		{"B4", topo.B4(), 60, 12, 100, 400},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := &alloc.Input{Net: c.net, Tunnels: routing.Compute(c.net, routing.KShortest, 4)}
+			rng := rand.New(rand.NewSource(3))
+			pairs := c.net.Pairs()
+			targets := []float64{0.99, 0.999, 0.9999}
+			draw := func(id int) *demand.Demand {
+				p := pairs[rng.Intn(len(pairs))]
+				bw := c.minBw + c.spanBw*rng.Float64()
+				return &demand.Demand{
+					ID: id, Pairs: []demand.PairDemand{{Src: p[0], Dst: p[1], Bandwidth: bw}},
+					Target: targets[rng.Intn(len(targets))], Charge: bw, RefundFrac: 0.1,
 				}
-				b.StartTimer()
-				sol, err := p.SolveOpts(lp.Options{Engine: eng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots += sol.Iterations
 			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			for i := 0; i < c.book; i++ {
+				in.Demands = append(in.Demands, draw(i))
+			}
+			opts := ScheduleOptions{MaxFail: 2}
+			before := metrics.Snapshot()
+
+			relaxed, _, err := NewScheduler().Schedule(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			current, err := Harden(in, opts, relaxed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Alone on the empty network Admit's relaxed trial is Schedule
+			// on the one-demand book, so the test can tell when the hard
+			// fallback ran.
+			empty := in.WithDemands(nil)
+			fallbacks := 0
+			for i := 0; i < c.probes; i++ {
+				d := draw(c.book + i)
+				if _, err := Admit(in, current, in.Demands, d, opts.MaxFail); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Admit(empty, alloc.Allocation{}, nil, d, opts.MaxFail); err != nil {
+					t.Fatal(err)
+				}
+				one := in.WithDemands([]*demand.Demand{d})
+				if a, _, err := Schedule(one, opts); err == nil {
+					if ok, _ := alloc.Satisfies(one, a, d, opts.MaxFail); !ok {
+						fallbacks++
+					}
+				}
+			}
+			if fallbacks == 0 {
+				t.Fatal("no probe took Admit's hard fallback")
+			}
+			if _, _, err := AdmitOptimal(in, in.Demands, draw(c.book+c.probes), opts.MaxFail); err != nil {
+				t.Fatal(err)
+			}
+
+			bs, err := PrecomputeBackups(in, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := bs.PlanRoot(in, nil); err != nil {
+				t.Fatal(err)
+			}
+			links := c.net.Links()
+			down := []topo.LinkID{links[0].ID, links[len(links)/2].ID} // depth 1 plans no double failure
+			if _, stage, err := Recover(in, down, RecoverOptions{Backups: bs, Deadline: time.Minute}); err != nil || stage != StageOptimal {
+				t.Fatalf("Recover: stage %v, err %v; want the optimal rung", stage, err)
+			}
+			gated := RecoverOptions{Backups: bs, Gate: func(string) error { return errors.New("gated") }}
+			if _, stage, err := Recover(in, down, gated); err != nil || stage != StageGreedy {
+				t.Fatalf("gated Recover: stage %v, err %v; want the greedy floor", stage, err)
+			}
+			if _, err := RecoverGreedy(in, down[:1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LinkPrices(in, opts); err != nil {
+				t.Fatal(err)
+			}
+
+			after := metrics.Snapshot()
+			if d := after["lp.pivots_dense"] - before["lp.pivots_dense"]; d != 0 {
+				t.Fatalf("%d pivots on the dense tableau", d)
+			}
+			if after["lp.pivots_revised"] == before["lp.pivots_revised"] {
+				t.Fatal("no pivots on the revised engine")
+			}
 		})
 	}
 }

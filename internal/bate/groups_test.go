@@ -9,7 +9,6 @@ import (
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
-	"bate/internal/lp"
 	"bate/internal/partition"
 	"bate/internal/routing"
 	"bate/internal/scenario"
@@ -185,7 +184,7 @@ func TestPartitionedScheduleHonoursGroups(t *testing.T) {
 		Target: 0.9,
 	})
 
-	gOpts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	gOpts := ScheduleOptions{MaxFail: 2}
 	global, _, err := Schedule(in, gOpts)
 	if err != nil {
 		t.Fatal(err)

@@ -67,17 +67,12 @@ func ScheduleHard(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, erro
 // constraints for the flagged demands and the usual relaxation for the
 // rest (buildScheduleLP with hard).
 func scheduleHardened(in *alloc.Input, opts ScheduleOptions, hard map[int]bool) (alloc.Allocation, error) {
-	if opts.Engine == lp.EngineAuto {
-		// As in Scheduler.Schedule: the controller hardens the whole
-		// book under its lock, which the dense tableau cannot afford.
-		opts.Engine = lp.EngineRevised
-	}
 	p := lp.NewProblem()
 	fv, _, err := buildScheduleLP(p, in, opts.MaxFail, alloc.FullCapacities(in), hard, nil)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("bate: hardened schedule: %w", err)
 	}

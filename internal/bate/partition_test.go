@@ -8,7 +8,6 @@ import (
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
-	"bate/internal/lp"
 	"bate/internal/partition"
 	"bate/internal/routing"
 	"bate/internal/topo"
@@ -40,7 +39,7 @@ func partitionTestWorkload(net *topo.Network, count int, rng *rand.Rand) []*dema
 // objective stays within the configured gap of the global optimum.
 func checkPartitionProperties(t *testing.T, name string, in *alloc.Input, k int) {
 	t.Helper()
-	gOpts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	gOpts := ScheduleOptions{MaxFail: 2}
 	global, _, err := Schedule(in, gOpts)
 	if err != nil {
 		t.Fatalf("%s: global schedule: %v", name, err)
@@ -117,7 +116,7 @@ func TestPartitionedScheduleK1MatchesGlobal(t *testing.T) {
 		Tunnels: routing.Compute(net, routing.KShortest, 3),
 		Demands: partitionTestWorkload(net, 8, rng),
 	}
-	gOpts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	gOpts := ScheduleOptions{MaxFail: 2}
 	global, _, err := Schedule(in, gOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestPartitionedScheduleActuallyPartitions(t *testing.T) {
 		Target: 0.9,
 	})
 	in := &alloc.Input{Net: net, Tunnels: tunnels, Demands: ds}
-	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised,
+	opts := ScheduleOptions{MaxFail: 2,
 		Partition: &partition.Options{Regions: 3}}
 	a, stats, err := Schedule(in, opts)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
-	"bate/internal/lp"
 	"bate/internal/routing"
 	"bate/internal/topo"
 )
@@ -54,7 +53,7 @@ func TestSchedulerChurnPathPinned(t *testing.T) {
 					})
 				}
 			}
-			opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+			opts := ScheduleOptions{MaxFail: 2}
 			sched := NewScheduler()
 			h := sha256.New()
 			var buf [8]byte

@@ -197,11 +197,9 @@ func recoverOptimalBudgeted(in *alloc.Input, down []topo.LinkID, opts *RecoverOp
 	}
 	ch := make(chan outcome, 1)
 	model, why := opts.Backups.modelFor(in)
-	// Named: only the revised engine polls Cancel and warm-starts a
-	// node from its parent; EngineAuto is the dense tableau here. A warm
-	// start the solver cannot use falls back to a cold one inside the
-	// solve.
-	lpOpts := lp.Options{Engine: lp.EngineRevised, MaxNodes: opts.maxNodes(), Cancel: ctx.Err}
+	// A warm start the solver cannot use falls back to a cold one
+	// inside the solve.
+	lpOpts := lp.Options{MaxNodes: opts.maxNodes(), Cancel: ctx.Err}
 	if opts.Backups != nil {
 		lpOpts.Warm = opts.Backups.Root
 	}

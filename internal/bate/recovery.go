@@ -78,9 +78,9 @@ func RecoverOptimal(in *alloc.Input, failed []topo.LinkID) (*RecoveryResult, err
 }
 
 // RecoverOptimalOpts is RecoverOptimal with explicit solver options:
-// lp.EngineRevised makes every branch-and-bound node warm-start from
-// its parent's basis (ColdStart disables that, for ablation), and
-// opts.Warm seeds the root, e.g. with a BackupSet's planned Root.
+// opts.Warm seeds the root, e.g. with a BackupSet's planned Root, and
+// ColdStart stops each branch-and-bound node warm-starting from its
+// parent's basis (for ablation).
 func RecoverOptimalOpts(in *alloc.Input, failed []topo.LinkID, opts lp.Options) (*RecoveryResult, error) {
 	start := time.Now()
 	p, fv, yv := recoveryLP(in, failed, true)

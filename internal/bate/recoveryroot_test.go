@@ -119,7 +119,7 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 					t.Fatalf("%s/%s %v: cold: %v", tc.name, pl.name, down, err)
 				}
 				start := time.Now()
-				got, err := RecoverOptimalOpts(pl.in, down, lp.Options{Engine: lp.EngineRevised, Warm: planned.Root})
+				got, err := RecoverOptimalOpts(pl.in, down, lp.Options{Warm: planned.Root})
 				warmTime += time.Since(start)
 				if err != nil {
 					t.Fatalf("%s/%s %v: warm: %v", tc.name, pl.name, down, err)
@@ -134,7 +134,7 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 				if pl.name == "fresh" {
 					// The rung as it ran without a plan.
 					start := time.Now()
-					cold, err := RecoverOptimalOpts(pl.in, down, lp.Options{Engine: lp.EngineRevised})
+					cold, err := RecoverOptimalOpts(pl.in, down, lp.Options{})
 					coldTime += time.Since(start)
 					if err != nil {
 						t.Fatal(err)
@@ -163,9 +163,9 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 // bit, on both engines.
 func TestColdRecoveryMatchesFrozenBuilder(t *testing.T) {
 	for _, tc := range rootCases() {
-		for _, opts := range []lp.Options{{}, {Engine: lp.EngineRevised}} {
+		for _, opts := range []lp.Options{{}, {Engine: lp.EngineDense}} {
 			for i, down := range tc.failures {
-				if opts.Engine == lp.EngineAuto && !tc.sampled(i) {
+				if opts.Engine == lp.EngineDense && !tc.sampled(i) {
 					continue // the dense tableau is slow: a sample does
 				}
 				got, err := RecoverOptimalOpts(tc.in, down, opts)

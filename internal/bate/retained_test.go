@@ -84,7 +84,7 @@ func TestRetainedModelMatchesColdRecovery(t *testing.T) {
 					t.Fatalf("%s/%s %v: the rung solved %v", tc.name, book.name, down, got.Model)
 				}
 				start = time.Now()
-				ref, err := RecoverOptimalOpts(book.in, down, lp.Options{Engine: lp.EngineRevised, Warm: bs.Root})
+				ref, err := RecoverOptimalOpts(book.in, down, lp.Options{Warm: bs.Root})
 				rebuiltTime += time.Since(start)
 				if err != nil {
 					t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"bate/internal/alloc"
 	"bate/internal/demand"
-	"bate/internal/lp"
 	"bate/internal/routing"
 	"bate/internal/topo"
 )
@@ -50,7 +49,7 @@ func TestScheduleResultsOutliveRounds(t *testing.T) {
 		t.Skip("LP_CROSSCHECK adds a dense solve of this 3 218-row LP to every round and checks nothing it checks")
 	}
 	in, change := b4ChurnBook(200)
-	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	opts := ScheduleOptions{MaxFail: 2}
 	sched := NewScheduler()
 	type result struct {
 		a, saved      alloc.Allocation
@@ -95,7 +94,7 @@ func TestWarmRoundAllocationGuard(t *testing.T) {
 		t.Skip("LP_CROSSCHECK runs the dense engine beside every solve")
 	}
 	in, change := b4ChurnBook(200)
-	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	opts := ScheduleOptions{MaxFail: 2}
 	sched := NewScheduler()
 	round := func() {
 		change(8, 8)
@@ -128,7 +127,7 @@ func TestWarmRoundAllocationGuard(t *testing.T) {
 // rounds (see keepRows), and still warm-starts.
 func TestSmallLPKeepsNothing(t *testing.T) {
 	in, change := b4ChurnBook(30)
-	opts := ScheduleOptions{MaxFail: 2, Engine: lp.EngineRevised}
+	opts := ScheduleOptions{MaxFail: 2}
 	sched := NewScheduler()
 	for round := 0; round < 3; round++ {
 		if round > 0 {

@@ -36,10 +36,9 @@ type ScheduleOptions struct {
 	// everything beyond is the aggregated unqualified residual
 	// (Fig. 3). The paper sweeps 1..4.
 	MaxFail int
-	// Engine selects the LP engine. The zero value (lp.EngineAuto)
-	// keeps the dense reference tableau in the one-shot Schedule and
-	// means lp.EngineRevised in Scheduler and Harden; lp.EngineRevised
-	// opts into the sparse revised simplex (required for warm starts).
+	// Engine is ignored: every solve runs on the revised simplex, the
+	// zero lp.Engine. The field stays only because the bench/ ledger
+	// sets it (to that engine).
 	Engine lp.Engine
 	// Cancel, when non-nil, is polled inside the LP iteration loops;
 	// a non-nil return aborts the round with lp.ErrAborted (the caller
@@ -75,7 +74,7 @@ type ScheduleStats struct {
 	// under (1 = serial).
 	PoolWorkers int
 	// WarmStarted reports whether the solve reused a cached basis from
-	// a previous round (revised engine only) instead of a cold two-phase
+	// a previous round instead of a cold two-phase
 	// start. For a partitioned round it means every subproblem did.
 	WarmStarted bool
 	// WarmFallback is lp.Solution.WarmFallback: why a cached basis was
@@ -134,9 +133,6 @@ func NewScheduler() *Scheduler { return &Scheduler{pstate: &partition.State{}} }
 
 // Schedule is Schedule with cross-call basis reuse.
 func (s *Scheduler) Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Allocation, *ScheduleStats, error) {
-	if opts.Engine == lp.EngineAuto {
-		opts.Engine = lp.EngineRevised
-	}
 	if s.pstate == nil {
 		s.pstate = &partition.State{}
 	}
@@ -162,7 +158,7 @@ func (s *Scheduler) Schedule(in *alloc.Input, opts ScheduleOptions) (alloc.Alloc
 const keepRows = 2048
 
 // scheduleWarm builds and solves the scheduling LP, optionally seeding
-// the revised engine with a warm basis; basisOut, when non-nil,
+// it with a warm basis; basisOut, when non-nil,
 // receives the new optimal basis for the caller to cache. pst carries
 // the partitioned path's warm-start state (nil for one-shot solves).
 // The global LP is reassembled into p by asm.
@@ -211,7 +207,7 @@ func scheduleWarm(in *alloc.Input, opts ScheduleOptions, warm *lp.Basis, basisOu
 	if err != nil {
 		return nil, nil, err
 	}
-	return solveSchedule(p, fv, lp.Options{Engine: opts.Engine, Warm: warm, Cancel: opts.Cancel}, start, stats, basisOut)
+	return solveSchedule(p, fv, lp.Options{Warm: warm, Cancel: opts.Cancel}, start, stats, basisOut)
 }
 
 // ScheduleEnumerated solves the scheduling LP with Eq. 3-4 written as
@@ -454,8 +450,8 @@ func (a *assembler) addDemandLP(p *lp.Problem, in *alloc.Input, caps []float64) 
 
 // subSolver adapts the scheduling-LP formulation to the partition
 // package's SubSolver callback: one subproblem is the same LP over a
-// demand subset with caller-chosen capacities, solved on the revised
-// engine so region bases warm-start across rounds.
+// demand subset with caller-chosen capacities, warm-started from the
+// region's basis of the round before.
 func subSolver(opts ScheduleOptions) partition.SubSolver {
 	return func(sub *alloc.Input, caps []float64, warm *lp.Basis) (*partition.SubResult, error) {
 		p := lp.NewProblem()
@@ -464,7 +460,7 @@ func subSolver(opts ScheduleOptions) partition.SubSolver {
 		if err != nil {
 			return nil, err
 		}
-		sol, err := p.SolveOpts(lp.Options{Engine: lp.EngineRevised, Warm: warm, Cancel: opts.Cancel})
+		sol, err := p.SolveOpts(lp.Options{Warm: warm, Cancel: opts.Cancel})
 		if err != nil {
 			return nil, err
 		}
@@ -740,13 +736,15 @@ func LinkPrices(in *alloc.Input, opts ScheduleOptions) (map[topo.LinkID]float64,
 	if err != nil {
 		return nil, err
 	}
-	sol, err := p.SolveOpts(lp.Options{Engine: opts.Engine})
+	sol, err := p.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("bate: link prices: %w", err)
 	}
 	prices := make(map[topo.LinkID]float64, len(capIdx))
 	for link, idx := range capIdx {
-		prices[link] = -sol.Dual(idx)
+		// 0 - d, not -d: an unsaturated link's dual is +0, and its
+		// price must print as 0, not -0.
+		prices[link] = 0 - sol.Dual(idx)
 	}
 	return prices, nil
 }

@@ -35,7 +35,7 @@ func randomKnapsack(i int) *Problem {
 func TestSolveBoundedMatchesSetBounds(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := randomKnapsack(i)
-		root, err := p.SolveRelaxation(Options{Engine: EngineRevised})
+		root, err := p.SolveRelaxation(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestSolveBoundedMatchesSetBounds(t *testing.T) {
 			q.SetBounds(VarID(j), lo[j], hi[j])
 		}
 		want, werr := q.Solve()
-		for _, opts := range []Options{{}, {Engine: EngineRevised}, {Engine: EngineRevised, Warm: root.Basis()}} {
+		for _, opts := range []Options{{Engine: EngineDense}, {}, {Warm: root.Basis()}} {
 			got, err := p.SolveBounded(lo, hi, opts)
 			if (err == nil) != (werr == nil) {
 				t.Fatalf("case %d engine %v: err %v, want %v", i, opts.Engine, err, werr)
@@ -101,7 +101,7 @@ func TestMatrixFollowsGrowth(t *testing.T) {
 	p.SetMaximize()
 	x := p.AddVariable("x", 0, 10, 1)
 	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Op: LE, RHS: 8})
-	opts := Options{Engine: EngineRevised}
+	opts := Options{}
 	if sol, err := p.SolveOpts(opts); err != nil || !near(sol.Objective, 8) {
 		t.Fatalf("got %v, %v; want 8", sol.Objective, err)
 	}
@@ -120,12 +120,12 @@ func TestMatrixFollowsGrowth(t *testing.T) {
 // matrix (run under -race); each gives what it gives alone.
 func TestConcurrentBoundedSolves(t *testing.T) {
 	q := randomSparseLP(200, 150, 5)
-	root, err := q.SolveOpts(Options{Engine: EngineRevised})
+	root, err := q.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := q.Bounds()
-	opts := Options{Engine: EngineRevised, Warm: root.Basis()}
+	opts := Options{Warm: root.Basis()}
 	his := make([][]float64, 6)
 	alone := make([]*Solution, len(his))
 	for k := range his {

@@ -10,15 +10,16 @@ import (
 // Engine selects the simplex implementation.
 type Engine int8
 
-// Engines. EngineAuto resolves to the dense tableau — the longest-lived
-// reference implementation — unless a warm-start basis is supplied, in
-// which case only the revised engine can use it. EngineRevised is the
-// sparse revised simplex: it touches only matrix nonzeros, handles
-// bounds without materializing bound rows, and supports warm starts.
+// Engines. EngineRevised, the zero value, is the sparse revised
+// simplex every production solve runs on: it touches only matrix
+// nonzeros, handles bounds without materializing bound rows, warm-starts
+// and polls Options.Cancel. EngineDense is the dense tableau kept as
+// the reference: the differential tests name it, LP_CROSSCHECK runs it
+// beside every solve, and a revised solve that fails numerically falls
+// back to it.
 const (
-	EngineAuto Engine = iota
+	EngineRevised Engine = iota
 	EngineDense
-	EngineRevised
 )
 
 // Alias kept only so the bench/ ledger compiles (the engine it named is
@@ -27,25 +28,12 @@ const EngineBatch = EngineRevised
 
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineDense:
-		return "dense"
 	case EngineRevised:
 		return "revised"
+	case EngineDense:
+		return "dense"
 	}
 	return "?"
-}
-
-// resolve maps EngineAuto to a concrete engine.
-func (e Engine) resolve(warm *Basis) Engine {
-	if e != EngineAuto {
-		return e
-	}
-	if warm != nil {
-		return EngineRevised
-	}
-	return EngineDense
 }
 
 // Cross-check mode: when LP_CROSSCHECK is set (and not "0"), every LP
@@ -66,16 +54,15 @@ func crosscheckOn() bool {
 }
 
 // solveLPWith is the single LP entry point: every Solve/SolveOpts/B&B
-// node lands here and dispatches on the resolved engine.
+// node lands here and dispatches on opts.Engine.
 func (p *Problem) solveLPWith(overrideLo, overrideHi []float64, opts Options) (*Solution, error) {
-	eng := opts.Engine.resolve(opts.Warm)
 	if crosscheckOn() {
-		return p.solveLPCrosscheck(overrideLo, overrideHi, opts, eng)
+		return p.solveLPCrosscheck(overrideLo, overrideHi, opts)
 	}
-	if eng == EngineRevised {
-		return p.solveLPRevised(overrideLo, overrideHi, opts)
+	if opts.Engine == EngineDense {
+		return p.solveLPDense(overrideLo, overrideHi, opts.Pivot)
 	}
-	return p.solveLPDense(overrideLo, overrideHi, opts.Pivot)
+	return p.solveLPRevised(overrideLo, overrideHi, opts)
 }
 
 // solveLPDense runs the dense two-phase tableau simplex.
@@ -172,8 +159,8 @@ func (p *Problem) solveLPRevised(overrideLo, overrideHi []float64, opts Options)
 }
 
 // solveLPCrosscheck runs both engines and compares their verdicts,
-// returning the resolved engine's result.
-func (p *Problem) solveLPCrosscheck(overrideLo, overrideHi []float64, opts Options, eng Engine) (*Solution, error) {
+// returning the result of the engine opts names.
+func (p *Problem) solveLPCrosscheck(overrideLo, overrideHi []float64, opts Options) (*Solution, error) {
 	dsol, derr := p.solveLPDense(overrideLo, overrideHi, opts.Pivot)
 	rsol, rerr := p.solveLPRevised(overrideLo, overrideHi, opts)
 	if dsol.Status != IterLimit && rsol.Status != IterLimit &&
@@ -200,8 +187,8 @@ func (p *Problem) solveLPCrosscheck(overrideLo, overrideHi []float64, opts Optio
 			}
 		}
 	}
-	if eng == EngineRevised {
-		return rsol, rerr
+	if opts.Engine == EngineDense {
+		return dsol, derr
 	}
-	return dsol, derr
+	return rsol, rerr
 }

@@ -4,17 +4,17 @@
 // failure recovery (Eq. 12). It substitutes for the commercial solver
 // (Gurobi) used in the paper.
 //
-// Two engines sit behind Options.Engine: a dense two-phase primal
-// simplex tableau with Dantzig pivoting and a Bland anti-cycling
-// fallback (the reference, simplex.go), and a sparse bounded-variable
-// revised simplex — CSC matrix, product-form basis with O(nnz)
-// refactorization, primal and dual iterations, and warm starts from a
-// name-keyed Basis of this or a neighbouring problem (sparse.go,
-// basis.go, revised.go) — which the scheduling rounds run on. The
-// MILP solver is a depth-first branch & bound over the LP relaxation,
-// each child warm-started from its parent's basis. Problem sizes in
-// BATE are moderate (hundreds to a few thousands of rows) after
-// scenario aggregation.
+// Every solve runs on a sparse bounded-variable revised simplex — CSC
+// matrix, product-form basis with O(nnz) refactorization, primal and
+// dual iterations, and warm starts from a name-keyed Basis of this or a
+// neighbouring problem (sparse.go, basis.go, revised.go). A dense
+// two-phase primal simplex tableau with Dantzig pivoting and a Bland
+// anti-cycling fallback (simplex.go) is kept as the reference: only
+// EngineDense, LP_CROSSCHECK and a revised solve that fails numerically
+// reach it. The MILP solver is a depth-first branch & bound over the LP
+// relaxation, each child warm-started from its parent's basis. Problem
+// sizes in BATE are moderate (hundreds to a few thousands of rows)
+// after scenario aggregation.
 package lp
 
 import (

@@ -14,10 +14,6 @@ func (p *Problem) solveMILP() (*Solution, error) {
 	return p.solveMILPOpts(nil, nil, Options{})
 }
 
-// (FirstIncumbent handling lives in solveMILPOpts: feasibility-style
-// searches return the first integral solution instead of proving
-// optimality.)
-
 type bbNode struct {
 	lo, hi []float64
 	// warm is the parent relaxation's optimal basis; a child's LP
@@ -56,8 +52,7 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		hitLimit     bool
 		rootWarm     bool // the root relaxation used opts.Warm
 	)
-	eng := opts.Engine.resolve(opts.Warm)
-	nodeOpts := Options{Pivot: opts.Pivot, Engine: eng, Cancel: opts.Cancel}
+	nodeOpts := Options{Pivot: opts.Pivot, Engine: opts.Engine, Cancel: opts.Cancel}
 	stack := []bbNode{{lo: rootLo, hi: rootHi, warm: opts.Warm}}
 	for len(stack) > 0 {
 		if nodes >= maxNodes {
@@ -127,9 +122,6 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 				incumbentVal = sign * obj
 				incumbent = &Solution{Status: Optimal, Objective: obj, values: vals}
 			}
-			if opts.FirstIncumbent {
-				break
-			}
 			continue
 		}
 		x := relax.values[branch]
@@ -138,7 +130,7 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		// which empirically prunes well for BATE's accept/reject
 		// binaries when maximizing acceptance).
 		var childWarm *Basis
-		if eng == EngineRevised && !opts.ColdStart {
+		if opts.Engine == EngineRevised && !opts.ColdStart {
 			childWarm = relax.basis
 		}
 		up := bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), warm: childWarm}

@@ -48,7 +48,7 @@ func clone(src *Problem) *Problem {
 // solveCase solves p as kernel case c runs: its bounds, warm basis and
 // pivot rule, on the revised engine.
 func solveCase(p *Problem, c kernelCase) (*Solution, error) {
-	return p.solveLPRevised(c.lo, c.hi, Options{Engine: EngineRevised, Warm: c.warm, Pivot: c.rule})
+	return p.solveLPRevised(c.lo, c.hi, Options{Warm: c.warm, Pivot: c.rule})
 }
 
 // sameSolution fails unless got is want bit for bit: the verdict, the
@@ -103,7 +103,7 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 	for k := 0; k < 200; k++ {
 		p := randomMILP(rng)
 		check(fmt.Sprintf("milp %d", k), func(p *Problem) (*Solution, error) {
-			sol, err := p.SolveOpts(Options{Engine: EngineRevised})
+			sol, err := p.SolveOpts(Options{})
 			if sol.Nodes > 1 {
 				milps++
 			}
@@ -123,7 +123,7 @@ func TestResetRebuildMatchesFresh(t *testing.T) {
 // basis before the change, is a fresh problem's bit for bit.
 func TestGrownProblemRecyclesMatrix(t *testing.T) {
 	p := randomSparseLP(60, 90, 3)
-	prev, err := p.SolveOpts(Options{Engine: EngineRevised})
+	prev, err := p.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestGrownProblemRecyclesMatrix(t *testing.T) {
 			t.Fatalf("step %d: the outgrown matrix is still the problem's", step)
 		}
 		for _, warm := range []*Basis{nil, prev.Basis()} {
-			opts := Options{Engine: EngineRevised, Warm: warm}
+			opts := Options{Warm: warm}
 			want, wantErr := clone(p).SolveOpts(opts)
 			got, gotErr := p.SolveOpts(opts)
 			sameSolution(t, fmt.Sprintf("step %d warm=%v", step, warm != nil), got, want, gotErr, wantErr)
@@ -159,7 +159,7 @@ func TestGrownProblemRecyclesMatrix(t *testing.T) {
 // gives what it gives alone.
 func TestConcurrentSolvesWithSpare(t *testing.T) {
 	p := randomSparseLP(200, 150, 5)
-	root, err := p.SolveOpts(Options{Engine: EngineRevised})
+	root, err := p.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestConcurrentSolvesWithSpare(t *testing.T) {
 		for j := k; j < len(hi); j += len(his) {
 			his[k][j] *= 0.7
 		}
-		alone[k], _ = clone(p).SolveBounded(lo, his[k], Options{Engine: EngineRevised, Warm: root.Basis()})
+		alone[k], _ = clone(p).SolveBounded(lo, his[k], Options{Warm: root.Basis()})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -182,7 +182,7 @@ func TestConcurrentSolvesWithSpare(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := range his {
-				got, _ := p.SolveBounded(lo, his[k], Options{Engine: EngineRevised, Warm: root.Basis()})
+				got, _ := p.SolveBounded(lo, his[k], Options{Warm: root.Basis()})
 				if got.Status != alone[k].Status || got.Iterations != alone[k].Iterations ||
 					math.Float64bits(got.Objective) != math.Float64bits(alone[k].Objective) || !bitsEqual(got.values, alone[k].values) {
 					t.Errorf("bounds %d: an overlapping solve gives %v %v in %d pivots, alone %v %v in %d",

@@ -626,7 +626,7 @@ func BenchmarkLargeLPs(b *testing.B) {
 	for k, p := range largeLPs() {
 		b.Run(fmt.Sprintf("large%d_m%d", k, len(p.cons)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.SolveOpts(Options{Engine: EngineRevised}); err != nil {
+				if _, err := p.SolveOpts(Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -670,7 +670,7 @@ func kernelCases() []kernelCase {
 	}
 	rng = rand.New(rand.NewSource(23))
 	for k := 0; k < 300; k++ {
-		donor, err := randomLP(rng).SolveOpts(Options{Engine: EngineRevised})
+		donor, err := randomLP(rng).SolveOpts(Options{})
 		p := randomLP(rng)
 		if err == nil {
 			cases = append(cases, kernelCase{name: fmt.Sprintf("foreign %d", k), p: p, warm: donor.Basis()})

@@ -201,7 +201,7 @@ func TestWarmStartReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k < 50; k++ {
 		p := randomLP(rng)
-		first, err := p.SolveOpts(Options{Engine: EngineRevised})
+		first, err := p.SolveOpts(Options{})
 		if err != nil {
 			continue // warm starts only apply after an optimal solve
 		}
@@ -211,7 +211,7 @@ func TestWarmStartReuse(t *testing.T) {
 		if first.WarmStarted {
 			t.Fatalf("case %d: cold solve flagged as warm", k)
 		}
-		second, err := p.SolveOpts(Options{Engine: EngineRevised, Warm: first.Basis()})
+		second, err := p.SolveOpts(Options{Warm: first.Basis()})
 		if err != nil {
 			t.Fatalf("case %d: warm re-solve failed: %v", k, err)
 		}
@@ -237,7 +237,7 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for k := 0; k < 80; k++ {
 		p := randomLP(rng)
-		parent, err := p.SolveOpts(Options{Engine: EngineRevised})
+		parent, err := p.SolveOpts(Options{})
 		if err != nil {
 			continue
 		}
@@ -249,7 +249,7 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 		} else {
 			p.SetBounds(VarID(j), 0, math.Max(0, math.Floor(v+1e-6)))
 		}
-		warm, werr := p.SolveOpts(Options{Engine: EngineRevised, Warm: parent.Basis()})
+		warm, werr := p.SolveOpts(Options{Warm: parent.Basis()})
 		cold, cerr := p.solveLPDense(nil, nil, Auto)
 		if warm.Status != cold.Status {
 			t.Fatalf("case %d: status warm=%v dense=%v (warm err %v, cold err %v)",
@@ -271,7 +271,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	p1 := NewProblem()
 	x := p1.AddVariable("x", 0, 10, 1)
 	p1.AddConstraint(Constraint{Name: "need", Terms: []Term{{x, 1}}, Op: GE, RHS: 2})
-	s1, err := p1.SolveOpts(Options{Engine: EngineRevised})
+	s1, err := p1.SolveOpts(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	b := p2.AddVariable("b", 0, 10, 2)
 	p2.AddConstraint(Constraint{Name: "need", Terms: []Term{{a, 1}, {b, 1}}, Op: GE, RHS: 3})
 	p2.AddConstraint(Constraint{Name: "cap", Terms: []Term{{b, 1}}, Op: LE, RHS: 1})
-	s2, err := p2.SolveOpts(Options{Engine: EngineRevised, Warm: s1.Basis()})
+	s2, err := p2.SolveOpts(Options{Warm: s1.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	p3 := NewProblem()
 	y := p3.AddVariable("x", 0, 10, -1)
 	p3.AddConstraint(Constraint{Name: "need", Terms: []Term{{y, 1}}, Op: LE, RHS: 2})
-	s3, err := p3.SolveOpts(Options{Engine: EngineRevised, Warm: s1.Basis()})
+	s3, err := p3.SolveOpts(Options{Warm: s1.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 		t.Fatalf("objective %g, want -2", s3.Objective)
 	}
 	// Shrinking back drops a basic column and a row.
-	s4, err := p1.SolveOpts(Options{Engine: EngineRevised, Warm: s2.Basis()})
+	s4, err := p1.SolveOpts(Options{Warm: s2.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +324,12 @@ func TestWarmStartForeignBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	warmed, seeded := 0, 0 // among problems with an optimum
 	for k := 0; k < 4000; k++ {
-		donor, err := randomLP(rng).SolveOpts(Options{Engine: EngineRevised})
+		donor, err := randomLP(rng).SolveOpts(Options{})
 		if err != nil {
 			continue
 		}
 		p := randomLP(rng)
-		warm, werr := p.SolveOpts(Options{Engine: EngineRevised, Warm: donor.Basis()})
+		warm, werr := p.SolveOpts(Options{Warm: donor.Basis()})
 		cold, cerr := p.solveLPDense(nil, nil, Auto)
 		if warm.Status != cold.Status {
 			t.Fatalf("case %d: status warm=%v dense=%v (warm err %v, cold err %v)", k, warm.Status, cold.Status, werr, cerr)
@@ -353,17 +353,25 @@ func TestWarmStartForeignBasis(t *testing.T) {
 	}
 }
 
-// TestBasisNilForDense: the dense engine does not produce a basis.
+// TestBasisNilForDense: the dense engine does not produce a basis; a
+// solve with zero Options runs on the revised engine, which does.
 func TestBasisNilForDense(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable("x", 0, 1, 1)
 	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Op: GE, RHS: 0.5})
-	sol, err := p.Solve()
+	sol, err := p.SolveOpts(Options{Engine: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Basis() != nil {
 		t.Fatal("dense solve returned a basis")
+	}
+	sol, err = p.SolveOpts(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Basis() == nil {
+		t.Fatal("solve with zero Options returned no basis")
 	}
 }
 
@@ -405,8 +413,8 @@ func TestMILPWarmMatchesCold(t *testing.T) {
 	warmPivots, coldPivots := 0, 0
 	for k := 0; k < 60; k++ {
 		p := randomMILP(rng)
-		warm, werr := p.SolveOpts(Options{Engine: EngineRevised})
-		cold, cerr := p.SolveOpts(Options{Engine: EngineRevised, ColdStart: true})
+		warm, werr := p.SolveOpts(Options{})
+		cold, cerr := p.SolveOpts(Options{ColdStart: true})
 		dense, derr := p.SolveOpts(Options{Engine: EngineDense})
 		if (werr == nil) != (derr == nil) || (cerr == nil) != (derr == nil) {
 			t.Fatalf("case %d: err warm=%v cold=%v dense=%v", k, werr, cerr, derr)
@@ -484,7 +492,7 @@ func randomCoverLP(nVars, nRows int, seed uint64) *Problem {
 func TestCancelAbortsRevised(t *testing.T) {
 	p := randomCoverLP(40, 60, 7)
 	canceled := errors.New("deadline")
-	sol, err := p.SolveOpts(Options{Engine: EngineRevised, Cancel: func() error { return canceled }})
+	sol, err := p.SolveOpts(Options{Cancel: func() error { return canceled }})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -506,7 +514,7 @@ func TestCancelAbortsMILP(t *testing.T) {
 		terms = append(terms, Term{Var: VarID(j), Coef: 1})
 	}
 	p.AddConstraint(Constraint{Terms: terms, Op: LE, RHS: 3})
-	_, err := p.SolveOpts(Options{Engine: EngineRevised, Cancel: func() error { return errors.New("stop") }})
+	_, err := p.SolveOpts(Options{Cancel: func() error { return errors.New("stop") }})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
@@ -514,7 +522,7 @@ func TestCancelAbortsMILP(t *testing.T) {
 
 func TestCancelNilNeverAborts(t *testing.T) {
 	p := randomCoverLP(20, 30, 9)
-	if _, err := p.SolveOpts(Options{Engine: EngineRevised}); err != nil {
+	if _, err := p.SolveOpts(Options{}); err != nil {
 		t.Fatalf("nil Cancel must not abort: %v", err)
 	}
 }

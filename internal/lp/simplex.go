@@ -22,12 +22,8 @@ type Options struct {
 	Pivot PivotRule
 	// MaxNodes bounds branch & bound nodes (0 = default 200000).
 	MaxNodes int
-	// FirstIncumbent stops branch & bound at the first integral
-	// solution instead of proving optimality — the feasibility-check
-	// mode used by admission control.
-	FirstIncumbent bool
-	// Engine selects the simplex implementation; EngineAuto uses the
-	// dense tableau unless Warm is supplied.
+	// Engine selects the simplex implementation: the zero value is the
+	// revised simplex, EngineDense the reference tableau.
 	Engine Engine
 	// Warm seeds the revised engine with a previously optimal basis: of
 	// this problem, or of any problem sharing column and row names with

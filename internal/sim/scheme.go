@@ -63,11 +63,11 @@ type TEConfig struct {
 	// TEAVARBeta is TEAVAR's single availability level (paper: 99.9%,
 	// the maximum target in the workload).
 	TEAVARBeta float64
-	// Scheduler, when set, runs BATE's scheduling solves through the
-	// sparse revised simplex and warm-starts each epoch from the
-	// previous epoch's optimal basis (the admitted set usually changes
-	// by a few demands per round). Share one Scheduler across the
-	// rounds of a single simulation; it is not safe for concurrent use.
+	// Scheduler, when set, warm-starts each epoch's scheduling solve
+	// from the previous epoch's optimal basis (the admitted set
+	// usually changes by a few demands per round). Share one Scheduler
+	// across the rounds of a single simulation; it is not safe for
+	// concurrent use.
 	Scheduler *bate.Scheduler
 	// Partition, when non-nil, enables BATE's hierarchical
 	// (partitioned) scheduling; see bate.ScheduleOptions.Partition.
@@ -104,8 +104,6 @@ func (c TEConfig) Allocate(in *alloc.Input) (alloc.Allocation, error) {
 		var a alloc.Allocation
 		var err error
 		if c.Scheduler != nil {
-			// Keep the follow-up hardening solves on the same engine.
-			opts.Engine = lp.EngineRevised
 			a, _, err = c.Scheduler.Schedule(in, opts)
 		} else {
 			a, _, err = bate.Schedule(in, opts)
