@@ -40,7 +40,7 @@ func TestLinkPricesRevisedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := p.SolveOpts(lp.Options{Engine: lp.EngineDense})
+		sol, err := lp.SolveReference(p)
 		if err != nil {
 			t.Fatalf("%s dense: %v", name, err)
 		}

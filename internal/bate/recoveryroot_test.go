@@ -160,25 +160,20 @@ func TestPlannedRootMatchesColdRecovery(t *testing.T) {
 
 // Naming the LP's rows changes nothing a cold solve does: without a
 // plan, RecoverOptimalOpts gives the frozen builder's result bit for
-// bit, on both engines.
+// bit.
 func TestColdRecoveryMatchesFrozenBuilder(t *testing.T) {
 	for _, tc := range rootCases() {
-		for _, opts := range []lp.Options{{}, {Engine: lp.EngineDense}} {
-			for i, down := range tc.failures {
-				if opts.Engine == lp.EngineDense && !tc.sampled(i) {
-					continue // the dense tableau is slow: a sample does
-				}
-				got, err := RecoverOptimalOpts(tc.in, down, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := refRecoverOptimal(tc.in, down, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameRecovery(got, want) || got.Nodes != want.Nodes || got.Iterations != want.Iterations {
-					t.Fatalf("%s %v engine %v: result differs from the frozen builder's", tc.name, down, opts.Engine)
-				}
+		for _, down := range tc.failures {
+			got, err := RecoverOptimalOpts(tc.in, down, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refRecoverOptimal(tc.in, down, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecovery(got, want) || got.Nodes != want.Nodes || got.Iterations != want.Iterations {
+				t.Fatalf("%s %v: result differs from the frozen builder's", tc.name, down)
 			}
 		}
 	}

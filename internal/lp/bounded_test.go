@@ -30,8 +30,9 @@ func randomKnapsack(i int) *Problem {
 }
 
 // SolveBounded solves the problem with its bounds replaced, as SetBounds
-// on a copy would, on both engines and warm from the relaxation's
-// basis, and leaves the problem's own bounds alone.
+// on a copy would (and as the tableau solves that copy), cold and warm
+// from the relaxation's basis, and leaves the problem's own bounds
+// alone.
 func TestSolveBoundedMatchesSetBounds(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := randomKnapsack(i)
@@ -52,15 +53,20 @@ func TestSolveBoundedMatchesSetBounds(t *testing.T) {
 			q.SetBounds(VarID(j), lo[j], hi[j])
 		}
 		want, werr := q.Solve()
-		for _, opts := range []Options{{Engine: EngineDense}, {}, {Warm: root.Basis()}} {
-			got, err := p.SolveBounded(lo, hi, opts)
+		check := func(label string, got *Solution, err error) {
 			if (err == nil) != (werr == nil) {
-				t.Fatalf("case %d engine %v: err %v, want %v", i, opts.Engine, err, werr)
+				t.Fatalf("case %d %s: err %v, want %v", i, label, err, werr)
 			}
 			if err == nil && math.Abs(got.Objective-want.Objective) > 1e-7 {
-				t.Fatalf("case %d engine %v: objective %v, want %v", i, opts.Engine, got.Objective, want.Objective)
+				t.Fatalf("case %d %s: objective %v, want %v", i, label, got.Objective, want.Objective)
 			}
 		}
+		ref, err := SolveReference(q)
+		check("tableau", ref, err)
+		got, err := p.SolveBounded(lo, hi, Options{})
+		check("cold", got, err)
+		got, err = p.SolveBounded(lo, hi, Options{Warm: root.Basis()})
+		check("warm", got, err)
 		if lo2, hi2 := p.Bounds(); !slices.Equal(lo2, wantLo) || !slices.Equal(hi2, wantHi) {
 			t.Fatalf("case %d: SolveBounded changed the problem's bounds", i)
 		}

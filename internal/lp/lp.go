@@ -7,11 +7,13 @@
 // Every solve runs on a sparse bounded-variable revised simplex — CSC
 // matrix, product-form basis with O(nnz) refactorization, primal and
 // dual iterations, and warm starts from a name-keyed Basis of this or a
-// neighbouring problem (sparse.go, basis.go, revised.go). A dense
+// neighbouring problem (sparse.go, basis.go, revised.go). A solve whose
+// refactorization fails numerically ends with ErrNumerical. A dense
 // two-phase primal simplex tableau with Dantzig pivoting and a Bland
-// anti-cycling fallback (simplex.go) is kept as the reference: only
-// EngineDense, LP_CROSSCHECK and a revised solve that fails numerically
-// reach it. The MILP solver is a depth-first branch & bound over the LP
+// anti-cycling fallback (simplex.go) is kept as the reference that
+// tests hold the revised engine to: only SolveReference and the
+// cross-check (CrosscheckFromEnv) reach it, and no binary links it.
+// The MILP solver is a depth-first branch & bound over the LP
 // relaxation, each child warm-started from its parent's basis. Problem
 // sizes in BATE are moderate (hundreds to a few thousands of rows)
 // after scenario aggregation.
@@ -268,6 +270,9 @@ const (
 	// mid-iteration (deadline hit, chaos budget fired). The partial
 	// state is discarded; callers keep their previous allocation.
 	Aborted
+	// Numerical means a refactorization of the basis failed: the
+	// solve stopped with no verdict and no values.
+	Numerical
 )
 
 func (s Status) String() string {
@@ -282,6 +287,8 @@ func (s Status) String() string {
 		return "iteration-limit"
 	case Aborted:
 		return "aborted"
+	case Numerical:
+		return "numerical"
 	}
 	return "unknown"
 }
@@ -328,6 +335,7 @@ var (
 	ErrUnbounded  = errors.New("lp: problem is unbounded")
 	ErrIterLimit  = errors.New("lp: iteration limit exceeded")
 	ErrAborted    = errors.New("lp: solve aborted")
+	ErrNumerical  = errors.New("lp: numerical failure")
 )
 
 const (
@@ -346,9 +354,4 @@ const (
 // Solve solves the problem. Integral variables are honoured via branch
 // & bound; pure LPs go straight to the simplex. The returned Solution
 // always carries a Status; err is non-nil iff Status != Optimal.
-func (p *Problem) Solve() (*Solution, error) {
-	if p.HasIntegers() {
-		return p.solveMILP()
-	}
-	return p.solveLPWith(nil, nil, Options{})
-}
+func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }

@@ -8,12 +8,6 @@ const intTol = 1e-6
 // defaultMaxNodes bounds the branch & bound search.
 const defaultMaxNodes = 200000
 
-// solveMILP solves the problem honouring integral variables via
-// depth-first branch & bound on the LP relaxation.
-func (p *Problem) solveMILP() (*Solution, error) {
-	return p.solveMILPOpts(nil, nil, Options{})
-}
-
 type bbNode struct {
 	lo, hi []float64
 	// warm is the parent relaxation's optimal basis; a child's LP
@@ -23,10 +17,15 @@ type bbNode struct {
 	warm *Basis
 }
 
-// solveMILPOpts runs the search from root bounds rootLo/rootHi, or the
-// variables' own bounds where they are nil. The nodes copy them, so the
-// caller's slices are never written.
-func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Solution, error) {
+// nodeSolver solves one node's LP relaxation under bounds lo/hi.
+type nodeSolver func(p *Problem, lo, hi []float64, opts Options) (*Solution, error)
+
+// solveMILPOpts honours integral variables via depth-first branch &
+// bound on the LP relaxation, each node solved by solve. It runs the
+// search from root bounds rootLo/rootHi, or the variables' own bounds
+// where they are nil. The nodes copy them, so the caller's slices are
+// never written.
+func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options, solve nodeSolver) (*Solution, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = defaultMaxNodes
@@ -48,11 +47,10 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		incumbentVal = math.Inf(1) // sign-adjusted (minimization view)
 		nodes        int
 		pivots       int
-		anyFeasible  bool
 		hitLimit     bool
 		rootWarm     bool // the root relaxation used opts.Warm
 	)
-	nodeOpts := Options{Pivot: opts.Pivot, Engine: opts.Engine, Cancel: opts.Cancel}
+	nodeOpts := Options{Pivot: opts.Pivot, Cancel: opts.Cancel}
 	stack := []bbNode{{lo: rootLo, hi: rootHi, warm: opts.Warm}}
 	for len(stack) > 0 {
 		if nodes >= maxNodes {
@@ -64,7 +62,7 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		nodes++
 
 		nodeOpts.Warm = nd.warm
-		relax, err := p.solveLPWith(nd.lo, nd.hi, nodeOpts)
+		relax, err := solve(p, nd.lo, nd.hi, nodeOpts)
 		pivots += relax.Iterations
 		if nodes == 1 {
 			rootWarm = relax.WarmStarted
@@ -76,18 +74,19 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 				// cannot be unbounded if the root was not.
 				return &Solution{Status: Unbounded, Nodes: nodes, Iterations: pivots}, ErrUnbounded
 			}
-			if relax.Status == Aborted {
-				// A deadline/budget abort is not an infeasible branch:
-				// pruning here would silently return a wrong "optimal".
-				// Surface the best incumbent so far as aborted.
-				sol := &Solution{Status: Aborted, Nodes: nodes, Iterations: pivots}
-				if incumbent != nil {
-					sol.Objective = incumbent.Objective
-					sol.values = incumbent.values
-				}
-				return sol, ErrAborted
+			if relax.Status == Infeasible {
+				continue // infeasible branch
 			}
-			continue // infeasible branch
+			// Any other failure (an abort, the pivot cap, a numerical
+			// bail) leaves the subtree unsearched: pruning it would
+			// silently return a wrong "optimal". Surface the best
+			// incumbent so far under the node's status.
+			sol := &Solution{Status: relax.Status, Nodes: nodes, Iterations: pivots}
+			if incumbent != nil {
+				sol.Objective = incumbent.Objective
+				sol.values = incumbent.values
+			}
+			return sol, err
 		}
 		bound := sign * relax.Objective
 		if bound >= incumbentVal-1e-9 {
@@ -117,7 +116,6 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 				}
 				obj += v.cost * vals[j]
 			}
-			anyFeasible = true
 			if sign*obj < incumbentVal {
 				incumbentVal = sign * obj
 				incumbent = &Solution{Status: Optimal, Objective: obj, values: vals}
@@ -130,7 +128,7 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		// which empirically prunes well for BATE's accept/reject
 		// binaries when maximizing acceptance).
 		var childWarm *Basis
-		if opts.Engine == EngineRevised && !opts.ColdStart {
+		if !opts.ColdStart {
 			childWarm = relax.basis
 		}
 		up := bbNode{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...), warm: childWarm}
@@ -153,7 +151,6 @@ func (p *Problem) solveMILPOpts(rootLo, rootHi []float64, opts Options) (*Soluti
 		}
 		return &Solution{Status: st, Nodes: nodes, Iterations: pivots}, err
 	}
-	_ = anyFeasible
 	incumbent.Nodes = nodes
 	incumbent.Iterations = pivots
 	incumbent.WarmStarted = rootWarm

@@ -557,7 +557,8 @@ func (r *revised) aborted() bool {
 	return r.cancel != nil && r.pivots%cancelCheckEvery == 0 && r.cancel() != nil
 }
 
-// primal runs bounded primal simplex iterations to optimality on r.d.
+// primal runs bounded primal simplex iterations to optimality on r.d,
+// or until a refactorization fails (Numerical).
 func (r *revised) primal(phase1 bool) Status {
 	r.refresh()
 	for {
@@ -646,21 +647,25 @@ func (r *revised) primal(phase1 bool) Status {
 		// usually drift: refactorize and retry the iteration.
 		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
 			if !r.refactorNow() {
-				return IterLimit
+				return Numerical
 			}
 			continue
 		}
 		r.pivotRow(leave)
 		r.carryDuals(leave, enter, w[leave])
-		r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w, rows)
+		if !r.pivotStep(leave, enter, sigma, bestT, leaveToUpper, w, rows) {
+			return Numerical
+		}
 	}
 }
 
 // pivotStep applies one basis exchange: entering column `enter` moves
 // by sigma·t, basic row `leave` leaves at the bound it hit. w is the
 // entering column's FTRAN and rows where it may be nonzero: a basic
-// value off them moves by ±0, as does an eta entry.
-func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper bool, w []float64, rows []int32) {
+// value off them moves by ±0, as does an eta entry. It reports false
+// when the periodic refactorization it ends with fails, which leaves
+// the factorization unusable.
+func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper bool, w []float64, rows []int32) bool {
 	r.pivots++
 	for _, i := range rows {
 		if int(i) != leave {
@@ -691,9 +696,7 @@ func (r *revised) pivotStep(leave, enter int, sigma, t float64, leaveToUpper boo
 	r.track(int32(leave))
 	r.fac.push(w, int32(leave), rows)
 	r.sinceRefactor++
-	if r.sinceRefactor >= refactorEvery(r.m) {
-		r.refactorNow()
-	}
+	return r.sinceRefactor < refactorEvery(r.m) || r.refactorNow()
 }
 
 // infeasSum returns the total residual infeasibility (the phase-1
@@ -798,16 +801,16 @@ func (r *revised) runWarm() (Status, string) {
 		switch {
 		case st == Infeasible:
 			return st, warmInfeasible
-		case st == IterLimit && r.pivots >= warmRepairPivotCap:
-			return st, warmPivotCap
 		case st == IterLimit:
+			return st, warmPivotCap
+		case st == Numerical:
 			return st, warmSingular
 		case st != Optimal:
 			return st, warmOK
 		}
 	}
 	st := r.primal(false)
-	if st == IterLimit && r.pivots < maxPivots {
+	if st == Numerical {
 		return st, warmSingular
 	}
 	return st, warmOK
@@ -858,7 +861,8 @@ func (r *revised) primalFeasible() bool {
 // bound violation, see leavingRow; entering column by the dual ratio
 // test on r.d).
 // Returns Optimal once primal feasible, Infeasible when dual-unbounded
-// (the problem has no feasible point), IterLimit at warmRepairPivotCap.
+// (the problem has no feasible point), IterLimit at warmRepairPivotCap,
+// Numerical when a refactorization fails.
 func (r *revised) dualSimplex() Status {
 	for {
 		if r.pivots >= warmRepairPivotCap {
@@ -912,7 +916,7 @@ func (r *revised) dualSimplex() Status {
 		w, rows := r.ftranCol(enter)
 		if pv := math.Abs(w[leave]); pv < stablePivotTol && r.sinceRefactor > 0 {
 			if !r.refactorNow() {
-				return IterLimit
+				return Numerical
 			}
 			continue
 		}
@@ -930,7 +934,9 @@ func (r *revised) dualSimplex() Status {
 			t = 0
 		}
 		r.carryDuals(leave, enter, bestAlpha)
-		r.pivotStep(leave, enter, sigma, t, !below, w, rows)
+		if !r.pivotStep(leave, enter, sigma, t, !below, w, rows) {
+			return Numerical
+		}
 	}
 }
 

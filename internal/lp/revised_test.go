@@ -359,7 +359,7 @@ func TestBasisNilForDense(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable("x", 0, 1, 1)
 	p.AddConstraint(Constraint{Terms: []Term{{x, 1}}, Op: GE, RHS: 0.5})
-	sol, err := p.SolveOpts(Options{Engine: EngineDense})
+	sol, err := SolveReference(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestMILPWarmMatchesCold(t *testing.T) {
 		p := randomMILP(rng)
 		warm, werr := p.SolveOpts(Options{})
 		cold, cerr := p.SolveOpts(Options{ColdStart: true})
-		dense, derr := p.SolveOpts(Options{Engine: EngineDense})
+		dense, derr := SolveReference(p)
 		if (werr == nil) != (derr == nil) || (cerr == nil) != (derr == nil) {
 			t.Fatalf("case %d: err warm=%v cold=%v dense=%v", k, werr, cerr, derr)
 		}

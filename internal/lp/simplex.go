@@ -22,12 +22,9 @@ type Options struct {
 	Pivot PivotRule
 	// MaxNodes bounds branch & bound nodes (0 = default 200000).
 	MaxNodes int
-	// Engine selects the simplex implementation: the zero value is the
-	// revised simplex, EngineDense the reference tableau.
-	Engine Engine
 	// Warm seeds the revised engine with a previously optimal basis: of
 	// this problem, or of any problem sharing column and row names with
-	// it (see Basis). Ignored by the dense engine.
+	// it (see Basis).
 	Warm *Basis
 	// ColdStart disables parent-basis warm-starting inside branch &
 	// bound (benchmark/ablation control).
@@ -37,14 +34,14 @@ type Options struct {
 	// non-nil return aborts the solve with Status Aborted / ErrAborted.
 	// Deadline-bounded recovery and the chaos solver budget hook in
 	// here so a runaway solve stops mid-iteration, not just between
-	// phases. The dense reference engine does not poll it.
+	// phases.
 	Cancel func() error
 }
 
 // SolveOpts is Solve with explicit Options.
 func (p *Problem) SolveOpts(opts Options) (*Solution, error) {
 	if p.HasIntegers() {
-		return p.solveMILPOpts(nil, nil, opts)
+		return p.solveMILPOpts(nil, nil, opts, (*Problem).solveLPWith)
 	}
 	return p.solveLPWith(nil, nil, opts)
 }
@@ -59,7 +56,7 @@ func (p *Problem) SolveBounded(lo, hi []float64, opts Options) (*Solution, error
 		panic(fmt.Sprintf("lp: SolveBounded: %d/%d bounds for %d variables", len(lo), len(hi), len(p.vars)))
 	}
 	if p.HasIntegers() {
-		return p.solveMILPOpts(lo, hi, opts)
+		return p.solveMILPOpts(lo, hi, opts, (*Problem).solveLPWith)
 	}
 	return p.solveLPWith(lo, hi, opts)
 }
